@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .backend import (
     Backend,
     BackendConfig,
-    ConstantBackend,
     CostTable,
     EchoTailBackend,
     GenerationParams,
@@ -34,6 +33,7 @@ from .bench import (
     TheoryCheckReport,
     compute_metrics,
     load_dataset,
+    make_backend,
     naive_forecast,
     run_sweep,
     theory_check,
@@ -88,11 +88,9 @@ from .rng import substream
 from .synth import (
     KERNEL_KINDS,
     KernelSpec,
-    SyntheticSeries,
     cholesky_with_jitter,
     generate_benchmark,
     kernel_matrix,
-    sample_gp,
     sample_gp_matrix,
 )
 

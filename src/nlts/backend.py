@@ -14,7 +14,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -74,11 +74,7 @@ class Usage:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "requests": self.requests,
-        }
+        return asdict(self)
 
 
 def _whitespace_tokens(text: str) -> int:
@@ -159,7 +155,30 @@ def estimate_cost(usage: Usage, model: str, table: CostTable | None = None) -> f
     )
 
 
-# --- canonical request identity ----------------------------------------------
+# --- request bodies and their identity ----------------------------------------
+
+
+def _param_body(params: GenerationParams) -> dict:
+    body = {
+        "model": params.model,
+        "temperature": params.temperature,
+        "top_p": params.top_p,
+        "max_tokens": params.max_tokens,
+        "n": params.num_samples,
+    }
+    if params.stop:
+        body["stop"] = list(params.stop)
+    return body
+
+
+def _completion_body(prompt: str, params: GenerationParams) -> dict:
+    """Completions request body, as sent on the wire and as hashed for cassettes."""
+    return {"prompt": prompt, **_param_body(params)}
+
+
+def _chat_body(messages: Sequence[Mapping[str, str]], params: GenerationParams) -> dict:
+    """Chat request body, as sent on the wire and as hashed for cassettes."""
+    return {"messages": [dict(m) for m in messages], **_param_body(params)}
 
 
 def canonical_request(endpoint: str, body: Mapping, tag: str) -> dict:
@@ -234,10 +253,6 @@ class OracleBackend(_MockBackend):
 
     def describe(self):
         return {"backend": self.name, "text_sha256": hashlib.sha256(self.text.encode()).hexdigest()}
-
-
-class ConstantBackend(OracleBackend):
-    name = "constant"
 
 
 class EchoTailBackend(_MockBackend):
@@ -428,22 +443,8 @@ class HttpBackend(Backend):
         est = _estimate_usage(prompt_text, texts)
         return Usage(est.prompt_tokens, est.completion_tokens, attempts)
 
-    def _body(self, params: GenerationParams) -> dict:
-        body = {
-            "model": params.model,
-            "temperature": params.temperature,
-            "top_p": params.top_p,
-            "max_tokens": params.max_tokens,
-            "n": params.num_samples,
-        }
-        if params.stop:
-            body["stop"] = list(params.stop)
-        return body
-
     def complete(self, prompt, params, tag=""):
-        body = self._body(params)
-        body["prompt"] = prompt
-        data, attempts = self._post("/v1/completions", body)
+        data, attempts = self._post("/v1/completions", _completion_body(prompt, params))
         try:
             texts = [choice["text"] for choice in data["choices"]]
         except (KeyError, TypeError) as exc:
@@ -454,9 +455,7 @@ class HttpBackend(Backend):
 
     def chat_complete(self, messages, params, tag=""):
         _last_user_content(messages)  # validates shape
-        body = self._body(params)
-        body["messages"] = [dict(m) for m in messages]
-        data, attempts = self._post("/v1/chat/completions", body)
+        data, attempts = self._post("/v1/chat/completions", _chat_body(messages, params))
         try:
             texts = [choice["message"]["content"] for choice in data["choices"]]
         except (KeyError, TypeError) as exc:
@@ -502,30 +501,16 @@ class RecordingBackend(Backend):
 
     def complete(self, prompt, params, tag=""):
         texts, usage = self.inner.complete(prompt, params, tag=tag)
-        self._record("completions", {"prompt": prompt, **_param_body(params)}, tag, texts, usage)
+        self._record("completions", _completion_body(prompt, params), tag, texts, usage)
         return texts, usage
 
     def chat_complete(self, messages, params, tag=""):
         texts, usage = self.inner.chat_complete(messages, params, tag=tag)
-        body = {"messages": [dict(m) for m in messages], **_param_body(params)}
-        self._record("chat", body, tag, texts, usage)
+        self._record("chat", _chat_body(messages, params), tag, texts, usage)
         return texts, usage
 
     def describe(self):
         return {"backend": self.name, "inner": self.inner.describe(), "cassette": str(self.path)}
-
-
-def _param_body(params: GenerationParams) -> dict:
-    body = {
-        "model": params.model,
-        "temperature": params.temperature,
-        "top_p": params.top_p,
-        "max_tokens": params.max_tokens,
-        "n": params.num_samples,
-    }
-    if params.stop:
-        body["stop"] = list(params.stop)
-    return body
 
 
 class ReplayBackend(Backend):
@@ -579,11 +564,10 @@ class ReplayBackend(Backend):
         return texts, usage
 
     def complete(self, prompt, params, tag=""):
-        return self._serve("completions", {"prompt": prompt, **_param_body(params)}, tag)
+        return self._serve("completions", _completion_body(prompt, params), tag)
 
     def chat_complete(self, messages, params, tag=""):
-        body = {"messages": [dict(m) for m in messages], **_param_body(params)}
-        return self._serve("chat", body, tag)
+        return self._serve("chat", _chat_body(messages, params), tag)
 
     def describe(self):
         info = {"backend": self.name, "cassette": str(self.path)}
@@ -591,24 +575,3 @@ class ReplayBackend(Backend):
             info["recorded_at"] = self.newest_timestamp
         return info
 
-
-__all__ = [
-    "Backend",
-    "BackendConfig",
-    "ConstantBackend",
-    "CostTable",
-    "DEFAULT_PRICES",
-    "EchoTailBackend",
-    "GenerationParams",
-    "HttpBackend",
-    "OracleBackend",
-    "RecordingBackend",
-    "ReplayBackend",
-    "ScriptedBackend",
-    "Usage",
-    "canonical_request",
-    "default_cost_table",
-    "estimate_cost",
-    "load_cost_table",
-    "request_hash",
-]

@@ -7,7 +7,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -15,8 +15,10 @@ import numpy as np
 
 from .backend import (
     Backend,
+    BackendConfig,
     EchoTailBackend,
     GenerationParams,
+    HttpBackend,
     OracleBackend,
     ReplayBackend,
     ScriptedBackend,
@@ -278,28 +280,34 @@ def _split_dataset(ds: LoadedDataset, split: SplitSpec | None) -> tuple[TimeSeri
     return split_series(ds.series, split)
 
 
-def _cell_backend(cfg: SweepConfig, history: TimeSeries, target: TimeSeries) -> Backend:
-    """Build the per-dataset backend named by the config.
+BACKEND_KINDS = ("oracle", "echo", "scripted", "replay", "live")
+# kinds whose replies are built from the dataset's split, so a sweep builds
+# them once per dataset; the others are built once per sweep
+_PER_DATASET_KINDS = ("oracle", "echo")
 
-    oracle: replies with the encoded true continuation under the clean-history
-    scaler, so decoding recovers the target up to quantization.
+
+def make_backend(
+    spec: Mapping,
+    history: TimeSeries | None = None,
+    target: TimeSeries | None = None,
+    codec: CodecConfig = CodecConfig(),
+) -> Backend:
+    """Build the backend a spec names: the sweep config's "backend" block, or
+    the same dict that `nlts forecast` builds from its flags.
+
+    oracle: replies with the encoded target under the clean-history scaler, so
+    decoding recovers the target up to quantization. echo: EchoTailBackend
+    with "tail" (default 4) and "steps" (default max(64, 2 * len(target))).
+    scripted and replay: a fixture or cassette at "path". live: HttpBackend
+    with "base_url", "api_key" and "max_retries" (default 3).
     """
-    spec = dict(cfg.backend)
     kind = spec.get("kind", "oracle")
     if kind == "oracle":
-        scaler = fit_scaler(history, cfg.codec)
-        return OracleBackend(serialize(target, scaler, cfg.codec))
+        return OracleBackend(serialize(target, fit_scaler(history, codec), codec))
     if kind == "echo":
-        return EchoTailBackend(
-            tail=int(spec.get("tail", 4)), steps=int(spec.get("steps", max(64, len(target) * 2)))
-        )
-    if kind == "scripted":
-        return ScriptedBackend(path=spec["path"])
-    if kind == "replay":
-        return ReplayBackend(spec["path"])
+        steps = spec.get("steps", max(64, len(target) * 2))
+        return EchoTailBackend(tail=int(spec.get("tail", 4)), steps=int(steps))
     if kind == "live":
-        from .backend import BackendConfig, HttpBackend
-
         return HttpBackend(
             BackendConfig(
                 base_url=spec.get("base_url"),
@@ -307,7 +315,13 @@ def _cell_backend(cfg: SweepConfig, history: TimeSeries, target: TimeSeries) -> 
                 max_retries=int(spec.get("max_retries", 3)),
             )
         )
-    raise ConfigError(f"unknown backend kind {kind!r}")
+    if kind not in BACKEND_KINDS:
+        raise ConfigError(f"unknown backend kind {kind!r}, expected one of {BACKEND_KINDS}")
+    if spec.get("path") is None:
+        raise ConfigError(f'{kind} backend needs the "path" of its fixture or cassette')
+    if kind == "scripted":
+        return ScriptedBackend(path=spec["path"])
+    return ReplayBackend(spec["path"])
 
 
 @dataclass(frozen=True)
@@ -324,18 +338,7 @@ class SweepCell:
     error: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "kind": self.kind,
-            "level": self.level,
-            "label": self.label,
-            "mse": self.mse,
-            "mae": self.mae,
-            "improvement_mse": self.improvement_mse,
-            "improvement_mae": self.improvement_mae,
-            "valid_samples": self.valid_samples,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 def _improvement(original: float | None, noisy: float | None) -> float | None:
@@ -349,13 +352,18 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
 
     Level 0 is the distribution-free "Original" row, computed once per dataset
     and shared across kinds; improvements are relative to it. Per-cell failures
-    are recorded in the report, not fatal. Writes results.csv, results.json and
-    summary.md under out_dir and returns the JSON report as a dict.
+    are recorded in the report, not fatal. Without an explicit backend, the
+    config's backend block goes through make_backend: once per sweep, or once
+    per dataset for the kinds built from its split. Writes results.csv,
+    results.json and summary.md under out_dir and returns the JSON report as a
+    dict.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells: list[SweepCell] = []
     usage_total = Usage()
+    if backend is None and cfg.backend.get("kind", "oracle") not in _PER_DATASET_KINDS:
+        backend = make_backend(cfg.backend)
 
     for dataset_path in cfg.datasets:
         ds = load_dataset(dataset_path)
@@ -364,87 +372,55 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
             norm = Normalization.from_values(ds.series.values)
         else:
             norm = Normalization()
-        cell_backend = backend if backend is not None else _cell_backend(cfg, history, target)
+        if backend is None:
+            cell_backend = make_backend(cfg.backend, history, target, cfg.codec)
+        else:
+            cell_backend = backend
 
-        def run_cell(kind: str, level: float) -> tuple[MetricReport | None, int | None, str | None]:
+        def run_cell(
+            kind: str, level: float, base_mse: float | None = None, base_mae: float | None = None
+        ) -> SweepCell:
+            """One (kind, level) cell scored against the Original row's errors;
+            an NltsError becomes the cell's error."""
             nonlocal usage_total
-            noise = (
-                NoiseSpec(kind="none")
-                if level == 0.0
-                else NoiseSpec(kind=kind, alpha=level, seed=cfg.seed)
-            )
-            job = ForecastJob(
-                history=history,
-                horizon=len(target),
-                noise=noise,
-                codec=cfg.codec,
-                params=cfg.params,
-                prompt_style=cfg.prompt_style,
-                samples=cfg.samples,
-                seed=cfg.seed,
-                retries_per_sample=cfg.retries_per_sample,
-            )
-            result = run_nlts(job, cell_backend)
-            usage_total = usage_total + result.usage
-            report = compute_metrics(result.forecast.median, target.values, norm)
-            return report, result.valid_samples, None
-
-        baseline: tuple[float, float] | None = None
-        try:
-            report, valid, _ = run_cell(cfg.kinds[0], 0.0)
-            baseline = (report.mse, report.mae)
-            original_cell = SweepCell(
-                dataset=ds.name,
-                kind="none",
-                level=0.0,
-                label=ORIGINAL_LABEL,
+            cell = dict(dataset=ds.name, kind=kind, level=level, label=level_label(level))
+            try:
+                noise = NoiseSpec(kind="none") if level == 0.0 else NoiseSpec(kind=kind, alpha=level)
+                job = ForecastJob(
+                    history=history,
+                    horizon=len(target),
+                    noise=noise,
+                    codec=cfg.codec,
+                    params=cfg.params,
+                    prompt_style=cfg.prompt_style,
+                    samples=cfg.samples,
+                    seed=cfg.seed,
+                    retries_per_sample=cfg.retries_per_sample,
+                )
+                result = run_nlts(job, cell_backend)
+                usage_total = usage_total + result.usage
+                report = compute_metrics(result.forecast.median, target.values, norm)
+            except NltsError as exc:
+                return SweepCell(
+                    **cell, mse=None, mae=None, improvement_mse=None, improvement_mae=None,
+                    valid_samples=None, error=f"{type(exc).__name__}: {exc}",
+                )
+            return SweepCell(
+                **cell,
                 mse=report.mse,
                 mae=report.mae,
-                improvement_mse=None,
-                improvement_mae=None,
-                valid_samples=valid,
+                improvement_mse=_improvement(base_mse, report.mse),
+                improvement_mae=_improvement(base_mae, report.mae),
+                valid_samples=result.valid_samples,
                 error=None,
             )
-        except NltsError as exc:
-            original_cell = SweepCell(
-                dataset=ds.name, kind="none", level=0.0, label=ORIGINAL_LABEL,
-                mse=None, mae=None, improvement_mse=None, improvement_mae=None,
-                valid_samples=None, error=f"{type(exc).__name__}: {exc}",
-            )
-        cells.append(original_cell)
 
+        original = run_cell("none", 0.0)
+        cells.append(original)
         for kind in cfg.kinds:
             for level in cfg.noise_levels:
-                if level == 0.0:
-                    continue  # one shared Original row per dataset
-                try:
-                    report, valid, _ = run_cell(kind, level)
-                    cells.append(
-                        SweepCell(
-                            dataset=ds.name,
-                            kind=kind,
-                            level=level,
-                            label=level_label(level),
-                            mse=report.mse,
-                            mae=report.mae,
-                            improvement_mse=_improvement(
-                                baseline[0] if baseline else None, report.mse
-                            ),
-                            improvement_mae=_improvement(
-                                baseline[1] if baseline else None, report.mae
-                            ),
-                            valid_samples=valid,
-                            error=None,
-                        )
-                    )
-                except NltsError as exc:
-                    cells.append(
-                        SweepCell(
-                            dataset=ds.name, kind=kind, level=level, label=level_label(level),
-                            mse=None, mae=None, improvement_mse=None, improvement_mae=None,
-                            valid_samples=None, error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+                if level != 0.0:  # one shared Original row per dataset
+                    cells.append(run_cell(kind, level, original.mse, original.mae))
 
     cost = estimate_cost(usage_total, cfg.params.model, default_cost_table())
     report_dict = {
@@ -551,17 +527,7 @@ class TheoryCheckReport:
     concave_gap_nonpositive: bool
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "sigma": self.sigma,
-            "num_draws": self.num_draws,
-            "hessian_trace": self.hessian_trace,
-            "predicted_gap": self.predicted_gap,
-            "measured_gap": self.measured_gap,
-            "standard_error": self.standard_error,
-            "relative_error": self.relative_error,
-            "concave_gap_nonpositive": self.concave_gap_nonpositive,
-        }
+        return asdict(self)
 
 
 def theory_check(

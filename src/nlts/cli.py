@@ -9,14 +9,8 @@ from pathlib import Path
 import click
 
 from .backend import (
-    Backend,
-    BackendConfig,
-    EchoTailBackend,
     GenerationParams,
-    HttpBackend,
-    OracleBackend,
     RecordingBackend,
-    ReplayBackend,
     Usage,
     default_cost_table,
     estimate_cost,
@@ -28,10 +22,11 @@ from .bench import (
     SweepConfig,
     compute_metrics,
     load_dataset,
+    make_backend,
     run_sweep,
     theory_check,
 )
-from .codec import CodecConfig, fit_scaler, serialize
+from .codec import CodecConfig
 from .core import SplitSpec, split_series
 from .errors import ConfigError, NltsError
 from .noise import NOISE_KINDS, NoiseSpec
@@ -84,7 +79,8 @@ def main() -> None:
 @click.option("--signed/--unsigned", default=True, show_default=True)
 @click.option("--half-bin/--no-half-bin", default=True, show_default=True)
 @click.option("--backend", "backend_kind", default="oracle", show_default=True,
-              type=click.Choice(["live", "oracle", "echo", "replay"]))
+              type=click.Choice(["live", "oracle", "echo", "replay"]),
+              help="replay serves the cassette named by --replay.")
 @click.option("--model", default="GPT-3.5-Turbo-Instruct", show_default=True)
 @click.option("--temperature", default=0.7, show_default=True, type=float)
 @click.option("--top-p", default=1.0, show_default=True, type=float)
@@ -118,13 +114,16 @@ def forecast(
             basic_mode=basic_mode,
             half_bin_correction=half_bin,
         )
-        noise = NoiseSpec(kind=noise_kind if alpha > 0 else "none", alpha=alpha, seed=seed)
+        noise = NoiseSpec(kind=noise_kind if alpha > 0 else "none", alpha=alpha)
         params = GenerationParams(
             model=model, temperature=temperature, top_p=top_p, max_tokens=max_tokens
         )
-        backend = _make_forecast_backend(
-            backend_kind, replay_path, history, target, codec, echo_tail
-        )
+        spec = {
+            "kind": "replay" if replay_path is not None else backend_kind,
+            "path": replay_path,
+            "tail": echo_tail,
+        }
+        backend = make_backend(spec, history, target, codec)
         if record_path:
             backend = RecordingBackend(backend, record_path)
         job = ForecastJob(
@@ -152,21 +151,6 @@ def forecast(
         _emit(payload, out)
     except NltsError as exc:
         raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-
-
-def _make_forecast_backend(
-    kind: str, replay_path, history, target, codec: CodecConfig, echo_tail: int
-) -> Backend:
-    if replay_path is not None:
-        return ReplayBackend(replay_path)
-    if kind == "replay":
-        raise ConfigError("--backend replay needs --replay <cassette>")
-    if kind == "oracle":
-        scaler = fit_scaler(history, codec)
-        return OracleBackend(serialize(target, scaler, codec))
-    if kind == "echo":
-        return EchoTailBackend(tail=echo_tail, steps=max(64, len(target) * 2))
-    return HttpBackend(BackendConfig())
 
 
 @main.command()

@@ -211,25 +211,30 @@ _JUNK = re.compile(r"[^0-9-]+")
 _WS_TABLE = {ord(c): None for c in " \t\r\n"}
 
 
-def _fragment_to_bin(fragment: str) -> int | None:
-    """Digit-token fragment to signed bin integer; None when no digits survive."""
+def _fragment_to_bin(fragment: str, max_digits: int) -> int | None:
+    """Digit-token fragment to signed bin integer; None when no digits survive
+    or when the value needs more than max_digits digits (a runaway value)."""
     compact = fragment.translate(_WS_TABLE)
     if not compact:
         return None
-    try:
-        return int(compact)
-    except ValueError:
-        pass
+    if len(compact) <= max_digits:
+        try:
+            return int(compact)
+        except ValueError:
+            pass
     cleaned = _JUNK.sub("", fragment)
     negative = cleaned.startswith("-")
     digits = cleaned.replace("-", "")
     if not digits:
         return None
-    v = int(digits)
+    significant = digits.lstrip("0")
+    if len(significant) > max_digits:
+        return None
+    v = int(significant or "0")
     return -v if negative else v
 
 
-def _fragment_bins(text: str, sep: str, horizon: int) -> tuple[list[int], int]:
+def _fragment_bins(text: str, sep: str, horizon: int, max_digits: int) -> tuple[list[int], int]:
     """Junk-tolerant parse, one fragment at a time: the first `horizon` bins and
     the number of fragments discarded on the way."""
     bins: list[int] = []
@@ -237,7 +242,7 @@ def _fragment_bins(text: str, sep: str, horizon: int) -> tuple[list[int], int]:
     for fragment in text.split(sep):
         if len(bins) >= horizon:
             break
-        v = _fragment_to_bin(fragment)
+        v = _fragment_to_bin(fragment, max_digits)
         if v is None:
             if fragment.strip():
                 discarded += 1
@@ -246,9 +251,10 @@ def _fragment_bins(text: str, sep: str, horizon: int) -> tuple[list[int], int]:
     return bins, discarded
 
 
-def _whole_text_bins(text: str, sep: str, horizon: int) -> list[int] | None:
+def _whole_text_bins(text: str, sep: str, horizon: int, max_digits: int) -> list[int] | None:
     """The bins _fragment_bins finds when every fragment up to the horizon is
-    clean, from one pass over the whole text; None otherwise.
+    clean and within max_digits, from one pass over the whole text; None
+    otherwise.
 
     Drops spaces before splitting, which leaves the fragments intact for any
     one-character separator but a space. int() ignores the other whitespace
@@ -258,9 +264,13 @@ def _whole_text_bins(text: str, sep: str, horizon: int) -> list[int] | None:
         return None
     fragments = filter(None, text.replace(" ", "").split(sep))
     try:
-        return list(itertools.islice(map(int, fragments), horizon))
+        bins = list(itertools.islice(map(int, fragments), horizon))
     except ValueError:
         return None
+    limit = 10**max_digits
+    if bins and not -limit < min(bins) <= max(bins) < limit:
+        return None
+    return bins
 
 
 def deserialize(
@@ -273,15 +283,16 @@ def deserialize(
 
     Splits on the step separator, drops non-numeric junk inside each fragment,
     and silently skips fragments with no content at all (separator artifacts).
-    Fragments with content but no digits count as discarded. Raises ParseError
+    Fragments with content but no digits, or with a value of more than
+    max_digits_per_value digits, count as discarded. Raises ParseError
     when nothing parses; the report rides along on the exception.
     """
     if horizon < 1:
         raise ParamError(f"horizon must be >= 1, got {horizon}")
     sep = config.step_separator.strip() or config.step_separator
-    bins = _whole_text_bins(text, sep, horizon)
+    bins = _whole_text_bins(text, sep, horizon, config.max_digits_per_value)
     if bins is None:
-        bins, discarded = _fragment_bins(text, sep, horizon)
+        bins, discarded = _fragment_bins(text, sep, horizon, config.max_digits_per_value)
     else:
         discarded = 0
     report = ParseReport(

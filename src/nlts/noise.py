@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import TimeSeries
 from .errors import DegenerateSeriesError, NltsError, ParamError
-from .rng import substream
 
 NOISE_KINDS = ("gaussian", "uniform", "laplace", "gamma", "beta", "geometric", "none")
 
@@ -54,7 +53,8 @@ def _validate(kind: str, p: dict[str, float]) -> None:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Distribution family, its parameters, the level alpha, and the base seed.
+    """Distribution family, its parameters and the level alpha. Randomness comes
+    from the generator passed to inject_noise, never from the spec.
 
     constant_fallback: when the history has zero variance and alpha > 0, return
     the series unchanged instead of raising DegenerateSeriesError.
@@ -63,7 +63,6 @@ class NoiseSpec:
     kind: str = "gaussian"
     params: Mapping[str, float] = field(default_factory=dict)
     alpha: float = 0.0
-    seed: int = 0
     constant_fallback: bool = False
 
     def __post_init__(self):
@@ -130,11 +129,7 @@ def standardized_draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.n
     return z
 
 
-def inject_noise(
-    series: TimeSeries,
-    spec: NoiseSpec,
-    rng: np.random.Generator | None = None,
-) -> TimeSeries:
+def inject_noise(series: TimeSeries, spec: NoiseSpec, rng: np.random.Generator) -> TimeSeries:
     """x_t + alpha * sigma_x * z_t with sigma_x the population std of the series.
 
     alpha == 0 or kind == "none" returns the input verbatim. A constant series
@@ -149,7 +144,5 @@ def inject_noise(
         raise DegenerateSeriesError(
             f"series {series.name!r} is constant; sigma_x = 0 with alpha = {spec.alpha}"
         )
-    if rng is None:
-        rng = substream(spec.seed, 0)
     z = standardized_draw(spec, len(series), rng)
     return series.with_values(series.values + spec.alpha * sigma_x * z)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -116,13 +116,7 @@ class SampleOutcome:
             "valid": self.valid,
         }
         if self.report is not None:
-            d["parse"] = {
-                "requested_steps": self.report.requested_steps,
-                "parsed_steps": self.report.parsed_steps,
-                "discarded_fragments": self.report.discarded_fragments,
-                "truncated": self.report.truncated,
-                "raw_text_length": self.report.raw_text_length,
-            }
+            d["parse"] = asdict(self.report)
         return d
 
 
@@ -152,42 +146,6 @@ class ForecastResult:
         }
 
 
-def _noise_dict(spec: NoiseSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "params": dict(spec.params),
-        "alpha": spec.alpha,
-        "seed": spec.seed,
-        "constant_fallback": spec.constant_fallback,
-    }
-
-
-def _codec_dict(config: CodecConfig) -> dict:
-    return {
-        "precision_k": config.precision_k,
-        "base": config.base,
-        "signed": config.signed,
-        "basic_mode": config.basic_mode,
-        "scale_quantile": config.scale_quantile,
-        "offset_beta": config.offset_beta,
-        "half_bin_correction": config.half_bin_correction,
-        "step_separator": config.step_separator,
-        "digit_separator": config.digit_separator,
-        "max_digits_per_value": config.max_digits_per_value,
-    }
-
-
-def _params_dict(params: GenerationParams) -> dict:
-    return {
-        "model": params.model,
-        "temperature": params.temperature,
-        "top_p": params.top_p,
-        "max_tokens": params.max_tokens,
-        "num_samples": params.num_samples,
-        "stop": list(params.stop),
-    }
-
-
 def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
     """Execute a forecast job against a backend.
 
@@ -198,15 +156,9 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
     valid samples aborts with InsufficientSamplesError.
     """
     history = job.history
-    params = job.params
     budget = completion_token_budget(job.horizon, job.codec)
-    effective = GenerationParams(
-        model=params.model,
-        temperature=params.temperature,
-        top_p=params.top_p,
-        max_tokens=max(params.max_tokens, budget),
-        num_samples=1,
-        stop=params.stop,
+    effective = replace(
+        job.params, max_tokens=max(job.params.max_tokens, budget), num_samples=1
     )
     shared_noisy: TimeSeries | None = None
     if not job.fresh_noise_per_sample:
@@ -249,7 +201,7 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
         outcome = SampleOutcome(i, attempts, False, last_report)
         return None, outcome, scaler
 
-    workers = max(1, min(job.samples, getattr(backend, "max_in_flight", 4)))
+    workers = max(1, min(job.samples, backend.max_in_flight))
     results: list[tuple[np.ndarray | None, SampleOutcome, Scaler]]
     if workers == 1:
         results = [run_sample(i) for i in range(job.samples)]
@@ -306,9 +258,9 @@ def build_manifest(job: ForecastJob, backend: Backend, scalers: list[Scaler]) ->
         "retries_per_sample": job.retries_per_sample,
         "quantile_levels": list(job.quantile_levels),
         "history_length": len(job.history),
-        "noise": _noise_dict(job.noise),
-        "codec": _codec_dict(job.codec),
-        "generation": _params_dict(job.params),
+        "noise": asdict(job.noise),
+        "codec": asdict(job.codec),
+        "generation": asdict(job.params),
         "scalers": [[s.offset, s.scale] for s in scalers],
         "backend": backend_info,
         "rng": rng_identity(),

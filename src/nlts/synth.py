@@ -12,12 +12,11 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import TimeSeries
 from .errors import CholeskyError, ConfigError
 from .rng import derive_seed, rng_identity, substream
 
@@ -72,30 +71,14 @@ class KernelSpec:
         """Concrete hyperparameters for a given grid."""
         span = float(grid.max() - grid.min()) if grid.size > 1 else 1.0
         span = span if span > 0 else 1.0
-        lengthscale = self.lengthscale if self.lengthscale is not None else 0.2 * span
-        periodicity = self.periodicity if self.periodicity is not None else 0.25 * span
-        return KernelSpec(
-            kind=self.kind,
-            lengthscale=lengthscale,
-            periodicity=periodicity,
-            smoothness=self.smoothness,
-            degree=self.degree,
-            bias=self.bias,
-            mixture=self.mixture,
-            variance=self.variance,
+        return replace(
+            self,
+            lengthscale=self.lengthscale if self.lengthscale is not None else 0.2 * span,
+            periodicity=self.periodicity if self.periodicity is not None else 0.25 * span,
         )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lengthscale": self.lengthscale,
-            "periodicity": self.periodicity,
-            "smoothness": self.smoothness,
-            "degree": self.degree,
-            "bias": self.bias,
-            "mixture": self.mixture,
-            "variance": self.variance,
-        }
+        return asdict(self)
 
 
 def kernel_matrix(spec: KernelSpec, grid) -> np.ndarray:
@@ -157,17 +140,6 @@ def cholesky_with_jitter(k: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-@dataclass(frozen=True)
-class SyntheticSeries:
-    """One GP draw plus the provenance needed to regenerate it."""
-
-    series: TimeSeries
-    kernel: KernelSpec
-    seed: int
-    series_index: int
-    holdout: int = 0
-
-
 def sample_gp_matrix(spec: KernelSpec, grid, count: int, seed: int) -> np.ndarray:
     """(count, len(grid)) array of GP draws; row i uses substream(seed, i)."""
     if count < 0:
@@ -180,22 +152,6 @@ def sample_gp_matrix(spec: KernelSpec, grid, count: int, seed: int) -> np.ndarra
         z = substream(seed, i).standard_normal(t.size)
         out[i] = chol @ z
     return out
-
-
-def sample_gp(spec: KernelSpec, grid, count: int, seed: int) -> list[SyntheticSeries]:
-    """GP draws wrapped as SyntheticSeries with per-series provenance."""
-    t = np.asarray(grid, dtype=float)
-    resolved = spec.resolved(t)
-    values = sample_gp_matrix(spec, t, count, seed)
-    return [
-        SyntheticSeries(
-            series=TimeSeries(values[i], name=f"{spec.kind}_{i:04d}"),
-            kernel=resolved,
-            seed=seed,
-            series_index=i,
-        )
-        for i in range(count)
-    ]
 
 
 def _normalize(values: np.ndarray) -> np.ndarray:

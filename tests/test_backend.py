@@ -257,6 +257,44 @@ class TestRecordReplay:
         )
 
 
+# request hashes as recorded before the wire and cassette bodies shared one
+# builder; if these move, every cassette recorded until then stops replaying
+GOLDEN_PARAMS = GenerationParams(max_tokens=64, stop=("\n",))
+GOLDEN_MESSAGES = [{"role": "user", "content": "1 2 3, 4 5 6"}]
+GOLDEN_HASHES = [
+    ("complete", "1 2 3, 4 5 6, ", "sample-0/try-0",
+     "ceee645b9266a81446eebcd2df6b43778915518969bbb89d82b62978f3163490"),
+    ("chat_complete", GOLDEN_MESSAGES, "sample-1/try-0",
+     "0969d7f4c95ae1df9e67e9c71c025630588d7c8c6f0514810046f9e6d8c682fb"),
+]
+
+
+class TestGoldenRequestHashes:
+    @pytest.mark.parametrize("method, request_input, tag, expected", GOLDEN_HASHES)
+    def test_recorded_hash(self, tmp_path, method, request_input, tag, expected):
+        cassette = tmp_path / "c.jsonl"
+        rec = RecordingBackend(OracleBackend("7 8 9"), cassette)
+        getattr(rec, method)(request_input, GOLDEN_PARAMS, tag=tag)
+        record = json.loads(cassette.read_text())
+        assert record["request_hash"] == expected
+        assert request_hash(record["canonical_request"]) == expected
+        texts, _ = getattr(ReplayBackend(cassette), method)(request_input, GOLDEN_PARAMS, tag=tag)
+        assert texts == ["7 8 9"]
+
+    @pytest.mark.parametrize("method, request_input, tag, expected", GOLDEN_HASHES)
+    def test_wire_body_is_hashed_body(self, http_server, tmp_path, method, request_input,
+                                      tag, expected):
+        base, script = http_server
+        reply = {"text": "1"} if method == "complete" else {"message": {"content": "1"}}
+        script.script = [(200, {"choices": [reply]})]
+        cassette = tmp_path / "c.jsonl"
+        live = HttpBackend(BackendConfig(base_url=base), sleep=lambda s: None)
+        getattr(RecordingBackend(live, cassette), method)(request_input, GOLDEN_PARAMS, tag=tag)
+        record = json.loads(cassette.read_text())
+        assert script.calls[0]["body"] == record["canonical_request"]["body"]
+        assert record["request_hash"] == expected
+
+
 class _Script(BaseHTTPRequestHandler):
     """Serves a scripted list of (status, body) responses, in order."""
 
@@ -284,7 +322,9 @@ def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Script)
     _Script.script = []
     _Script.calls = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _Script
     server.shutdown()

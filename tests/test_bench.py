@@ -15,13 +15,18 @@ from nlts import (
     SchemaError,
     SweepConfig,
     TimeSeries,
+    EchoTailBackend,
+    ReplayBackend,
+    RecordingBackend,
     compute_metrics,
     load_dataset,
+    make_backend,
     naive_forecast,
     run_sweep,
     theory_check,
 )
-from nlts.bench import DEFAULT_NOISE_LEVELS, ORIGINAL_LABEL, SWEEP_CSV_COLUMNS
+import nlts.bench
+from nlts.bench import BACKEND_KINDS, DEFAULT_NOISE_LEVELS, ORIGINAL_LABEL, SWEEP_CSV_COLUMNS
 
 from conftest import make_airline_series, write_series_csv
 
@@ -361,3 +366,54 @@ class TestRunSweep:
 
     def test_noise_levels_default_matches_published_grid(self):
         assert DEFAULT_NOISE_LEVELS == (0.0, 0.001, 0.005, 0.01, 0.02, 0.05)
+
+
+class TestMakeBackend:
+    @pytest.mark.parametrize("kind", ["replay", "scripted"])
+    def test_missing_path_is_config_error(self, airline_csv, tmp_path, kind):
+        cfg = SweepConfig(datasets=(str(airline_csv),), samples=2, backend={"kind": kind})
+        with pytest.raises(ConfigError, match=kind):
+            run_sweep(cfg, tmp_path / "r")
+
+    def test_unknown_kind_lists_valid_kinds(self, airline_csv, tmp_path):
+        cfg = SweepConfig(datasets=(str(airline_csv),), samples=2, backend={"kind": "gpt"})
+        with pytest.raises(ConfigError) as err:
+            run_sweep(cfg, tmp_path / "r")
+        assert "'gpt'" in str(err.value)
+        assert all(kind in str(err.value) for kind in BACKEND_KINDS)
+
+    def test_echo_defaults_follow_target(self):
+        target = TimeSeries(np.arange(40.0))
+        assert make_backend({"kind": "echo"}, target=target).describe() == {
+            "backend": "echo", "tail": 4, "steps": 80,
+        }
+        spec = {"kind": "echo", "tail": "2", "steps": 5}
+        assert make_backend(spec, target=target).describe()["steps"] == 5
+
+    def test_replay_sweep_builds_backend_once(self, tmp_path, monkeypatch):
+        datasets = []
+        for name, scale in (("a", 1.0), ("b", 3.0)):
+            path = tmp_path / f"{name}.csv"
+            write_series_csv(path, scale * make_airline_series(), holdout=12)
+            datasets.append(str(path))
+        cassette = tmp_path / "c.jsonl"
+        levels = dict(samples=2, seed=4, noise_levels=(0.0, 0.01))
+        recorded = run_sweep(
+            SweepConfig(datasets=tuple(datasets), **levels),
+            tmp_path / "rec",
+            backend=RecordingBackend(EchoTailBackend(4, 24), cassette),
+        )
+        built = []
+
+        class CountingReplay(ReplayBackend):
+            def __init__(self, path):
+                built.append(path)
+                super().__init__(path)
+
+        monkeypatch.setattr(nlts.bench, "ReplayBackend", CountingReplay)
+        cfg = SweepConfig(datasets=tuple(datasets), **levels,
+                          backend={"kind": "replay", "path": str(cassette)})
+        replayed = run_sweep(cfg, tmp_path / "rep")
+        assert built == [str(cassette)]
+        assert replayed["cells"] == recorded["cells"]
+        assert all(c["error"] is None for c in replayed["cells"])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nlts.bench
+from nlts.bench import SweepConfig, run_sweep
 from nlts.cli import main, sweep_config_from_dict
 from nlts.errors import ConfigError
 
@@ -123,6 +125,41 @@ class TestForecastCommand:
         ])
         assert result.exit_code != 0
         assert "holdout" in result.output
+
+
+class TestOneBackendSpec:
+    """`nlts forecast` flags and a sweep's backend block go through one factory."""
+
+    @pytest.mark.parametrize("kind", ["oracle", "echo", "replay"])
+    def test_forecast_and_sweep_build_equal_backends(self, runner, tmp_path, monkeypatch, kind):
+        data = tmp_path / "airline.csv"
+        write_series_csv(data, make_airline_series(), holdout=12)
+        base = ["forecast", "--data", str(data), "--split", "horizon:12", "--samples", "2"]
+        cassette = tmp_path / "c.jsonl"
+        flags = {
+            "oracle": (["--backend", "oracle"], {"kind": "oracle"}),
+            "echo": (["--backend", "echo", "--echo-tail", "3"], {"kind": "echo", "tail": 3}),
+            "replay": (["--replay", str(cassette)], {"kind": "replay", "path": str(cassette)}),
+        }
+        args, spec = flags[kind]
+        if kind == "replay":
+            recorded = runner.invoke(main, base + ["--backend", "echo", "--record", str(cassette)])
+            assert recorded.exit_code == 0, recorded.output
+        result = runner.invoke(main, base + args + ["--out", str(tmp_path / "fc.json")])
+        assert result.exit_code == 0, result.output
+        from_cli = json.loads((tmp_path / "fc.json").read_text())["manifest"]["backend"]
+
+        seen = []
+        real_run_nlts = nlts.bench.run_nlts
+
+        def capture(job, backend):
+            seen.append(backend.describe())
+            return real_run_nlts(job, backend)
+
+        monkeypatch.setattr(nlts.bench, "run_nlts", capture)
+        cfg = SweepConfig(datasets=(str(data),), samples=2, noise_levels=(0.0,), backend=spec)
+        run_sweep(cfg, tmp_path / "report")
+        assert seen == [from_cli]
 
 
 class TestSynthCommand:

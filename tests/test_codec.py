@@ -519,8 +519,8 @@ class TestWholeTextPath:
         )
         scaler = Scaler(offset=2.0, scale=3.0)
         sep = step_sep.strip() or step_sep
-        bins, discarded = _fragment_bins(text, sep, horizon)
-        fast = _whole_text_bins(text, sep, horizon)
+        bins, discarded = _fragment_bins(text, sep, horizon, cfg.max_digits_per_value)
+        fast = _whole_text_bins(text, sep, horizon, cfg.max_digits_per_value)
         if fast is not None:
             assert (fast, 0) == (bins, discarded)
         expected = ParseReport(
@@ -541,13 +541,56 @@ class TestWholeTextPath:
         npt.assert_array_equal(values, scaler.inverse((np.array(bins, dtype=float) + half) / 10.0))
 
     def test_serializer_output_takes_whole_text_path(self):
-        assert _whole_text_bins("3 1, -3 1 4, 3 1 4 0", ",", 3) == [31, -314, 3140]
-        assert _whole_text_bins("1 0\n2 0\n", "\n", 5) == [10, 20]
-        assert _whole_text_bins("1, 2, junk", ",", 2) == [1, 2]  # junk past the horizon
-        assert _whole_text_bins("1, junk, 2", ",", 2) is None
+        assert _whole_text_bins("3 1, -3 1 4, 3 1 4 0", ",", 3, 10) == [31, -314, 3140]
+        assert _whole_text_bins("1 0\n2 0\n", "\n", 5, 10) == [10, 20]
+        assert _whole_text_bins("1, 2, junk", ",", 2, 10) == [1, 2]  # junk past the horizon
+        assert _whole_text_bins("1, junk, 2", ",", 2, 10) is None
 
     def test_newline_step_separator(self):
         cfg = CodecConfig(precision_k=0, step_separator="\n", half_bin_correction=False)
         vals, rep = deserialize("1 0 0 0\n2 0 0 0\n3 0 0 0", identity_scaler(), cfg, horizon=3)
         npt.assert_array_equal(vals, [1000.0, 2000.0, 3000.0])
         assert rep.parsed_steps == 3
+
+
+class TestRunawayDigits:
+    """A fragment whose value needs more than max_digits_per_value digits is
+    discarded like junk, on both decoding paths, instead of raising."""
+
+    @pytest.mark.parametrize("width", [400, 5000])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_discarded_on_both_paths(self, width, sign):
+        text = sign + "9" * width + ", 1, 2"
+        assert _whole_text_bins(text, ",", 2, 10) is None
+        assert _fragment_bins(text, ",", 2, 10) == ([1, 2], 1)
+        vals, rep = deserialize(text, identity_scaler(), CodecConfig(), 2)
+        npt.assert_allclose(vals, [0.0015, 0.0025])
+        assert rep.discarded_fragments == 1
+        assert rep.parsed_steps == 2
+
+    @pytest.mark.parametrize("width", [400, 5000])
+    def test_spaced_runaway_on_fragment_path(self, width):
+        # a space step separator always takes the per-fragment parser
+        text = " ".join("9" * width) + "\n1"
+        cfg = CodecConfig(step_separator="\n")
+        assert _fragment_bins(text, "\n", 2, 10) == ([1], 1)
+        _, rep = deserialize(text, identity_scaler(), cfg, 2)
+        assert rep.discarded_fragments == 1
+        assert rep.truncated
+
+    def test_only_runaway_is_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            deserialize("9" * 5000, identity_scaler(), CodecConfig(), 3)
+        assert err.value.report.discarded_fragments == 1
+
+    def test_limit_is_inclusive_and_counts_value_digits(self):
+        cfg = CodecConfig(precision_k=0, half_bin_correction=False)
+        vals, rep = deserialize("9" * 10 + ", -" + "9" * 10, identity_scaler(), cfg, 2)
+        npt.assert_array_equal(vals, [9_999_999_999.0, -9_999_999_999.0])
+        assert rep.discarded_fragments == 0
+        # leading zeros are not digits of the value, on either path
+        padded = "0" * 20 + "7"
+        assert _whole_text_bins(padded + ", 1", ",", 2, 10) == [7, 1]
+        assert _fragment_bins("x" + padded + ", 1", ",", 2, 10) == ([7, 1], 0)
+        _, rep = deserialize("1" + "0" * 10 + ", 1", identity_scaler(), cfg, 2)
+        assert rep.discarded_fragments == 1

@@ -176,13 +176,6 @@ class TestInjectNoise:
         out = inject_noise(s, spec, substream(0, 0))
         npt.assert_array_equal(out.values, s.values)
 
-    def test_uses_spec_seed_without_rng(self):
-        s = self.make_series()
-        spec = NoiseSpec(kind="gaussian", alpha=0.02, seed=77)
-        a = inject_noise(s, spec)
-        b = inject_noise(s, spec, substream(77, 0))
-        npt.assert_array_equal(a.values, b.values)
-
     def test_preserves_name(self):
         s = self.make_series()
         out = inject_noise(s, NoiseSpec(kind="uniform", alpha=0.1), substream(0, 0))

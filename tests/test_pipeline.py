@@ -122,7 +122,7 @@ class TestRunNlts:
         backend = oracle_for(hist, tgt)
         job = ForecastJob(
             history=hist, horizon=12, samples=10, seed=1,
-            noise=NoiseSpec(kind="gaussian", alpha=0.02, seed=1),
+            noise=NoiseSpec(kind="gaussian", alpha=0.02),
         )
         result = run_nlts(job, backend)
         assert result.valid_samples == 10
@@ -133,7 +133,7 @@ class TestRunNlts:
         hist, tgt = split_series(series, SplitSpec.by_horizon(8))
         job = ForecastJob(
             history=hist, horizon=8, samples=8, seed=5,
-            noise=NoiseSpec(kind="laplace", alpha=0.01, seed=5),
+            noise=NoiseSpec(kind="laplace", alpha=0.01),
         )
         wide = oracle_for(hist, tgt)
         narrow = oracle_for(hist, tgt)
@@ -148,7 +148,7 @@ class TestRunNlts:
         hist, tgt = split_series(series, SplitSpec.by_horizon(6))
         job = ForecastJob(
             history=hist, horizon=6, samples=6, seed=9,
-            noise=NoiseSpec(kind="gamma", alpha=0.05, seed=9),
+            noise=NoiseSpec(kind="gamma", alpha=0.05),
         )
         a = run_nlts(job, oracle_for(hist, tgt)).to_dict()
         b = run_nlts(job, oracle_for(hist, tgt)).to_dict()
@@ -175,6 +175,22 @@ class TestRunNlts:
         job = ForecastJob(history=hist, horizon=6, samples=10, seed=0, retries_per_sample=0)
         with pytest.raises(InsufficientSamplesError):
             run_nlts(job, backend)
+
+    @pytest.mark.parametrize("width", [400, 5000])
+    def test_runaway_digits_make_one_sample_invalid(self, width):
+        series = make_series()
+        hist, tgt = split_series(series, SplitSpec.by_horizon(6))
+        good = serialize(tgt, fit_scaler(hist, CODEC), CODEC)
+        # sample 1 gets a runaway value followed by two ordinary steps
+        backend = ScriptedBackend(lines=[good, "9" * width + ", 1, 2", good, good])
+        job = ForecastJob(history=hist, horizon=6, samples=4, seed=0, retries_per_sample=1)
+        result = run_nlts(job, backend)
+        assert result.valid_samples == 3
+        runaway = result.outcomes[1]
+        assert not runaway.valid
+        assert runaway.attempts == 2
+        assert runaway.report.discarded_fragments == 1
+        assert runaway.report.parsed_steps == 2
 
     def test_exactly_half_valid_passes(self):
         series = make_series()

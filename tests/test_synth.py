@@ -13,7 +13,6 @@ from nlts import (
     generate_benchmark,
     kernel_matrix,
     load_dataset,
-    sample_gp,
     sample_gp_matrix,
     split_series,
 )
@@ -167,18 +166,9 @@ class TestSampleGP:
         prefix = sample_gp_matrix(spec, grid, 2, seed=3)
         npt.assert_array_equal(full[:2], prefix)
 
-    def test_wraps_provenance(self):
-        spec = KernelSpec(kind="linear")
-        grid = np.linspace(0.1, 1.0, 8)
-        out = sample_gp(spec, grid, 3, seed=11)
-        assert len(out) == 3
-        assert [s.series_index for s in out] == [0, 1, 2]
-        assert all(s.seed == 11 for s in out)
-        assert all(s.kernel.lengthscale is not None for s in out)
-        assert all(len(s.series) == 8 for s in out)
-
     def test_zero_count(self):
-        assert sample_gp(KernelSpec(kind="rbf"), np.linspace(0, 1, 4), 0, seed=0) == []
+        out = sample_gp_matrix(KernelSpec(kind="rbf"), np.linspace(0, 1, 4), 0, seed=0)
+        assert out.shape == (0, 4)
 
     def test_empirical_covariance_small(self):
         spec = KernelSpec(kind="rbf", lengthscale=0.3)
