@@ -195,10 +195,15 @@ def request_hash(canonical: Mapping) -> str:
 
 
 class Backend:
-    """Texts-plus-usage generation interface."""
+    """Texts-plus-usage generation interface.
+
+    max_in_flight is how many samples run_nlts sends at once. In-process
+    backends have no I/O to overlap, so the default 1 runs samples inline on
+    the calling thread; HttpBackend takes its value from BackendConfig.
+    """
 
     name = "backend"
-    max_in_flight = 4
+    max_in_flight = 1
 
     def complete(
         self, prompt: str, params: GenerationParams, tag: str = ""

@@ -93,28 +93,37 @@ def identity_scaler() -> Scaler:
 
 
 def fit_scaler(history, config: CodecConfig = CodecConfig()) -> Scaler:
-    """Fit the affine scaler on a history window.
+    """Fit the affine scaler on a history window; see fit_scalers."""
+    return fit_scalers(np.reshape(_as_values(history), (1, -1)), config)[0]
 
-    signed mode keeps offset 0; otherwise offset = min - offset_beta * range so
+
+def fit_scalers(rows, config: CodecConfig = CodecConfig()) -> list[Scaler]:
+    """Fit one affine scaler per row of an (m, n) array of histories.
+
+    signed mode keeps offset 0 and takes the scale from |history|, so x and -x
+    get the same scaler; otherwise offset = min - offset_beta * range so
     shifted values are nonnegative with headroom. Scale is the scale_quantile
-    quantile of (history - offset), falling back to 1 when that quantile is not
-    positive (constant-at-offset or all-negative histories).
+    quantile of |history| (signed) or history - offset (unsigned), falling
+    back to 1 when that quantile is not positive (constant-at-offset or
+    all-zero histories).
     """
-    vals = _as_values(history)
-    if vals.size == 0:
+    vals = np.asarray(rows, dtype=float)
+    if vals.ndim != 2:
+        raise ParamError(f"need an (m, n) array of histories, got shape {vals.shape}")
+    if vals.shape[1] == 0:
         raise DegenerateSeriesError("cannot fit a scaler on an empty history")
     if not np.isfinite(vals).all():
         raise NonFiniteError("history contains NaN or infinity")
     if config.signed:
-        offset = 0.0
+        offsets = np.zeros(len(vals))
+        shifted = np.abs(vals)
     else:
-        lo = float(vals.min())
-        hi = float(vals.max())
-        offset = lo - config.offset_beta * (hi - lo)
-    scale = float(np.quantile(vals - offset, config.scale_quantile))
-    if scale <= 0.0:
-        scale = 1.0
-    return Scaler(offset=offset, scale=scale)
+        lo = vals.min(axis=1)
+        offsets = lo - config.offset_beta * (vals.max(axis=1) - lo)
+        shifted = vals - offsets[:, None]
+    scales = np.quantile(shifted, config.scale_quantile, axis=1)
+    scales[scales <= 0.0] = 1.0
+    return [Scaler(offset=o, scale=s) for o, s in zip(offsets.tolist(), scales.tolist())]
 
 
 def _as_values(series) -> np.ndarray:

@@ -153,17 +153,21 @@ def aggregate_samples(
     arr = samples.paths
     median = np.median(arr, axis=0)
     variance = arr.var(axis=0, ddof=0)
+    # every level but the median in one call; np.median averages the two
+    # central values, which is not bitwise np.quantile(arr, 0.5)
+    others = [q for q in levels if q != 0.5]
+    raw = dict(zip(others, np.quantile(arr, others, axis=0)))
     # Cross-level monotonicity holds for linear-interpolation quantiles in exact
     # arithmetic; clamp against the median so it also holds bitwise in floats.
     quantiles: dict[float, np.ndarray] = {}
     running = np.full(arr.shape[1], -np.inf)
     for q in levels:
         if q < 0.5:
-            curve = np.minimum(np.quantile(arr, q, axis=0), median)
+            curve = np.minimum(raw[q], median)
         elif q == 0.5:
             curve = median
         else:
-            curve = np.maximum(np.quantile(arr, q, axis=0), median)
+            curve = np.maximum(raw[q], median)
         running = np.maximum(running, curve)
         quantiles[q] = running
     return PointForecast(median=median, variance=variance, quantiles=quantiles)

@@ -9,7 +9,6 @@ per-sample substreams, so results do not depend on completion order.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .backend import Backend, GenerationParams, Usage
-from .codec import CodecConfig, ParseReport, Scaler, deserialize, fit_scaler, serialize
+from .codec import CodecConfig, ParseReport, Scaler, deserialize, fit_scaler, fit_scalers, serialize
 from .core import (
     DEFAULT_QUANTILE_LEVELS,
     PointForecast,
@@ -154,55 +153,66 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
     generations up to retries_per_sample times under fresh tags. A sample is
     valid when at least `horizon` steps parse. Fewer than ceil(samples / 2)
     valid samples aborts with InsufficientSamplesError.
+
+    Every prompt is built on the calling thread before the first request. The
+    requests then run inline, or in a pool of backend.max_in_flight threads
+    when the backend does I/O.
     """
     history = job.history
     budget = completion_token_budget(job.horizon, job.codec)
     effective = replace(
         job.params, max_tokens=max(job.params.max_tokens, budget), num_samples=1
     )
-    shared_noisy: TimeSeries | None = None
-    if not job.fresh_noise_per_sample:
-        shared_noisy = inject_noise(history, job.noise, substream(job.seed, 0))
+    if job.fresh_noise_per_sample:
+        noisy = [
+            inject_noise(history, job.noise, substream(job.seed, i)) for i in range(job.samples)
+        ]
+    else:
+        noisy = [inject_noise(history, job.noise, substream(job.seed, 0))] * job.samples
+    # inject_noise returns its input when it adds no noise, so identity tells
+    # when every sample encodes one history
+    shared = all(h is noisy[0] for h in noisy)
+    if job.fit_scaler_on_clean or shared:
+        scaler = fit_scaler(history if job.fit_scaler_on_clean else noisy[0], job.codec)
+        scalers = [scaler] * job.samples
+    else:
+        scalers = fit_scalers(np.stack([h.values for h in noisy]), job.codec)
 
-    usage_total = Usage()
-    usage_lock = threading.Lock()
+    def encode(h: TimeSeries, s: Scaler):
+        return build_prompt(serialize(h, s, job.codec), job.prompt_style, job.horizon, job.codec)
 
-    def run_sample(i: int) -> tuple[np.ndarray | None, SampleOutcome, Scaler]:
-        nonlocal usage_total
-        if shared_noisy is not None:
-            noisy = shared_noisy
-        else:
-            noisy = inject_noise(history, job.noise, substream(job.seed, i))
-        scaler = fit_scaler(history if job.fit_scaler_on_clean else noisy, job.codec)
-        encoded = serialize(noisy, scaler, job.codec)
-        prompt = build_prompt(encoded, job.prompt_style, job.horizon, job.codec)
+    if shared:
+        prompts = [encode(noisy[0], scalers[0])] * job.samples
+    else:
+        prompts = list(map(encode, noisy, scalers))
+
+    def run_sample(i: int) -> tuple[np.ndarray | None, SampleOutcome, Usage]:
+        usage_sample = Usage()
         last_report: ParseReport | None = None
         attempts = 0
         for attempt in range(job.retries_per_sample + 1):
             attempts = attempt + 1
             tag = f"sample-{i}/try-{attempt}"
             if job.prompt_style == "chat":
-                texts, usage = backend.chat_complete(prompt, effective, tag=tag)
+                texts, usage = backend.chat_complete(prompts[i], effective, tag=tag)
             else:
-                texts, usage = backend.complete(prompt, effective, tag=tag)
-            with usage_lock:
-                usage_total = usage_total + usage
+                texts, usage = backend.complete(prompts[i], effective, tag=tag)
+            usage_sample = usage_sample + usage
             if not texts:
                 continue
             try:
-                values, report = deserialize(texts[0], scaler, job.codec, job.horizon)
+                values, report = deserialize(texts[0], scalers[i], job.codec, job.horizon)
             except ParseError as exc:
                 last_report = exc.report
                 continue
             last_report = report
             if report.parsed_steps >= job.horizon:
                 outcome = SampleOutcome(i, attempts, True, report)
-                return values[: job.horizon], outcome, scaler
-        outcome = SampleOutcome(i, attempts, False, last_report)
-        return None, outcome, scaler
+                return values[: job.horizon], outcome, usage_sample
+        return None, SampleOutcome(i, attempts, False, last_report), usage_sample
 
     workers = max(1, min(job.samples, backend.max_in_flight))
-    results: list[tuple[np.ndarray | None, SampleOutcome, Scaler]]
+    results: list[tuple[np.ndarray | None, SampleOutcome, Usage]]
     if workers == 1:
         results = [run_sample(i) for i in range(job.samples)]
     else:
@@ -211,7 +221,7 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
 
     paths = [r[0] for r in results]
     outcomes = tuple(r[1] for r in results)
-    scalers = [r[2] for r in results]
+    usage_total = sum((r[2] for r in results), Usage())
     valid = [p for p in paths if p is not None]
     needed = math.ceil(job.samples / 2)
     if len(valid) < needed:

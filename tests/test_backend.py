@@ -426,6 +426,14 @@ class TestHttpBackend:
         with pytest.raises(ProtocolError):
             backend.complete("p", PARAMS)
 
+    def test_in_flight_from_config(self, tmp_path):
+        # no request is sent: construction opens no connection
+        live = HttpBackend(BackendConfig(base_url="http://127.0.0.1:9", max_in_flight=3))
+        assert live.max_in_flight == 3
+        assert RecordingBackend(live, tmp_path / "c.jsonl").max_in_flight == 3
+        assert HttpBackend(BackendConfig(base_url="http://127.0.0.1:9")).max_in_flight == 4
+        assert OracleBackend("1").max_in_flight == 1
+
     def test_missing_base_url(self, monkeypatch):
         monkeypatch.delenv("NLTS_API_BASE", raising=False)
         with pytest.raises(ConfigError):

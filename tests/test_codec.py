@@ -20,7 +20,7 @@ from nlts import (
     identity_scaler,
     serialize,
 )
-from nlts.codec import ParseReport, _fragment_bins, _whole_text_bins, quantize
+from nlts.codec import ParseReport, _fragment_bins, _whole_text_bins, fit_scalers, quantize
 
 
 class TestCodecConfig:
@@ -102,10 +102,15 @@ class TestFitScaler:
         assert sc.offset == 4.0
         assert sc.scale == 1.0
 
-    def test_all_negative_signed_falls_back(self):
-        vals = np.array([-30.0, -20.0, -10.0])
-        sc = fit_scaler(vals, CodecConfig(signed=True))
-        assert sc.scale == 1.0
+    def test_signed_scaler_is_sign_symmetric(self):
+        cfg = CodecConfig(signed=True)
+        assert fit_scaler([-30.0, -20.0, -10.0], cfg) == fit_scaler([30.0, 20.0, 10.0], cfg)
+        x = 1e7 + np.arange(5.0)
+        assert fit_scaler(-x, cfg) == fit_scaler(x, cfg)
+        for vals in (x, -x):
+            scaler = fit_scaler(vals, cfg)
+            dec, _ = deserialize(serialize(vals, scaler, cfg), scaler, cfg, horizon=5)
+            npt.assert_allclose(dec, vals, atol=scaler.scale * 10.0**-cfg.precision_k)
 
     def test_unsigned_values_nonnegative_after_shift(self):
         rng = np.random.default_rng(0)
@@ -121,6 +126,71 @@ class TestFitScaler:
     def test_non_finite_history(self):
         with pytest.raises(NonFiniteError):
             fit_scaler(np.array([1.0, np.nan]), CodecConfig())
+
+
+def _reference_fit_scaler(history, config):
+    """fit_scaler as first written, one history at a time; fit_scalers must
+    give the same scaler for every nonnegative row."""
+    vals = np.asarray(history, dtype=float)
+    if config.signed:
+        offset = 0.0
+    else:
+        lo = float(vals.min())
+        hi = float(vals.max())
+        offset = lo - config.offset_beta * (hi - lo)
+    scale = float(np.quantile(vals - offset, config.scale_quantile))
+    if scale <= 0.0:
+        scale = 1.0
+    return offset.hex(), scale.hex()
+
+
+class TestFitScalersMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 30),
+        data=st.data(),
+        signed=st.booleans(),
+        q=st.sampled_from([0.95, 0.5, 1.0, 0.01, 0.3333]),
+        beta=st.sampled_from([0.3, 0.0, 1.7]),
+    )
+    def test_rows_bit_identical(self, m, n, data, signed, q, beta):
+        value = st.one_of(st.floats(0.0, 1e12), st.sampled_from([0.0, 5e-324, 40.5]))
+        rows = np.array(data.draw(st.lists(
+            st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m,
+        )))
+        cfg = CodecConfig(signed=signed, scale_quantile=q, offset_beta=beta)
+        got = fit_scalers(rows, cfg)
+        assert len(got) == m
+        for row, scaler in zip(rows, got):
+            assert (scaler.offset.hex(), scaler.scale.hex()) == _reference_fit_scaler(row, cfg)
+            assert fit_scaler(row, cfg) == scaler
+
+    def test_constant_and_zero_rows_fall_back(self):
+        rows = np.array([[4.0, 4.0, 4.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        for cfg in (CodecConfig(signed=False), CodecConfig(signed=True)):
+            for row, scaler in zip(rows, fit_scalers(rows, cfg)):
+                assert (scaler.offset.hex(), scaler.scale.hex()) == _reference_fit_scaler(row, cfg)
+
+    def test_zero_rows(self):
+        assert fit_scalers(np.zeros((0, 5)), CodecConfig()) == []
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_zero_columns(self, m):
+        with pytest.raises(DegenerateSeriesError):
+            fit_scalers(np.zeros((m, 0)), CodecConfig())
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_any_row(self, row, bad):
+        rows = np.ones((3, 4))
+        rows[row, 2] = bad
+        with pytest.raises(NonFiniteError):
+            fit_scalers(rows, CodecConfig())
+
+    def test_needs_two_dimensions(self):
+        with pytest.raises(ParamError):
+            fit_scalers(np.ones(4), CodecConfig())
 
 
 class TestWorkedExamples:

@@ -246,3 +246,62 @@ class TestAggregateSamples:
         assert isinstance(f, PointForecast)
         assert f.horizon == 7
         assert set(f.quantiles) == {0.05, 0.25, 0.5, 0.75, 0.95}
+
+
+def _reference_aggregate(samples, quantile_levels):
+    """aggregate_samples as first written, one np.quantile call per level;
+    the batched implementation must match it bitwise."""
+    levels = sorted({float(q) for q in quantile_levels} | {0.5})
+    arr = samples.paths
+    median = np.median(arr, axis=0)
+    variance = arr.var(axis=0, ddof=0)
+    quantiles = {}
+    running = np.full(arr.shape[1], -np.inf)
+    for q in levels:
+        if q < 0.5:
+            curve = np.minimum(np.quantile(arr, q, axis=0), median)
+        elif q == 0.5:
+            curve = median
+        else:
+            curve = np.maximum(np.quantile(arr, q, axis=0), median)
+        running = np.maximum(running, curve)
+        quantiles[q] = running
+    return PointForecast(median=median, variance=variance, quantiles=quantiles)
+
+
+def _bits(forecast):
+    return (
+        forecast.median.tobytes(),
+        forecast.variance.tobytes(),
+        [(q, v.tobytes()) for q, v in forecast.quantiles.items()],
+    )
+
+
+class TestAggregateMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        h=st.integers(1, 6),
+        data=st.data(),
+        levels=st.lists(
+            st.one_of(
+                st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.95, 1 / 3]),
+                st.floats(0.001, 0.999),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_bit_identical(self, m, h, data, levels):
+        value = st.one_of(st.floats(-1e9, 1e9), st.sampled_from([0.0, -0.0, 1.5, 1e-300]))
+        paths = np.array(data.draw(st.lists(
+            st.lists(value, min_size=h, max_size=h), min_size=m, max_size=m,
+        )))
+        levels = levels + levels[:2]  # duplicates collapse to one curve
+        sp = SamplePaths(paths)
+        assert _bits(aggregate_samples(sp, tuple(levels))) == _bits(
+            _reference_aggregate(sp, levels)
+        )
+
+    def test_median_only(self):
+        sp = SamplePaths(np.array([[1.0, 4.0], [2.0, 8.0]]))
+        assert _bits(aggregate_samples(sp, (0.5, 0.5))) == _bits(_reference_aggregate(sp, ()))

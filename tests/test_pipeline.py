@@ -21,9 +21,11 @@ from nlts import (
     TimeSeries,
     build_prompt,
     fit_scaler,
+    inject_noise,
     run_nlts,
     serialize,
     split_series,
+    substream,
 )
 from nlts.pipeline import USER_PROMPT_TEMPLATE, completion_token_budget
 
@@ -136,6 +138,7 @@ class TestRunNlts:
             noise=NoiseSpec(kind="laplace", alpha=0.01),
         )
         wide = oracle_for(hist, tgt)
+        wide.max_in_flight = 4
         narrow = oracle_for(hist, tgt)
         narrow.max_in_flight = 1
         r_wide = run_nlts(job, wide)
@@ -241,6 +244,7 @@ class TestRunNlts:
         result = run_nlts(job, backend)
         assert result.valid_samples == 4
         assert all(o.attempts == 2 for o in result.outcomes)
+        assert result.usage.requests == 8  # every attempt is counted
 
     def test_chat_style_round_trip(self):
         series = make_series()
@@ -296,3 +300,102 @@ class TestRunNlts:
         assert json.dumps(replayed.to_dict(), sort_keys=True) == json.dumps(
             again.to_dict(), sort_keys=True
         )
+
+
+class TestInlineRequests:
+    """In-process backends run every sample on the calling thread; prompts and
+    scalers are built once per run, before the first request."""
+
+    @staticmethod
+    def _no_pool(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("thread pool constructed")
+
+        monkeypatch.setattr("nlts.pipeline.ThreadPoolExecutor", refuse)
+
+    def test_in_process_backends_never_start_a_pool(self, monkeypatch, tmp_path):
+        series = make_series()
+        hist, tgt = split_series(series, SplitSpec.by_horizon(6))
+        job = ForecastJob(
+            history=hist, horizon=6, samples=6, seed=4,
+            noise=NoiseSpec(kind="gaussian", alpha=0.02),
+        )
+        cassette = tmp_path / "c.jsonl"
+        recorded = run_nlts(job, RecordingBackend(oracle_for(hist, tgt), cassette))
+        self._no_pool(monkeypatch)
+        good = serialize(tgt, fit_scaler(hist, CODEC), CODEC)
+        for backend in (
+            oracle_for(hist, tgt),
+            ScriptedBackend(lines=[good]),
+            ReplayBackend(cassette),
+        ):
+            assert run_nlts(job, backend).valid_samples == 6
+        replayed = run_nlts(job, ReplayBackend(cassette))
+        npt.assert_array_equal(replayed.samples.paths, recorded.samples.paths)
+        wide = oracle_for(hist, tgt)
+        wide.max_in_flight = 4  # the patch is live: a backend that asks for a pool fails
+        with pytest.raises(RuntimeError, match="thread pool"):
+            run_nlts(job, wide)
+
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_batched_scalers_match_per_sample_fit(self, signed):
+        series = make_series()
+        hist, tgt = split_series(series, SplitSpec.by_horizon(6))
+        codec = CodecConfig(signed=signed)
+        noise = NoiseSpec(kind="laplace", alpha=0.05)
+        job = ForecastJob(history=hist, horizon=6, samples=7, seed=11, noise=noise, codec=codec)
+        result = run_nlts(job, oracle_for(hist, tgt, codec))
+        expected = []
+        for i in range(7):
+            s = fit_scaler(inject_noise(hist, noise, substream(11, i)), codec)
+            expected.append([s.offset, s.scale])
+        assert result.manifest["scalers"] == expected
+
+    def test_each_sample_decodes_its_own_prompt(self):
+        # echo replies with the prompt's last steps, so sample i decodes to the
+        # tail of its own noisy history only if prompt i and scaler i match
+        series = make_series()
+        hist, _ = split_series(series, SplitSpec.by_horizon(3))
+        noise = NoiseSpec(kind="gaussian", alpha=0.05)
+        job = ForecastJob(history=hist, horizon=3, samples=5, seed=8, noise=noise)
+        result = run_nlts(job, EchoTailBackend(tail=3, steps=12))
+        assert result.valid_samples == 5
+        for i, path in enumerate(result.samples.paths):
+            noisy = inject_noise(hist, noise, substream(8, i))
+            scale = result.manifest["scalers"][i][1]
+            npt.assert_allclose(path, noisy.values[-3:], rtol=0, atol=0.5e-3 * scale * (1 + 1e-9))
+
+    @pytest.mark.parametrize(
+        "changes, prompts",
+        [
+            ({}, 1),  # the Original row: no noise
+            ({"noise": NoiseSpec(kind="gaussian", alpha=0.0)}, 1),
+            ({"noise": NoiseSpec(kind="gaussian", alpha=0.02), "fresh_noise_per_sample": False}, 1),
+            ({"noise": NoiseSpec(kind="gaussian", alpha=0.02), "fit_scaler_on_clean": True}, 5),
+        ],
+    )
+    def test_shared_history_fits_one_scaler(self, monkeypatch, changes, prompts):
+        import nlts.pipeline
+
+        series = make_series()
+        hist, tgt = split_series(series, SplitSpec.by_horizon(6))
+        calls = {"fit": 0, "serialize": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(nlts.pipeline, "fit_scaler", counted("fit", nlts.pipeline.fit_scaler))
+        monkeypatch.setattr(
+            nlts.pipeline, "serialize", counted("serialize", nlts.pipeline.serialize)
+        )
+        monkeypatch.setattr(nlts.pipeline, "fit_scalers", None)  # must not be reached
+        job = ForecastJob(history=hist, horizon=6, samples=5, seed=3, **changes)
+        result = run_nlts(job, oracle_for(hist, tgt))
+        assert result.valid_samples == 5
+        assert calls == {"fit": 1, "serialize": prompts}
+        assert len({tuple(s) for s in result.manifest["scalers"]}) == 1
+
