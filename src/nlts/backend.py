@@ -1,9 +1,11 @@
 """Generation backends.
 
-One wire contract: complete(prompt) / chat_complete(messages) return a list of
-continuation texts plus Usage. Implementations cover an OpenAI-compatible HTTP
-endpoint, deterministic offline mocks, and a JSONL record/replay cassette layer
-keyed by a canonical request hash.
+One wire contract: complete(prompt, params, tag) returns a list of continuation
+texts plus Usage. A str prompt goes to the completions endpoint and a message
+list to the chat endpoint; request_body is the one place that makes that
+choice. Implementations cover an OpenAI-compatible HTTP endpoint, deterministic
+offline mocks, and a JSONL record/replay cassette layer keyed by a canonical
+request hash.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -76,16 +78,30 @@ class Usage:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @classmethod
+    def from_dict(cls, d: Mapping, requests: int = 0) -> "Usage":
+        """Usage from a JSON usage block. Missing token counts are 0 and a
+        missing request count is `requests`. Raises TypeError or ValueError
+        when the block is not a mapping or a count is not an integer."""
+        if not isinstance(d, Mapping):
+            raise TypeError(f"usage block must be a mapping, got {type(d).__name__}")
+        return cls(
+            prompt_tokens=int(d.get("prompt_tokens", 0)),
+            completion_tokens=int(d.get("completion_tokens", 0)),
+            requests=int(d.get("requests", requests)),
+        )
 
-def _whitespace_tokens(text: str) -> int:
-    return len(text.split())
+
+Prompt = str | Sequence[Mapping[str, str]]
 
 
-def _estimate_usage(prompt_text: str, texts: Sequence[str], requests: int = 1) -> Usage:
+def _estimate_usage(prompt: Prompt, texts: Sequence[str]) -> Usage:
+    """One request's usage in whitespace tokens; a chat counts its message contents."""
+    contents = [prompt] if isinstance(prompt, str) else [m.get("content", "") for m in prompt]
     return Usage(
-        prompt_tokens=_whitespace_tokens(prompt_text),
-        completion_tokens=sum(_whitespace_tokens(t) for t in texts),
-        requests=requests,
+        prompt_tokens=sum(len(c.split()) for c in contents),
+        completion_tokens=sum(len(t.split()) for t in texts),
+        requests=1,
     )
 
 
@@ -158,27 +174,23 @@ def estimate_cost(usage: Usage, model: str, table: CostTable | None = None) -> f
 # --- request bodies and their identity ----------------------------------------
 
 
-def _param_body(params: GenerationParams) -> dict:
-    body = {
-        "model": params.model,
-        "temperature": params.temperature,
-        "top_p": params.top_p,
-        "max_tokens": params.max_tokens,
-        "n": params.num_samples,
-    }
+def request_body(prompt: Prompt, params: GenerationParams) -> tuple[str, dict]:
+    """Endpoint name and request body, as sent on the wire and as hashed for
+    cassettes: a str prompt goes to "completions", a message list to "chat"."""
+    if isinstance(prompt, str):
+        endpoint, body = "completions", {"prompt": prompt}
+    else:
+        endpoint, body = "chat", {"messages": [dict(m) for m in prompt]}
+    body.update(
+        model=params.model,
+        temperature=params.temperature,
+        top_p=params.top_p,
+        max_tokens=params.max_tokens,
+        n=params.num_samples,
+    )
     if params.stop:
         body["stop"] = list(params.stop)
-    return body
-
-
-def _completion_body(prompt: str, params: GenerationParams) -> dict:
-    """Completions request body, as sent on the wire and as hashed for cassettes."""
-    return {"prompt": prompt, **_param_body(params)}
-
-
-def _chat_body(messages: Sequence[Mapping[str, str]], params: GenerationParams) -> dict:
-    """Chat request body, as sent on the wire and as hashed for cassettes."""
-    return {"messages": [dict(m) for m in messages], **_param_body(params)}
+    return endpoint, body
 
 
 def canonical_request(endpoint: str, body: Mapping, tag: str) -> dict:
@@ -195,7 +207,13 @@ def request_hash(canonical: Mapping) -> str:
 
 
 class Backend:
-    """Texts-plus-usage generation interface.
+    """Texts-plus-usage generation interface: one method, complete.
+
+    Its prompt is a str for the completions endpoint or a list of
+    {"role", "content"} messages for the chat endpoint. It returns the
+    params.num_samples continuation texts and the request's Usage. The tag names
+    the request for cassettes: the endpoint, the request_body and the tag
+    together determine the request hash.
 
     max_in_flight is how many samples run_nlts sends at once. In-process
     backends have no I/O to overlap, so the default 1 runs samples inline on
@@ -206,12 +224,7 @@ class Backend:
     max_in_flight = 1
 
     def complete(
-        self, prompt: str, params: GenerationParams, tag: str = ""
-    ) -> tuple[list[str], Usage]:
-        raise NotImplementedError
-
-    def chat_complete(
-        self, messages: Sequence[Mapping[str, str]], params: GenerationParams, tag: str = ""
+        self, prompt: Prompt, params: GenerationParams, tag: str = ""
     ) -> tuple[list[str], Usage]:
         raise NotImplementedError
 
@@ -231,17 +244,17 @@ def _last_user_content(messages: Sequence[Mapping[str, str]]) -> str:
     raise ProtocolError("chat request has no user message")
 
 
-def _messages_text(messages: Sequence[Mapping[str, str]]) -> str:
-    return "\n".join(m.get("content", "") for m in messages)
-
-
 class _MockBackend(Backend):
-    """Offline base: chat requests route through complete() on the last user message."""
+    """Offline base: replies to the prompt, or to a chat's last user message,
+    with one text repeated num_samples times."""
 
-    def chat_complete(self, messages, params, tag=""):
-        content = _last_user_content(messages)
-        texts, _ = self.complete(content, params, tag=tag)
-        return texts, _estimate_usage(_messages_text(messages), texts)
+    def complete(self, prompt, params, tag=""):
+        text = prompt if isinstance(prompt, str) else _last_user_content(prompt)
+        texts = [self.reply(text, tag)] * params.num_samples
+        return texts, _estimate_usage(prompt, texts)
+
+    def reply(self, text: str, tag: str) -> str:
+        raise NotImplementedError
 
 
 class OracleBackend(_MockBackend):
@@ -252,9 +265,8 @@ class OracleBackend(_MockBackend):
     def __init__(self, text: str):
         self.text = text
 
-    def complete(self, prompt, params, tag=""):
-        texts = [self.text] * params.num_samples
-        return texts, _estimate_usage(prompt, texts)
+    def reply(self, text, tag):
+        return self.text
 
     def describe(self):
         return {"backend": self.name, "text_sha256": hashlib.sha256(self.text.encode()).hexdigest()}
@@ -271,15 +283,13 @@ class EchoTailBackend(_MockBackend):
         self.tail = tail
         self.steps = steps
 
-    def complete(self, prompt, params, tag=""):
-        fragments = [f.strip() for f in prompt.split(",")]
+    def reply(self, text, tag):
+        fragments = [f.strip() for f in text.split(",")]
         fragments = [f for f in fragments if f]
         if not fragments:
             raise ProtocolError("echo backend got a prompt with no steps")
         cycle = fragments[-self.tail:]
-        out = ", ".join(cycle[i % len(cycle)] for i in range(self.steps))
-        texts = [out] * params.num_samples
-        return texts, _estimate_usage(prompt, texts)
+        return ", ".join(cycle[i % len(cycle)] for i in range(self.steps))
 
     def describe(self):
         return {"backend": self.name, "tail": self.tail, "steps": self.steps}
@@ -288,8 +298,8 @@ class EchoTailBackend(_MockBackend):
 class ScriptedBackend(_MockBackend):
     """Replays fixture lines; line choice follows the sample index in the tag.
 
-    Tags shaped "sample-3/..." map to line 3 (mod line count), so concurrent
-    fan-out stays deterministic. Untagged calls walk a locked cursor.
+    Tags shaped "sample-3/..." map to line 3 (mod line count), so the line does
+    not depend on call order. Any other tag reads line 0.
     """
 
     name = "scripted"
@@ -302,26 +312,11 @@ class ScriptedBackend(_MockBackend):
         self.lines = list(lines)
         if not self.lines:
             raise ConfigError("scripted backend has no fixture lines")
-        self._cursor = 0
-        self._lock = threading.Lock()
 
-    @staticmethod
-    def _index_from_tag(tag: str) -> int | None:
-        if tag.startswith("sample-"):
-            head = tag[len("sample-"):].split("/", 1)[0]
-            if head.isdigit():
-                return int(head)
-        return None
-
-    def complete(self, prompt, params, tag=""):
-        index = self._index_from_tag(tag)
-        if index is None:
-            with self._lock:
-                index = self._cursor
-                self._cursor += 1
-        text = self.lines[index % len(self.lines)]
-        texts = [text] * params.num_samples
-        return texts, _estimate_usage(prompt, texts)
+    def reply(self, text, tag):
+        head = tag[len("sample-"):].split("/", 1)[0] if tag.startswith("sample-") else ""
+        index = int(head) if head.isdecimal() else 0
+        return self.lines[index % len(self.lines)]
 
     def describe(self):
         return {"backend": self.name, "lines": len(self.lines)}
@@ -360,6 +355,11 @@ class HttpBackend(Backend):
     """
 
     name = "live"
+    # endpoint name -> (URL path, the text of one reply choice)
+    _ROUTES = {
+        "completions": ("/v1/completions", lambda choice: choice["text"]),
+        "chat": ("/v1/chat/completions", lambda choice: choice["message"]["content"]),
+    }
 
     def __init__(self, config: BackendConfig = BackendConfig(), sleep=time.sleep):
         base = config.base_url or os.environ.get(ENV_API_BASE, "")
@@ -433,41 +433,23 @@ class HttpBackend(Backend):
             )
         raise TransportError(f"request failed after {attempts} attempts: {last_error}")
 
-    @staticmethod
-    def _usage_from(data: Mapping, prompt_text: str, texts: Sequence[str], attempts: int) -> Usage:
-        usage = data.get("usage")
-        if isinstance(usage, Mapping):
-            try:
-                return Usage(
-                    prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                    completion_tokens=int(usage.get("completion_tokens", 0)),
-                    requests=attempts,
-                )
-            except (TypeError, ValueError):
-                pass
-        est = _estimate_usage(prompt_text, texts)
-        return Usage(est.prompt_tokens, est.completion_tokens, attempts)
-
     def complete(self, prompt, params, tag=""):
-        data, attempts = self._post("/v1/completions", _completion_body(prompt, params))
+        endpoint, body = request_body(prompt, params)
+        if endpoint == "chat":
+            _last_user_content(prompt)  # validates shape
+        path, choice_text = self._ROUTES[endpoint]
+        data, attempts = self._post(path, body)
         try:
-            texts = [choice["text"] for choice in data["choices"]]
+            texts = [choice_text(choice) for choice in data["choices"]]
         except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"completion response missing choices/text: {exc}") from exc
+            raise ProtocolError(f"{endpoint} response missing choices or their text: {exc}") from exc
         if not texts:
-            raise ProtocolError("completion response has an empty choices list")
-        return texts, self._usage_from(data, prompt, texts, attempts)
-
-    def chat_complete(self, messages, params, tag=""):
-        _last_user_content(messages)  # validates shape
-        data, attempts = self._post("/v1/chat/completions", _chat_body(messages, params))
+            raise ProtocolError(f"{endpoint} response has an empty choices list")
         try:
-            texts = [choice["message"]["content"] for choice in data["choices"]]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"chat response missing choices/message: {exc}") from exc
-        if not texts:
-            raise ProtocolError("chat response has an empty choices list")
-        return texts, self._usage_from(data, _messages_text(messages), texts, attempts)
+            usage = Usage.from_dict(data.get("usage"))
+        except (TypeError, ValueError):
+            usage = _estimate_usage(prompt, texts)
+        return texts, replace(usage, requests=attempts)
 
 
 # --- record / replay ----------------------------------------------------------
@@ -491,8 +473,9 @@ class RecordingBackend(Backend):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.path.touch(exist_ok=True)
 
-    def _record(self, endpoint: str, body: Mapping, tag: str, texts: list[str], usage: Usage):
-        canonical = canonical_request(endpoint, body, tag)
+    def complete(self, prompt, params, tag=""):
+        texts, usage = self.inner.complete(prompt, params, tag=tag)
+        canonical = canonical_request(*request_body(prompt, params), tag)
         record = {
             "request_hash": request_hash(canonical),
             "canonical_request": canonical,
@@ -503,15 +486,6 @@ class RecordingBackend(Backend):
         with self._lock:
             with self.path.open("a") as fh:
                 fh.write(line + "\n")
-
-    def complete(self, prompt, params, tag=""):
-        texts, usage = self.inner.complete(prompt, params, tag=tag)
-        self._record("completions", _completion_body(prompt, params), tag, texts, usage)
-        return texts, usage
-
-    def chat_complete(self, messages, params, tag=""):
-        texts, usage = self.inner.chat_complete(messages, params, tag=tag)
-        self._record("chat", _chat_body(messages, params), tag, texts, usage)
         return texts, usage
 
     def describe(self):
@@ -549,8 +523,8 @@ class ReplayBackend(Backend):
             if ts and (self.newest_timestamp is None or ts > self.newest_timestamp):
                 self.newest_timestamp = ts
 
-    def _serve(self, endpoint: str, body: Mapping, tag: str) -> tuple[list[str], Usage]:
-        h = request_hash(canonical_request(endpoint, body, tag))
+    def complete(self, prompt, params, tag=""):
+        h = request_hash(canonical_request(*request_body(prompt, params), tag))
         if h not in self._responses:
             raise TransportError(
                 f"cassette {self.path} has no response for request {h[:12]}... (tag={tag!r})"
@@ -558,21 +532,10 @@ class ReplayBackend(Backend):
         stored = self._responses[h]
         try:
             texts = list(stored["texts"])
-            u = stored.get("usage", {})
-            usage = Usage(
-                prompt_tokens=int(u.get("prompt_tokens", 0)),
-                completion_tokens=int(u.get("completion_tokens", 0)),
-                requests=int(u.get("requests", 1)),
-            )
+            usage = Usage.from_dict(stored.get("usage", {}), requests=1)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"cassette response for {h[:12]}... is malformed") from exc
         return texts, usage
-
-    def complete(self, prompt, params, tag=""):
-        return self._serve("completions", _completion_body(prompt, params), tag)
-
-    def chat_complete(self, messages, params, tag=""):
-        return self._serve("chat", _chat_body(messages, params), tag)
 
     def describe(self):
         info = {"backend": self.name, "cassette": str(self.path)}

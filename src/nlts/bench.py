@@ -30,6 +30,7 @@ from .codec import CodecConfig, fit_scaler, serialize
 from .core import SplitSpec, TimeSeries, split_series
 from .errors import (
     ConfigError,
+    DegenerateSeriesError,
     LengthMismatchError,
     NltsError,
     NonFiniteError,
@@ -210,7 +211,7 @@ def naive_forecast(
     `period` observations."""
     vals = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=float)
     if vals.size == 0:
-        raise ValueError("history must be nonempty")
+        raise DegenerateSeriesError("history must be nonempty")
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if method == "last_value":

@@ -40,10 +40,10 @@ def _parse_split(text: str) -> SplitSpec:
     head = head.strip().lower()
     try:
         if head in ("frac", "fraction"):
-            return SplitSpec.by_fraction(float(tail))
+            return SplitSpec.by_fraction(tail)
         if head == "horizon":
-            return SplitSpec.by_horizon(int(tail))
-    except ValueError as exc:
+            return SplitSpec.by_horizon(tail)
+    except ConfigError as exc:
         raise click.BadParameter(f"bad split {text!r}: {exc}") from exc
     raise click.BadParameter(f"split must look like frac:0.8 or horizon:30, got {text!r}")
 
@@ -264,12 +264,7 @@ def cost(usage_path, model, table_path, out):
     """Price a usage record; unknown models report null, never zero."""
     try:
         raw = json.loads(Path(usage_path).read_text())
-        u = raw.get("usage", raw)
-        usage = Usage(
-            prompt_tokens=int(u.get("prompt_tokens", 0)),
-            completion_tokens=int(u.get("completion_tokens", 0)),
-            requests=int(u.get("requests", 0)),
-        )
+        usage = Usage.from_dict(raw.get("usage", raw))
         model_name = model or raw.get("model")
         if not model_name:
             raise ConfigError("no model named in the usage file or via --model")

@@ -222,11 +222,12 @@ _WS_TABLE = {ord(c): None for c in " \t\r\n"}
 
 def _fragment_to_bin(fragment: str, max_digits: int) -> int | None:
     """Digit-token fragment to signed bin integer; None when no digits survive
-    or when the value needs more than max_digits digits (a runaway value)."""
+    or when the value needs more than max_digits digits (a runaway value).
+    Only ASCII digits count: int() would also read other scripts' digits."""
     compact = fragment.translate(_WS_TABLE)
     if not compact:
         return None
-    if len(compact) <= max_digits:
+    if len(compact) <= max_digits and compact.isascii():
         try:
             return int(compact)
         except ValueError:
@@ -268,8 +269,10 @@ def _whole_text_bins(text: str, sep: str, horizon: int, max_digits: int) -> list
     Drops spaces before splitting, which leaves the fragments intact for any
     one-character separator but a space. int() ignores the other whitespace
     around a number, and raises where the per-fragment parser has work to do.
+    Non-ASCII text goes to the per-fragment parser, whose junk filter drops
+    the non-ASCII digits that int() would read.
     """
-    if len(sep) != 1 or sep == " ":
+    if len(sep) != 1 or sep == " " or not text.isascii():
         return None
     fragments = filter(None, text.replace(" ", "").split(sep))
     try:

@@ -7,7 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AggregationError, NonFiniteError, SplitError
+from .errors import (
+    AggregationError,
+    ConfigError,
+    DegenerateSeriesError,
+    NonFiniteError,
+    SplitError,
+)
 
 
 @dataclass(frozen=True)
@@ -21,7 +27,7 @@ class TimeSeries:
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("series must be a nonempty 1-D sequence")
+            raise DegenerateSeriesError("series must be a nonempty 1-D sequence")
         if not np.isfinite(arr).all():
             raise NonFiniteError(f"series {self.name!r} contains NaN or infinity")
         arr = arr.copy()
@@ -46,24 +52,31 @@ class SplitSpec:
     def __post_init__(self):
         if self.mode == "fraction":
             if self.fraction is None or not (0.0 < float(self.fraction) < 1.0):
-                raise ValueError("fraction mode needs fraction in (0, 1)")
+                raise ConfigError("fraction mode needs fraction in (0, 1)")
             if self.horizon is not None:
-                raise ValueError("fraction mode takes no horizon")
+                raise ConfigError("fraction mode takes no horizon")
         elif self.mode == "horizon":
             if self.horizon is None or int(self.horizon) < 1:
-                raise ValueError("horizon mode needs a positive integer horizon")
+                raise ConfigError("horizon mode needs a positive integer horizon")
             if self.fraction is not None:
-                raise ValueError("horizon mode takes no fraction")
+                raise ConfigError("horizon mode takes no fraction")
         else:
-            raise ValueError(f"unknown split mode {self.mode!r}")
+            raise ConfigError(f"unknown split mode {self.mode!r}")
 
     @classmethod
-    def by_fraction(cls, fraction: float) -> "SplitSpec":
-        return cls("fraction", fraction=float(fraction))
+    def by_fraction(cls, fraction: float | str) -> "SplitSpec":
+        return cls("fraction", fraction=_number(float, fraction, "fraction"))
 
     @classmethod
-    def by_horizon(cls, horizon: int) -> "SplitSpec":
-        return cls("horizon", horizon=int(horizon))
+    def by_horizon(cls, horizon: int | str) -> "SplitSpec":
+        return cls("horizon", horizon=_number(int, horizon, "horizon"))
+
+
+def _number(kind, value, name: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"split {name} must be a number, got {value!r}") from exc
 
 
 def _snapped_ceil(x: float) -> int:

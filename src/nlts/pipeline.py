@@ -193,10 +193,7 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
         for attempt in range(job.retries_per_sample + 1):
             attempts = attempt + 1
             tag = f"sample-{i}/try-{attempt}"
-            if job.prompt_style == "chat":
-                texts, usage = backend.chat_complete(prompts[i], effective, tag=tag)
-            else:
-                texts, usage = backend.complete(prompts[i], effective, tag=tag)
+            texts, usage = backend.complete(prompts[i], effective, tag=tag)
             usage_sample = usage_sample + usage
             if not texts:
                 continue

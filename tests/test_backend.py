@@ -51,6 +51,22 @@ class TestUsage:
         u = Usage(3, 4, 5)
         assert u + Usage() == u
 
+    def test_from_dict_defaults(self):
+        assert Usage.from_dict({}) == Usage(0, 0, 0)
+        assert Usage.from_dict({}, requests=1) == Usage(0, 0, 1)
+        assert Usage.from_dict({"prompt_tokens": "7", "completion_tokens": 9.0, "requests": 2},
+                               requests=1) == Usage(7, 9, 2)
+
+    def test_from_dict_rejects_bad_fields(self):
+        with pytest.raises(ValueError):
+            Usage.from_dict({"prompt_tokens": "many"})
+        with pytest.raises(TypeError):
+            Usage.from_dict({"completion_tokens": None})
+        with pytest.raises(TypeError):
+            Usage.from_dict([("prompt_tokens", 1)])
+        with pytest.raises(TypeError):
+            Usage.from_dict(None)
+
 
 class TestCost:
     def test_known_models(self):
@@ -127,7 +143,7 @@ class TestOracleBackend:
 
     def test_chat_routes_to_complete(self):
         b = OracleBackend("9 9")
-        texts, usage = b.chat_complete(
+        texts, usage = b.complete(
             [{"role": "system", "content": "s"}, {"role": "user", "content": "1, 2"}], PARAMS
         )
         assert texts == ["9 9"]
@@ -135,11 +151,11 @@ class TestOracleBackend:
 
     def test_chat_empty_messages(self):
         with pytest.raises(ProtocolError):
-            OracleBackend("x").chat_complete([], PARAMS)
+            OracleBackend("x").complete([], PARAMS)
 
     def test_chat_malformed_message(self):
         with pytest.raises(ProtocolError):
-            OracleBackend("x").chat_complete([{"content": "no role"}], PARAMS)
+            OracleBackend("x").complete([{"content": "no role"}], PARAMS)
 
 
 class TestEchoTailBackend:
@@ -154,7 +170,7 @@ class TestEchoTailBackend:
             {"role": "system", "content": "instructions"},
             {"role": "user", "content": "Sequence:\n5 5, 7 7"},
         ]
-        texts, _ = b.chat_complete(messages, PARAMS)
+        texts, _ = b.complete(messages, PARAMS)
         assert texts == ["7 7, 7 7"]
 
     def test_empty_prompt(self):
@@ -174,11 +190,11 @@ class TestScriptedBackend:
         texts, _ = b.complete("p", PARAMS, tag="sample-0/try-1")
         assert texts == ["a"]
 
-    def test_untagged_calls_walk_cursor(self):
+    def test_tags_without_sample_index_read_line_zero(self):
         b = ScriptedBackend(lines=["a", "b"])
-        assert b.complete("p", PARAMS)[0] == ["a"]
-        assert b.complete("p", PARAMS)[0] == ["b"]
-        assert b.complete("p", PARAMS)[0] == ["a"]
+        for tag in ("", "", "t", "sample-/try-0", "sample-x/try-0", "try-1/sample-1"):
+            assert b.complete("p", PARAMS, tag=tag)[0] == ["a"]
+        assert b.complete("p", PARAMS, tag="sample-3/try-0")[0] == ["b"]
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "lines.txt"
@@ -206,8 +222,8 @@ class TestRecordReplay:
         cassette = tmp_path / "c.jsonl"
         rec = RecordingBackend(OracleBackend("5"), cassette)
         messages = [{"role": "user", "content": "1, 2"}]
-        texts1, _ = rec.chat_complete(messages, PARAMS, tag="t")
-        texts2, _ = ReplayBackend(cassette).chat_complete(messages, PARAMS, tag="t")
+        texts1, _ = rec.complete(messages, PARAMS, tag="t")
+        texts2, _ = ReplayBackend(cassette).complete(messages, PARAMS, tag="t")
         assert texts1 == texts2
 
     def test_miss_is_transport_error(self, tmp_path):
@@ -242,6 +258,25 @@ class TestRecordReplay:
         with pytest.raises(TransportError):
             rep.complete("pr", PARAMS, tag="a")  # forged record fails verification too
 
+    @pytest.mark.parametrize("usage", [{"prompt_tokens": "x"}, [1], None])
+    def test_malformed_usage_is_protocol_error(self, tmp_path, usage):
+        cassette = tmp_path / "c.jsonl"
+        RecordingBackend(OracleBackend("1"), cassette).complete("p", PARAMS, tag="a")
+        record = json.loads(cassette.read_text())
+        record["response_body"]["usage"] = usage
+        cassette.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ProtocolError):
+            ReplayBackend(cassette).complete("p", PARAMS, tag="a")
+
+    def test_usage_defaults_to_one_request(self, tmp_path):
+        cassette = tmp_path / "c.jsonl"
+        RecordingBackend(OracleBackend("1"), cassette).complete("p q", PARAMS, tag="a")
+        record = json.loads(cassette.read_text())
+        record["response_body"]["usage"] = {"prompt_tokens": 2}
+        cassette.write_text(json.dumps(record) + "\n")
+        _, usage = ReplayBackend(cassette).complete("p q", PARAMS, tag="a")
+        assert usage == Usage(2, 0, 1)
+
     def test_missing_cassette(self, tmp_path):
         with pytest.raises(ConfigError):
             ReplayBackend(tmp_path / "absent.jsonl")
@@ -262,35 +297,43 @@ class TestRecordReplay:
 GOLDEN_PARAMS = GenerationParams(max_tokens=64, stop=("\n",))
 GOLDEN_MESSAGES = [{"role": "user", "content": "1 2 3, 4 5 6"}]
 GOLDEN_HASHES = [
-    ("complete", "1 2 3, 4 5 6, ", "sample-0/try-0",
+    ("1 2 3, 4 5 6, ", "sample-0/try-0",
      "ceee645b9266a81446eebcd2df6b43778915518969bbb89d82b62978f3163490"),
-    ("chat_complete", GOLDEN_MESSAGES, "sample-1/try-0",
+    (GOLDEN_MESSAGES, "sample-1/try-0",
      "0969d7f4c95ae1df9e67e9c71c025630588d7c8c6f0514810046f9e6d8c682fb"),
 ]
 
 
 class TestGoldenRequestHashes:
-    @pytest.mark.parametrize("method, request_input, tag, expected", GOLDEN_HASHES)
-    def test_recorded_hash(self, tmp_path, method, request_input, tag, expected):
+    @pytest.mark.parametrize("request_input, tag, expected", GOLDEN_HASHES,
+                             ids=["completions", "chat"])
+    def test_recorded_hash(self, tmp_path, request_input, tag, expected):
         cassette = tmp_path / "c.jsonl"
         rec = RecordingBackend(OracleBackend("7 8 9"), cassette)
-        getattr(rec, method)(request_input, GOLDEN_PARAMS, tag=tag)
+        rec.complete(request_input, GOLDEN_PARAMS, tag=tag)
         record = json.loads(cassette.read_text())
         assert record["request_hash"] == expected
         assert request_hash(record["canonical_request"]) == expected
-        texts, _ = getattr(ReplayBackend(cassette), method)(request_input, GOLDEN_PARAMS, tag=tag)
+        texts, _ = ReplayBackend(cassette).complete(request_input, GOLDEN_PARAMS, tag=tag)
         assert texts == ["7 8 9"]
 
-    @pytest.mark.parametrize("method, request_input, tag, expected", GOLDEN_HASHES)
-    def test_wire_body_is_hashed_body(self, http_server, tmp_path, method, request_input,
-                                      tag, expected):
+    @pytest.mark.parametrize("request_input, tag, expected", GOLDEN_HASHES,
+                             ids=["completions", "chat"])
+    def test_wire_body_is_hashed_body(self, http_server, tmp_path, request_input, tag, expected):
         base, script = http_server
-        reply = {"text": "1"} if method == "complete" else {"message": {"content": "1"}}
+        chat = not isinstance(request_input, str)
+        reply = {"message": {"content": "1"}} if chat else {"text": "1"}
         script.script = [(200, {"choices": [reply]})]
         cassette = tmp_path / "c.jsonl"
         live = HttpBackend(BackendConfig(base_url=base), sleep=lambda s: None)
-        getattr(RecordingBackend(live, cassette), method)(request_input, GOLDEN_PARAMS, tag=tag)
+        RecordingBackend(live, cassette).complete(request_input, GOLDEN_PARAMS, tag=tag)
         record = json.loads(cassette.read_text())
+        assert script.calls[0]["path"] == ("/v1/chat/completions" if chat else "/v1/completions")
+        head = "messages" if chat else "prompt"
+        # the wire body's key order
+        assert list(script.calls[0]["body"]) == [
+            head, "model", "temperature", "top_p", "max_tokens", "n", "stop",
+        ]
         assert script.calls[0]["body"] == record["canonical_request"]["body"]
         assert record["request_hash"] == expected
 
@@ -373,10 +416,18 @@ class TestHttpBackend:
         ]
         backend = self.make(base)
         messages = [{"role": "user", "content": "hello"}]
-        texts, usage = backend.chat_complete(messages, PARAMS)
+        texts, usage = backend.complete(messages, PARAMS)
         assert texts == ["5 5"]
         assert script.calls[0]["path"] == "/v1/chat/completions"
         assert script.calls[0]["body"]["messages"] == messages
+
+    def test_malformed_chat_is_not_sent(self, http_server):
+        base, script = http_server
+        backend = self.make(base)
+        for messages in ([], [{"content": "no role"}], [{"role": "system", "content": "s"}]):
+            with pytest.raises(ProtocolError):
+                backend.complete(messages, PARAMS)
+        assert script.calls == []
 
     def test_retry_on_429_then_success(self, http_server):
         base, script = http_server
@@ -458,6 +509,28 @@ class TestHttpBackend:
         backend.complete("p", PARAMS)
         assert delays == sorted(delays)
         assert len(delays) == 3
+
+    @pytest.mark.parametrize("usage", [{"prompt_tokens": "lots"}, [3, 4], "none"])
+    def test_usage_estimated_when_endpoint_garbles_it(self, http_server, usage):
+        base, script = http_server
+        script.script = [(429, {}), (200, {"choices": [{"text": "1 2 3"}], "usage": usage})]
+        backend = self.make(base)
+        _, usage = backend.complete("a b", PARAMS)
+        assert usage == Usage(2, 3, 2)
+
+    def test_endpoint_request_count_is_ignored(self, http_server):
+        base, script = http_server
+        script.script = [(200, {"choices": [{"text": "1"}],
+                                "usage": {"prompt_tokens": 4, "requests": 9}})]
+        _, usage = self.make(base).complete("p", PARAMS)
+        assert usage == Usage(4, 0, 1)
+
+    def test_chat_usage_estimate_counts_every_message(self, http_server):
+        base, script = http_server
+        script.script = [(200, {"choices": [{"message": {"content": "5 5"}}]})]
+        messages = [{"role": "system", "content": "be brief"}, {"role": "user", "content": "1, 2"}]
+        _, usage = self.make(base).complete(messages, PARAMS)
+        assert usage == Usage(4, 2, 1)
 
     def test_usage_estimated_when_endpoint_omits_it(self, http_server):
         base, script = http_server

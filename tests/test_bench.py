@@ -7,6 +7,7 @@ import pytest
 
 from nlts import (
     ConfigError,
+    DegenerateSeriesError,
     LengthMismatchError,
     NoiseSpec,
     NonFiniteError,
@@ -176,7 +177,7 @@ class TestNaiveForecast:
         npt.assert_array_equal(out, [9.0, 9.0])
 
     def test_empty_history(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSeriesError):
             naive_forecast([], horizon=1)
 
     def test_bad_period(self):

@@ -91,6 +91,14 @@ class TestForecastCommand:
         ])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("split", ["frac:1.5", "frac:abc", "horizon:0", "horizon:2.5"])
+    def test_bad_split_value_is_bad_parameter(self, runner, airline_csv, split):
+        result = runner.invoke(main, [
+            "forecast", "--data", str(airline_csv), "--split", split, "--backend", "oracle",
+        ])
+        assert result.exit_code == 2  # click's usage error
+        assert f"bad split '{split}'" in result.output
+
     def test_replay_needs_cassette(self, runner, airline_csv):
         result = runner.invoke(main, [
             "forecast", "--data", str(airline_csv), "--backend", "replay",
@@ -224,6 +232,19 @@ class TestBenchCommand:
         assert result.exit_code != 0
         assert "nois_levels" in result.output
 
+    @pytest.mark.parametrize("split", [
+        {"mode": "fraction", "fraction": 1.5},
+        {"mode": "fraction", "fraction": "half"},
+        {"mode": "horizon", "horizon": 0},
+    ])
+    def test_bad_split_is_reported(self, runner, tmp_path, split):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"datasets": ["x.csv"], "split": split}))
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "ConfigError" in result.output
+        assert not isinstance(result.exception, ValueError)
+
     def test_config_parser(self):
         cfg = sweep_config_from_dict({
             "datasets": ["a.csv"],
@@ -289,6 +310,18 @@ class TestCostCommand:
         result = runner.invoke(main, ["cost", "--usage", str(usage)])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["cost_usd"] == pytest.approx(0.192)
+
+    @pytest.mark.parametrize("usage_block", [
+        {"prompt_tokens": "many", "completion_tokens": 1},
+        {"usage": {"prompt_tokens": [1]}},
+        {"usage": [1, 2]},
+    ])
+    def test_bad_usage_is_reported(self, runner, tmp_path, usage_block):
+        usage = tmp_path / "u.json"
+        usage.write_text(json.dumps({"model": "GPT-4", **usage_block}))
+        result = runner.invoke(main, ["cost", "--usage", str(usage)])
+        assert result.exit_code == 1
+        assert "Error: " in result.output
 
     def test_unknown_model_null(self, runner, tmp_path):
         usage = tmp_path / "u.json"

@@ -664,3 +664,55 @@ class TestRunawayDigits:
         assert _fragment_bins("x" + padded + ", 1", ",", 2, 10) == ([7, 1], 0)
         _, rep = deserialize("1" + "0" * 10 + ", 1", identity_scaler(), cfg, 2)
         assert rep.discarded_fragments == 1
+
+
+# digits of other scripts that int() reads: fullwidth, Arabic-Indic,
+# Devanagari, NKo and mathematical bold
+_OTHER_DIGITS = "０１２３４５６７８９٠١٢٣٤٥٦٧٨٩०१२३߀߁𝟎𝟏𝟐"
+_unicode_text = st.one_of(
+    st.text(max_size=60),
+    st.text(alphabet="0123456789-, |\n\tx　" + _OTHER_DIGITS, max_size=60),
+)
+
+
+class TestAsciiDigitsOnly:
+    """Only ASCII digits decode. A digit of another script is junk, on both
+    decoding paths, as any other non-digit character is."""
+
+    @pytest.mark.parametrize("text", ["１２, 3", "١٢, 3", "１２x, 3", "߁, 3"])
+    def test_other_scripts_are_junk(self, text):
+        cfg = CodecConfig(precision_k=0, half_bin_correction=False)
+        vals, rep = deserialize(text, identity_scaler(), cfg, 2)
+        npt.assert_array_equal(vals, [3.0])
+        assert rep.discarded_fragments == 1
+        assert _whole_text_bins(text, ",", 2, 10) is None
+
+    def test_ascii_digits_beside_others_survive(self):
+        assert _fragment_bins("1２, 3", ",", 2, 10) == ([1, 3], 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=_unicode_text,
+        seps=st.sampled_from(_DECODE_SEPARATORS),
+        horizon=st.integers(1, 8),
+    )
+    @example(text="１２, 3", seps=(", ", " "), horizon=2)
+    @example(text="١٢", seps=(",", ""), horizon=1)
+    def test_any_text_decodes_or_raises_parse_error(self, text, seps, horizon):
+        step_sep, digit_sep = seps
+        cfg = CodecConfig(precision_k=1, step_separator=step_sep, digit_separator=digit_sep)
+        sep = step_sep.strip() or step_sep
+        limit = cfg.max_digits_per_value
+        bins, discarded = _fragment_bins(text, sep, horizon, limit)
+        fast = _whole_text_bins(text, sep, horizon, limit)
+        if fast is not None:
+            assert (fast, 0) == (bins, discarded)
+        # non-ASCII characters add no digits: as ASCII junk they give the same bins
+        ascii_only = "".join(c if c.isascii() else "x" for c in text)
+        assert _fragment_bins(ascii_only, sep, horizon, limit)[0] == bins
+        try:
+            _, report = deserialize(text, identity_scaler(), cfg, horizon)
+        except ParseError:
+            assert not bins
+            return
+        assert report.parsed_steps == len(bins) > 0

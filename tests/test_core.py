@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from nlts import (
     AggregationError,
+    ConfigError,
+    DegenerateSeriesError,
     NonFiniteError,
     PointForecast,
     SamplePaths,
@@ -29,11 +31,11 @@ class TestTimeSeries:
             s.values[0] = 9.0
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSeriesError):
             TimeSeries(np.array([]))
 
     def test_rejects_2d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSeriesError):
             TimeSeries(np.zeros((2, 2)))
 
     def test_rejects_nan_and_inf(self):
@@ -52,17 +54,17 @@ class TestTimeSeries:
 class TestSplitSpec:
     def test_fraction_bounds(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):
                 SplitSpec.by_fraction(bad)
 
     def test_horizon_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SplitSpec.by_horizon(0)
 
     def test_mutually_exclusive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SplitSpec("fraction", fraction=0.5, horizon=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SplitSpec("weird")
 
 

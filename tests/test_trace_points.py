@@ -1,11 +1,27 @@
 """The benchmark patches program functions by attribute name (perfbench/run.py
 `trace_points`); a refactor that drops one of those names crashes `--trace 1`
-with AttributeError. Tier-1 does not collect perfbench/, so guard it here."""
+with AttributeError, and one that moves requests off a traced method makes the
+request spans miss them. Tier-1 does not collect perfbench/, so guard it here."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import nlts
+from nlts import (
+    ForecastJob,
+    RecordingBackend,
+    ReplayBackend,
+    ScriptedBackend,
+    SplitSpec,
+    TimeSeries,
+    fit_scaler,
+    run_nlts,
+    serialize,
+    split_series,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -22,3 +38,30 @@ def test_trace_points_resolve(monkeypatch):
     missing = [(owner, attr) for owner, attr, _ in points if not hasattr(owner, attr)]
     assert not missing
     assert all(callable(getattr(owner, attr)) for owner, attr, _ in points)
+
+
+@pytest.mark.parametrize("style", ["raw", "chat"])
+def test_replay_spans_see_every_request(monkeypatch, tmp_path, style):
+    """`backend.replay_complete` wraps ReplayBackend.complete: each request of
+    a replayed forecast, retries included, must pass through it."""
+    series = TimeSeries(100.0 + 10.0 * np.sin(np.arange(40) / 3.0))
+    hist, tgt = split_series(series, SplitSpec.by_horizon(4))
+    good = serialize(tgt, fit_scaler(hist, nlts.CodecConfig()))
+    # even samples reply with prose on every try, odd ones with the target
+    job = ForecastJob(history=hist, horizon=4, samples=4, prompt_style=style,
+                      retries_per_sample=1)
+    cassette = tmp_path / "c.jsonl"
+    run_nlts(job, RecordingBackend(ScriptedBackend(lines=["no digits", good]), cassette))
+
+    calls = []
+    traced = ReplayBackend.complete
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs.get("tag"))
+        return traced(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReplayBackend, "complete", counting)
+    result = run_nlts(job, ReplayBackend(cassette))
+    assert result.valid_samples == 2
+    assert result.usage.requests == 6
+    assert len(calls) == result.usage.requests
