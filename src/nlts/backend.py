@@ -514,10 +514,14 @@ class ReplayBackend(Backend):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ProtocolError(f"cassette line {line_no} is not valid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ProtocolError(f"cassette line {line_no} is not a JSON object")
             stored = record.get("request_hash", "")
             canonical = record.get("canonical_request")
             if canonical is None or request_hash(canonical) != stored:
                 continue  # tampered or foreign record: never served
+            if "response_body" not in record:
+                raise ProtocolError(f"cassette line {line_no} has no response_body")
             self._responses[stored] = record["response_body"]
             ts = record.get("timestamp")
             if ts and (self.newest_timestamp is None or ts > self.newest_timestamp):

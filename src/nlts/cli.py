@@ -264,6 +264,8 @@ def cost(usage_path, model, table_path, out):
     """Price a usage record; unknown models report null, never zero."""
     try:
         raw = json.loads(Path(usage_path).read_text())
+        if not isinstance(raw, dict):
+            raise ConfigError(f"usage file must hold a JSON object, not {type(raw).__name__}")
         usage = Usage.from_dict(raw.get("usage", raw))
         model_name = model or raw.get("model")
         if not model_name:

@@ -3,16 +3,19 @@
 Six kernel families evaluated in closed form on a uniform grid, factored with
 escalating jitter, and sampled via L @ z with one RNG substream per series.
 generate_benchmark writes normalized CSVs plus a manifest that pins every
-hyperparameter and seed.
+hyperparameter and seed. Each CSV has the header t,value,value_raw,is_holdout,
+\\r\\n row endings and floats as their shortest round-trip repr; two runs with
+the same arguments write byte-identical CSVs and manifests that differ only in
+"created".
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -162,18 +165,13 @@ def _normalize(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def write_series_csv(path: Path, grid: np.ndarray, raw: np.ndarray, holdout: int) -> None:
-    """Schema: t,value,value_raw,is_holdout with value min-max normalized."""
-    norm = _normalize(raw)
-    n = raw.size
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value", "value_raw", "is_holdout"])
-        for i in range(n):
-            writer.writerow(
-                [repr(float(grid[i])), repr(float(norm[i])), repr(float(raw[i])),
-                 1 if i >= n - holdout else 0]
-            )
+def write_series_csv(path: Path, heads: list[str], tails: list[str], raw: np.ndarray) -> None:
+    """One series as CSV, value min-max normalized. heads[i] is row i's "t,"
+    text and tails[i] its ",is_holdout\\r\\n"; both are shared by every series on
+    one grid."""
+    rows = zip(heads, map(repr, _normalize(raw).tolist()), repeat(","),
+               map(repr, raw.tolist()), tails)
+    path.write_text("t,value,value_raw,is_holdout\r\n" + "".join(map("".join, rows)), newline="")
 
 
 def default_kernel_specs() -> list[KernelSpec]:
@@ -203,18 +201,20 @@ def generate_benchmark(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(0.0, 1.0, length)
+    heads = [repr(t) + "," for t in grid.tolist()]
+    tails = [",0\r\n"] * (length - holdout) + [",1\r\n"] * holdout
     files = []
     for ki, spec in enumerate(kernels):
         kernel_seed = derive_seed(seed, ki)
-        resolved = spec.resolved(grid)
+        resolved = spec.resolved(grid).to_dict()
         values = sample_gp_matrix(spec, grid, count, kernel_seed)
         for i in range(count):
             name = f"{spec.kind}_{i:04d}.csv"
-            write_series_csv(out / name, grid, values[i], holdout)
+            write_series_csv(out / name, heads, tails, values[i])
             files.append(
                 {
                     "file": name,
-                    "kernel": resolved.to_dict(),
+                    "kernel": dict(resolved),
                     "seed": kernel_seed,
                     "series_index": i,
                     "length": length,

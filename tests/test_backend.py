@@ -281,6 +281,22 @@ class TestRecordReplay:
         with pytest.raises(ConfigError):
             ReplayBackend(tmp_path / "absent.jsonl")
 
+    def test_non_object_line_is_protocol_error(self, tmp_path):
+        cassette = tmp_path / "c.jsonl"
+        RecordingBackend(OracleBackend("1"), cassette).complete("p", PARAMS, tag="a")
+        cassette.write_text(cassette.read_text() + "\n[1]\n")
+        with pytest.raises(ProtocolError, match="line 3 is not a JSON object"):
+            ReplayBackend(cassette)
+
+    def test_verified_record_without_response_is_protocol_error(self, tmp_path):
+        cassette = tmp_path / "c.jsonl"
+        RecordingBackend(OracleBackend("1"), cassette).complete("p", PARAMS, tag="a")
+        record = json.loads(cassette.read_text())
+        del record["response_body"]
+        cassette.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ProtocolError, match="line 1 has no response_body"):
+            ReplayBackend(cassette)
+
     def test_hash_ignores_nothing_it_should_keep(self):
         c1 = canonical_request("completions", {"prompt": "a", "model": "m"}, "t")
         c2 = canonical_request("completions", {"prompt": "a", "model": "m"}, "t2")

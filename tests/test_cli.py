@@ -323,6 +323,14 @@ class TestCostCommand:
         assert result.exit_code == 1
         assert "Error: " in result.output
 
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", "null"])
+    def test_non_object_usage_file_is_reported(self, runner, tmp_path, content):
+        usage = tmp_path / "u.json"
+        usage.write_text(content)
+        result = runner.invoke(main, ["cost", "--usage", str(usage)])
+        assert result.exit_code == 1
+        assert "Error: ConfigError: usage file must hold a JSON object" in result.output
+
     def test_unknown_model_null(self, runner, tmp_path):
         usage = tmp_path / "u.json"
         usage.write_text(json.dumps({

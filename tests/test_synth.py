@@ -1,8 +1,13 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlts import (
     CholeskyError,
@@ -16,7 +21,8 @@ from nlts import (
     sample_gp_matrix,
     split_series,
 )
-from nlts.synth import KERNEL_KINDS, default_kernel_specs
+from nlts.rng import derive_seed
+from nlts.synth import KERNEL_KINDS, default_kernel_specs, write_series_csv
 
 
 class TestKernelSpec:
@@ -227,8 +233,6 @@ class TestGenerateBenchmark:
                            seed=9, out_dir=tmp_path)
         ds_raw = load_dataset(tmp_path / "rbf_0000.csv", value_column="value_raw")
         spec = KernelSpec(kind="rbf")
-        from nlts.rng import derive_seed
-
         expected = sample_gp_matrix(spec, np.linspace(0, 1, 20), 1, derive_seed(9, 0))[0]
         npt.assert_allclose(ds_raw.series.values, expected, rtol=0, atol=1e-15)
 
@@ -255,3 +259,83 @@ class TestGenerateBenchmark:
         a = (a_dir / "rational_quadratic_0001.csv").read_text()
         b = (b_dir / "rational_quadratic_0001.csv").read_text()
         assert a == b
+
+
+# The csv.writer implementation the CSV bytes were first defined by; the
+# formatted writer must reproduce it byte for byte.
+def _reference_normalize(values):
+    lo = float(values.min())
+    hi = float(values.max())
+    if hi == lo:
+        return np.zeros_like(values)
+    return (values - lo) / (hi - lo)
+
+
+def _reference_write_series_csv(path, grid, raw, holdout):
+    norm = _reference_normalize(raw)
+    n = raw.size
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "value", "value_raw", "is_holdout"])
+        for i in range(n):
+            writer.writerow(
+                [repr(float(grid[i])), repr(float(norm[i])), repr(float(raw[i])),
+                 1 if i >= n - holdout else 0]
+            )
+
+
+_finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
+                    allow_infinity=False, allow_subnormal=True)
+_special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                            9.999999999999999e299, 1e-5, 123456789.125])
+
+
+@st.composite
+def _rows_and_holdout(draw):
+    values = st.one_of(_finite, _special)
+    n = draw(st.integers(min_value=2, max_value=60))
+    if draw(st.booleans()):
+        raw = [draw(values)] * n  # constant row: normalizes to zeros
+    else:
+        raw = draw(st.lists(values, min_size=n, max_size=n))
+    return np.array(raw, dtype=float), draw(st.integers(min_value=0, max_value=n - 1))
+
+
+class TestCsvBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(_rows_and_holdout())
+    @example((np.array([1.0, 1.0]), 1))
+    @example((np.array([-1e300, 1e300, 5e-324]), 0))
+    def test_matches_reference_writer(self, case):
+        raw, holdout = case
+        n = raw.size
+        grid = np.linspace(0.0, 1.0, n)
+        heads = [repr(t) + "," for t in grid.tolist()]
+        tails = [",1\r\n" if i >= n - holdout else ",0\r\n" for i in range(n)]
+        with tempfile.TemporaryDirectory() as d:
+            ref, new = Path(d) / "ref.csv", Path(d) / "new.csv"
+            _reference_write_series_csv(ref, grid, raw, holdout)
+            write_series_csv(new, heads, tails, raw)
+            assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("length,holdout", [(430, 30), (40, 0), (2, 1), (57, 56)])
+    def test_benchmark_directory_matches_reference(self, tmp_path, length, holdout):
+        specs = default_kernel_specs()
+        manifest = generate_benchmark(specs, count=2, length=length, holdout=holdout,
+                                      seed=7, out_dir=tmp_path / "out")
+        grid = np.linspace(0.0, 1.0, length)
+        expected = {"manifest.json"}
+        for ki, spec in enumerate(specs):
+            values = sample_gp_matrix(spec, grid, 2, derive_seed(7, ki))
+            for i in range(2):
+                name = f"{spec.kind}_{i:04d}.csv"
+                expected.add(name)
+                ref = tmp_path / name
+                _reference_write_series_csv(ref, grid, values[i], holdout)
+                assert (tmp_path / "out" / name).read_bytes() == ref.read_bytes(), name
+        assert {p.name for p in (tmp_path / "out").iterdir()} == expected
+        head = (tmp_path / "out" / "rbf_0000.csv").read_bytes().split(b"\r\n")[0]
+        assert head == b"t,value,value_raw,is_holdout"
+        kernels = [entry["kernel"] for entry in manifest["files"]]
+        assert all(a is not b for a, b in zip(kernels, kernels[1:]))
+        assert kernels[0] == specs[0].resolved(grid).to_dict()

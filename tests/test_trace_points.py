@@ -65,3 +65,22 @@ def test_replay_spans_see_every_request(monkeypatch, tmp_path, style):
     assert result.valid_samples == 2
     assert result.usage.requests == 6
     assert len(calls) == result.usage.requests
+
+
+def test_synth_spans_see_every_series(monkeypatch, tmp_path):
+    """`synth.write_csv` and `rng.substream` wrap nlts.synth's module globals:
+    each series must write through the first once and draw through the second
+    once, so that per-call means stay per-series."""
+    calls = {"write_series_csv": 0, "substream": 0}
+    for name in calls:
+        original = getattr(nlts.synth, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(nlts.synth, name, counting)
+    specs = [nlts.KernelSpec(kind="rbf"), nlts.KernelSpec(kind="matern")]
+    manifest = nlts.generate_benchmark(specs, 3, 20, 4, 5, tmp_path)
+    assert len(manifest["files"]) == 6
+    assert calls == {"write_series_csv": 6, "substream": 6}
