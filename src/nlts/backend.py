@@ -20,8 +20,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     AuthError,
     ConfigError,
@@ -340,8 +338,10 @@ class BackendConfig:
     def __post_init__(self):
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
-            raise ConfigError("need 0 < backoff_base <= backoff_cap")
+        if not 0 < self.backoff_base <= self.backoff_cap < math.inf:
+            raise ConfigError("need 0 < backoff_base <= backoff_cap, both finite")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.max_in_flight < 1:
             raise ConfigError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
 
@@ -349,9 +349,16 @@ class BackendConfig:
 class HttpBackend(Backend):
     """OpenAI-compatible client: POST {base}/v1/completions and /v1/chat/completions.
 
-    429 and 5xx responses and transport failures retry with exponential backoff
-    plus jitter; realized delays are nondecreasing. 401/403 raise AuthError
-    immediately. Usage.requests counts HTTP attempts, not logical calls.
+    The session's one urllib3 Retry resends after a transport failure, a 429
+    or a 5xx, up to max_retries times. The first retry goes at once; retry k
+    (k >= 2) waits backoff_base * 2**(k-1) plus up to backoff_base of jitter,
+    capped at backoff_cap, so these delays never decrease. A Retry-After header
+    in seconds or as a date sets the delay instead, capped at backoff_cap; one
+    that parses as neither, such as "0.5", is ignored. A blocking pool of
+    max_in_flight connections is the one in-flight bound. A 429 or 5xx response
+    hands its connection back before the delay; after a transport failure,
+    urllib3 sleeps before it frees the slot. 401/403 raise AuthError at once.
+    Usage.requests counts HTTP attempts, not logical calls.
     """
 
     name = "live"
@@ -361,7 +368,7 @@ class HttpBackend(Backend):
         "chat": ("/v1/chat/completions", lambda choice: choice["message"]["content"]),
     }
 
-    def __init__(self, config: BackendConfig = BackendConfig(), sleep=time.sleep):
+    def __init__(self, config: BackendConfig = BackendConfig()):
         base = config.base_url or os.environ.get(ENV_API_BASE, "")
         if not base:
             raise ConfigError(
@@ -371,13 +378,32 @@ class HttpBackend(Backend):
         self.api_key = config.api_key or os.environ.get(ENV_API_KEY)
         self.config = config
         self.max_in_flight = config.max_in_flight
-        self._sleep = sleep
-        self._sem = threading.BoundedSemaphore(config.max_in_flight)
-        self._jitter = np.random.Generator(np.random.PCG64(np.random.SeedSequence()))
-        self._jitter_lock = threading.Lock()
         import requests
+        from urllib3.exceptions import InvalidHeader
+        from urllib3.util import Retry
 
+        class LenientRetry(Retry):
+            def parse_retry_after(self, retry_after):
+                try:
+                    return super().parse_retry_after(retry_after)
+                except InvalidHeader:  # such as "0.5": keep the backoff schedule
+                    return 0.0
+
+        retry = LenientRetry(
+            total=config.max_retries,
+            allowed_methods=None,  # every method, POST included
+            status_forcelist=(429, *range(500, 600)),
+            backoff_factor=config.backoff_base,
+            backoff_jitter=config.backoff_base,
+            backoff_max=config.backoff_cap,
+            retry_after_max=config.backoff_cap,
+            raise_on_status=False,  # the last response comes back for mapping below
+        )
+        adapter = requests.adapters.HTTPAdapter(
+            max_retries=retry, pool_maxsize=config.max_in_flight, pool_block=True
+        )
         self._session = requests.Session()
+        self._session.mount(self.base_url, adapter)
         self._requests = requests
 
     def describe(self):
@@ -389,62 +415,37 @@ class HttpBackend(Backend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
-    def _delay(self, attempt: int) -> float:
-        base = min(self.config.backoff_cap, self.config.backoff_base * (2.0**attempt))
-        with self._jitter_lock:
-            frac = float(self._jitter.uniform(0.5, 1.0))
-        return base * frac
-
-    def _post(self, path: str, body: Mapping) -> tuple[dict, int]:
-        url = self.base_url + path
-        attempts = 0
-        last_error: Exception | None = None
-        rate_limited = False
-        with self._sem:
-            for attempt in range(self.config.max_retries + 1):
-                attempts += 1
-                try:
-                    resp = self._session.post(
-                        url, json=body, headers=self._headers(), timeout=self.config.timeout
-                    )
-                except self._requests.RequestException as exc:
-                    last_error = exc
-                    rate_limited = False
-                    if attempt < self.config.max_retries:
-                        self._sleep(self._delay(attempt))
-                    continue
-                if resp.status_code in (401, 403):
-                    raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    rate_limited = resp.status_code == 429
-                    last_error = ProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                    if attempt < self.config.max_retries:
-                        self._sleep(self._delay(attempt))
-                    continue
-                if resp.status_code != 200:
-                    raise ProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                try:
-                    return resp.json(), attempts
-                except ValueError as exc:
-                    raise ProtocolError(f"endpoint returned invalid JSON: {exc}") from exc
-        if rate_limited:
-            raise RateLimitError(
-                f"rate limited after {attempts} attempts: {last_error}"
-            )
-        raise TransportError(f"request failed after {attempts} attempts: {last_error}")
-
     def complete(self, prompt, params, tag=""):
         endpoint, body = request_body(prompt, params)
         if endpoint == "chat":
             _last_user_content(prompt)  # validates shape
         path, choice_text = self._ROUTES[endpoint]
-        data, attempts = self._post(path, body)
         try:
+            resp = self._session.post(
+                self.base_url + path, json=body, headers=self._headers(),
+                timeout=self.config.timeout,
+            )
+        except self._requests.RequestException as exc:
+            raise TransportError(f"request failed after retries: {exc}") from exc
+        attempts = len(resp.raw.retries.history) + 1
+        status = resp.status_code
+        if status in (401, 403):
+            raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+        if status != 200:
+            error = (RateLimitError if status == 429 else
+                     TransportError if status >= 500 else ProtocolError)
+            raise error(f"HTTP {status} after {attempts} attempts: {resp.text[:200]}")
+        try:
+            data = resp.json()
             texts = [choice_text(choice) for choice in data["choices"]]
+        except ValueError as exc:
+            raise ProtocolError(f"endpoint returned invalid JSON: {exc}") from exc
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"{endpoint} response missing choices or their text: {exc}") from exc
         if not texts:
             raise ProtocolError(f"{endpoint} response has an empty choices list")
+        if not all(isinstance(t, str) for t in texts):
+            raise ProtocolError(f"{endpoint} response has a choice whose text is not a string")
         try:
             usage = Usage.from_dict(data.get("usage"))
         except (TypeError, ValueError):
@@ -496,7 +497,9 @@ class ReplayBackend(Backend):
     """Serves recorded responses by request hash; any miss is a TransportError.
 
     On load, each record's stored hash is recomputed from its canonical request;
-    records that fail verification are dropped, so tampering surfaces as a miss.
+    records that fail verification are dropped, so an edited request or hash
+    surfaces as a miss. The hash does not cover response_body: an edited
+    response is served as it stands, and is only checked for shape.
     """
 
     name = "replay"
@@ -535,11 +538,13 @@ class ReplayBackend(Backend):
             )
         stored = self._responses[h]
         try:
-            texts = list(stored["texts"])
+            texts = stored["texts"]
             usage = Usage.from_dict(stored.get("usage", {}), requests=1)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"cassette response for {h[:12]}... is malformed") from exc
-        return texts, usage
+        if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+            raise ProtocolError(f"cassette response for {h[:12]}... has non-string texts")
+        return list(texts), usage
 
     def describe(self):
         info = {"backend": self.name, "cassette": str(self.path)}

@@ -1,6 +1,10 @@
 import json
+import math
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+import types
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -39,6 +43,32 @@ class TestGenerationParams:
             GenerationParams(top_p=0.0)
         with pytest.raises(ParamError):
             GenerationParams(max_tokens=0)
+
+
+class TestBackendConfig:
+    def test_defaults_are_valid(self):
+        cfg = BackendConfig()
+        assert (cfg.max_retries, cfg.backoff_base, cfg.backoff_cap) == (3, 0.5, 8.0)
+        assert (cfg.timeout, cfg.max_in_flight) == (60.0, 4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("timeout", 0),
+        ("timeout", -1.0),
+        ("timeout", math.nan),
+        ("timeout", math.inf),
+        ("backoff_base", 0.0),
+        ("backoff_base", -0.5),
+        ("backoff_base", math.nan),
+        ("backoff_base", 9.0),  # above the default cap
+        ("backoff_cap", math.nan),
+        ("backoff_cap", math.inf),
+        ("backoff_cap", 0.1),  # below the default base
+        ("max_retries", -1),
+        ("max_in_flight", 0),
+    ])
+    def test_rejects(self, field, value):
+        with pytest.raises(ConfigError):
+            BackendConfig(**{field: value})
 
 
 class TestUsage:
@@ -268,6 +298,17 @@ class TestRecordReplay:
         with pytest.raises(ProtocolError):
             ReplayBackend(cassette).complete("p", PARAMS, tag="a")
 
+    @pytest.mark.parametrize("texts", ["1 2", ["1", 2], [None], {"0": "1"}, 5],
+                             ids=["str", "list-with-int", "list-with-null", "object", "int"])
+    def test_non_string_texts_are_protocol_error(self, tmp_path, texts):
+        cassette = tmp_path / "c.jsonl"
+        RecordingBackend(OracleBackend("1"), cassette).complete("p", PARAMS, tag="a")
+        record = json.loads(cassette.read_text())
+        record["response_body"]["texts"] = texts
+        cassette.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ProtocolError, match="non-string texts"):
+            ReplayBackend(cassette).complete("p", PARAMS, tag="a")
+
     def test_usage_defaults_to_one_request(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
         RecordingBackend(OracleBackend("1"), cassette).complete("p q", PARAMS, tag="a")
@@ -341,7 +382,7 @@ class TestGoldenRequestHashes:
         reply = {"message": {"content": "1"}} if chat else {"text": "1"}
         script.script = [(200, {"choices": [reply]})]
         cassette = tmp_path / "c.jsonl"
-        live = HttpBackend(BackendConfig(base_url=base), sleep=lambda s: None)
+        live = HttpBackend(BackendConfig(base_url=base))
         RecordingBackend(live, cassette).complete(request_input, GOLDEN_PARAMS, tag=tag)
         record = json.loads(cassette.read_text())
         assert script.calls[0]["path"] == ("/v1/chat/completions" if chat else "/v1/completions")
@@ -355,20 +396,38 @@ class TestGoldenRequestHashes:
 
 
 class _Script(BaseHTTPRequestHandler):
-    """Serves a scripted list of (status, body) responses, in order."""
+    """Serves a scripted list of responses, in order; the last one repeats.
+
+    An entry is (status, body) or (status, body, headers). A bytes body goes
+    out as it is, anything else as JSON. Every reply waits `delay` seconds.
+    `peak` is the most requests the handler has held at once.
+    """
 
     script = []
     calls = []
+    delay = 0.0
+    active = peak = 0
+    lock = threading.Lock()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
-        type(self).calls.append({"path": self.path, "body": body, "auth": self.headers.get("Authorization")})
-        status, payload = self.script[min(len(self.calls) - 1, len(self.script) - 1)]
-        data = json.dumps(payload).encode()
+        cls = type(self)
+        with self.lock:
+            self.calls.append({"path": self.path, "body": body,
+                               "auth": self.headers.get("Authorization")})
+            status, payload, *headers = self.script[min(len(self.calls), len(self.script)) - 1]
+            cls.active += 1
+            cls.peak = max(cls.peak, cls.active)
+        time.sleep(self.delay)
+        with self.lock:
+            cls.active -= 1
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -376,18 +435,37 @@ class _Script(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out has closed its end
+
+
 @pytest.fixture
 def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Script)
+    server = _Server(("127.0.0.1", 0), _Script)
     _Script.script = []
     _Script.calls = []
+    _Script.delay = 0.0
+    _Script.active = _Script.peak = 0
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _Script
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The delays urllib3's Retry sleeps between attempts, recorded instead of slept."""
+    import urllib3.util.retry
+
+    slept = []
+    monkeypatch.setattr(urllib3.util.retry, "time",
+                        types.SimpleNamespace(sleep=slept.append, time=time.time))
+    return slept
 
 
 def _ok_completion(text="1 2, 3 4"):
@@ -410,7 +488,7 @@ class TestHttpBackend:
             backoff_cap=0.004,
             **kw,
         )
-        return HttpBackend(cfg, sleep=lambda s: None)
+        return HttpBackend(cfg)
 
     def test_completion_success(self, http_server):
         base, script = http_server
@@ -511,20 +589,128 @@ class TestHttpBackend:
         script.script = [_ok_completion()]
         monkeypatch.setenv("NLTS_API_BASE", base)
         monkeypatch.setenv("NLTS_API_KEY", "sk-env")
-        backend = HttpBackend(BackendConfig(backoff_base=0.001, backoff_cap=0.002),
-                              sleep=lambda s: None)
+        backend = HttpBackend(BackendConfig(backoff_base=0.001, backoff_cap=0.002))
         backend.complete("p", PARAMS)
         assert script.calls[0]["auth"] == "Bearer sk-env"
 
-    def test_delays_nondecreasing(self, http_server):
+    def test_delays_nondecreasing(self, http_server, sleeps):
         base, script = http_server
-        script.script = [(429, {}), (429, {}), (429, {}), _ok_completion()]
-        delays = []
-        cfg = BackendConfig(base_url=base, max_retries=3, backoff_base=0.001, backoff_cap=1.0)
-        backend = HttpBackend(cfg, sleep=delays.append)
-        backend.complete("p", PARAMS)
-        assert delays == sorted(delays)
-        assert len(delays) == 3
+        script.script = [(429, {})] * 6 + [_ok_completion()]
+        _, usage = self.make(base, max_retries=6).complete("p", PARAMS)
+        assert usage.requests == 7
+        # the first retry goes at once; the cap (0.004 s) is reached by the second sleep
+        assert len(sleeps) == 5
+        assert 0.002 <= sleeps[0] <= 0.003
+        assert sleeps[1:] == [0.004] * 4
+        assert sleeps == sorted(sleeps)
+
+    def test_retry_after_is_capped(self, http_server, sleeps):
+        base, script = http_server
+        script.script = [(429, {}, {"Retry-After": "3600"}), _ok_completion()]
+        texts, usage = self.make(base).complete("p", PARAMS)
+        assert texts == ["1 2, 3 4"]
+        assert usage.requests == 2
+        assert sleeps == [0.004]
+
+    @pytest.mark.parametrize("value", ["0.5", "soon", ""])
+    def test_unparseable_retry_after_keeps_the_backoff(self, http_server, sleeps, value):
+        base, script = http_server
+        script.script = [(429, {}, {"Retry-After": value}), (503, {}, {"Retry-After": value}),
+                         _ok_completion()]
+        _, usage = self.make(base).complete("p", PARAMS)
+        assert usage.requests == 3
+        assert len(sleeps) == 1 and 0.002 <= sleeps[0] <= 0.003
+
+    def test_5xx_burst_counts_every_attempt(self, http_server, sleeps):
+        base, script = http_server
+        script.script = [(500, {}), (502, {}), (503, {}), (504, {}), _ok_completion()]
+        _, usage = self.make(base, max_retries=4).complete("p", PARAMS)
+        assert usage == Usage(7, 9, 5)
+        assert len(script.calls) == 5
+
+    @pytest.mark.parametrize("payload", [
+        b'{"choices": [{"text": "1 2',
+        b"",
+        b"not json",
+        {"choices": []},
+        {"choices": "1 2"},
+        [{"text": "1"}],
+    ], ids=["truncated", "empty-body", "not-json", "empty-choices", "choices-str", "list"])
+    def test_bad_body_is_protocol_error_without_retry(self, http_server, payload):
+        base, script = http_server
+        script.script = [(200, payload)]
+        with pytest.raises(ProtocolError):
+            self.make(base).complete("p", PARAMS)
+        assert len(script.calls) == 1
+
+    @pytest.mark.parametrize("prompt, choices", [
+        ("p", [{"text": 5}]),
+        ("p", [{"text": None}]),
+        ("p", [{"text": "1 2"}, {"text": ["1 2"]}]),
+        ([{"role": "user", "content": "1, 2"}], [{"message": {"content": None}}]),
+        ([{"role": "user", "content": "1, 2"}], [{"message": {"content": {"text": "1"}}}]),
+    ], ids=["int", "null", "list", "chat-null", "chat-object"])
+    def test_non_string_text_is_protocol_error(self, http_server, prompt, choices):
+        base, script = http_server
+        script.script = [(200, {"choices": choices})]
+        with pytest.raises(ProtocolError, match="not a string"):
+            self.make(base).complete(prompt, PARAMS)
+
+    def test_slow_reply_is_transport_error(self, http_server, sleeps):
+        base, script = http_server
+        script.script = [_ok_completion()]
+        script.delay = 1.0
+        with pytest.raises(TransportError):
+            self.make(base, max_retries=1, timeout=0.2).complete("p", PARAMS)
+        assert len(script.calls) == 2  # a read timeout is retried too
+
+    def test_pool_slot_is_free_during_retry_after(self, http_server):
+        base, script = http_server
+        script.script = [(429, {}, {"Retry-After": "1"}), _ok_completion()]
+        cfg = BackendConfig(base_url=base, max_in_flight=1, backoff_base=0.001, backoff_cap=1.0)
+        backend = HttpBackend(cfg)
+        finished = {}
+
+        def run(name, prompt):
+            backend.complete(prompt, PARAMS)
+            finished[name] = time.monotonic()
+
+        start = time.monotonic()
+        first = threading.Thread(target=run, args=("first", "p"))
+        first.start()
+        while not script.calls and time.monotonic() - start < 5:
+            time.sleep(0.005)
+        run("second", "q")
+        first.join(timeout=5)
+        assert not first.is_alive()
+        # the second request used the one connection while the first slept out 1 s
+        assert finished["first"] - start >= 1.0
+        assert finished["second"] < finished["first"]
+        assert [c["body"]["prompt"] for c in script.calls] == ["p", "q", "p"]
+
+    def test_pool_bounds_requests_in_flight(self, http_server):
+        base, script = http_server
+        script.script = [_ok_completion()]
+        script.delay = 0.02
+        backend = self.make(base, max_in_flight=2)
+        results = []
+
+        def run(i):
+            results.append(backend.complete(f"{i}", PARAMS)[1])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [Usage(7, 9, 1)] * 8
+        assert script.peak == 2
 
     @pytest.mark.parametrize("usage", [{"prompt_tokens": "lots"}, [3, 4], "none"])
     def test_usage_estimated_when_endpoint_garbles_it(self, http_server, usage):

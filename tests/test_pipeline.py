@@ -3,6 +3,8 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlts import (
     CodecConfig,
@@ -11,6 +13,7 @@ from nlts import (
     ForecastJob,
     GenerationParams,
     InsufficientSamplesError,
+    NltsError,
     NoiseSpec,
     OracleBackend,
     RecordingBackend,
@@ -399,3 +402,35 @@ class TestInlineRequests:
         assert calls == {"fit": 1, "serialize": prompts}
         assert len({tuple(s) for s in result.manifest["scalers"]}) == 1
 
+
+# one continuation step: digits as the codec writes them, or junk
+_STEP = st.one_of(
+    st.integers(0, 10**12).map(str),
+    st.integers(0, 10**6).map(lambda v: " ".join(str(v))),
+    st.integers(0, 10**6).map(lambda v: "- " + " ".join(str(v))),
+    st.text(max_size=8),
+)
+
+
+class TestArbitraryReplies:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(st.text(max_size=60), st.lists(_STEP, max_size=12).map(", ".join)),
+            min_size=1, max_size=4,
+        ),
+        style=st.sampled_from(["raw", "chat"]),
+        basic_mode=st.booleans(),
+    )
+    def test_result_or_nlts_error(self, lines, style, basic_mode):
+        hist, _ = split_series(make_series(n=24), SplitSpec.by_horizon(3))
+        job = ForecastJob(
+            history=hist, horizon=3, samples=4, seed=0, prompt_style=style,
+            codec=CodecConfig(basic_mode=basic_mode),
+        )
+        try:
+            result = run_nlts(job, ScriptedBackend(lines=lines))
+        except NltsError:
+            return
+        assert result.valid_samples >= 2
+        assert result.forecast.median.shape == (3,)
