@@ -126,8 +126,8 @@ class CostTable:
         clean: dict[str, tuple[float, float]] = {}
         for model, pair in dict(self.prices).items():
             prompt_price, completion_price = pair
-            if prompt_price < 0 or completion_price < 0:
-                raise ParamError(f"negative price for {model!r}")
+            if not (0 <= prompt_price < math.inf and 0 <= completion_price < math.inf):
+                raise ParamError(f"negative or non-finite price for {model!r}")
             clean[model] = (float(prompt_price), float(completion_price))
         object.__setattr__(self, "prices", clean)
 
@@ -146,11 +146,22 @@ def default_cost_table() -> CostTable:
 
 
 def load_cost_table(path: str | Path) -> CostTable:
-    """JSON file: {"model": {"prompt_per_1k": x, "completion_per_1k": y}, ...}."""
+    """JSON file: {"model": {"prompt_per_1k": x, "completion_per_1k": y}, ...}.
+
+    Raises ConfigError for any other shape or a price that is not a number.
+    """
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ConfigError(f"price table must hold a JSON object, not {type(raw).__name__}")
     prices = {}
     for model, entry in raw.items():
-        prices[model] = (float(entry["prompt_per_1k"]), float(entry["completion_per_1k"]))
+        try:
+            prices[model] = (float(entry["prompt_per_1k"]), float(entry["completion_per_1k"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"price entry for {model!r} must be an object with numeric "
+                f"prompt_per_1k and completion_per_1k"
+            ) from exc
     return CostTable(prices)
 
 
@@ -349,16 +360,26 @@ class BackendConfig:
 class HttpBackend(Backend):
     """OpenAI-compatible client: POST {base}/v1/completions and /v1/chat/completions.
 
-    The session's one urllib3 Retry resends after a transport failure, a 429
-    or a 5xx, up to max_retries times. The first retry goes at once; retry k
-    (k >= 2) waits backoff_base * 2**(k-1) plus up to backoff_base of jitter,
-    capped at backoff_cap, so these delays never decrease. A Retry-After header
-    in seconds or as a date sets the delay instead, capped at backoff_cap; one
-    that parses as neither, such as "0.5", is ignored. A blocking pool of
-    max_in_flight connections is the one in-flight bound. A 429 or 5xx response
+    Each request is one call on a urllib3 pool of max_in_flight connections
+    that blocks while all are busy, the one in-flight bound. The pool's Retry
+    resends after a transport failure, a 429 or a 5xx, up to max_retries
+    times. The first retry goes at once; retry k (k >= 2) waits
+    backoff_base * 2**(k-1) plus up to backoff_base of jitter, capped at
+    backoff_cap, so these delays never decrease. A Retry-After header in
+    seconds or as a date sets the delay instead, capped at backoff_cap; one
+    that parses as neither, such as "0.5", is ignored. A 429 or 5xx response
     hands its connection back before the delay; after a transport failure,
-    urllib3 sleeps before it frees the slot. 401/403 raise AuthError at once.
-    Usage.requests counts HTTP attempts, not logical calls.
+    urllib3 sleeps before it frees the slot. 401/403 raise AuthError at once,
+    and a 3xx is not followed: it raises ProtocolError. Usage.requests counts
+    HTTP attempts, not logical calls.
+
+    HTTP_PROXY, HTTPS_PROXY, ALL_PROXY and NO_PROXY (either case) are read
+    once, at construction, through urllib.request.getproxies() and
+    proxy_bypass(). A proxy URL without a scheme means http://, its
+    user:password@ is sent as proxy basic auth, and one that urllib3 cannot use
+    raises ConfigError. TLS verifies against the system trust store
+    (SSL_CERT_FILE, SSL_CERT_DIR), not certifi's bundle, and ~/.netrc is not
+    read.
     """
 
     name = "live"
@@ -375,18 +396,19 @@ class HttpBackend(Backend):
                 f"no endpoint: pass BackendConfig.base_url or set {ENV_API_BASE}"
             )
         self.base_url = base.rstrip("/")
-        self.api_key = config.api_key or os.environ.get(ENV_API_KEY)
-        self.config = config
+        api_key = config.api_key or os.environ.get(ENV_API_KEY)
+        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self.max_in_flight = config.max_in_flight
-        import requests
-        from urllib3.exceptions import InvalidHeader
-        from urllib3.util import Retry
+        import urllib.request
+        from urllib.parse import unquote, urlsplit
 
-        class LenientRetry(Retry):
+        import urllib3
+
+        class LenientRetry(urllib3.Retry):
             def parse_retry_after(self, retry_after):
                 try:
                     return super().parse_retry_after(retry_after)
-                except InvalidHeader:  # such as "0.5": keep the backoff schedule
+                except urllib3.exceptions.InvalidHeader:  # such as "0.5": keep the backoff schedule
                     return 0.0
 
         retry = LenientRetry(
@@ -399,21 +421,25 @@ class HttpBackend(Backend):
             retry_after_max=config.backoff_cap,
             raise_on_status=False,  # the last response comes back for mapping below
         )
-        adapter = requests.adapters.HTTPAdapter(
-            max_retries=retry, pool_maxsize=config.max_in_flight, pool_block=True
-        )
-        self._session = requests.Session()
-        self._session.mount(self.base_url, adapter)
-        self._requests = requests
+        pool_kw = dict(maxsize=config.max_in_flight, block=True, retries=retry,
+                       timeout=config.timeout)
+        try:
+            target = urlsplit(self.base_url)
+            proxies = urllib.request.getproxies()
+            proxy = proxies.get(target.scheme) or proxies.get("all")
+            if proxy and not urllib.request.proxy_bypass(target.netloc):
+                proxy = proxy if "://" in proxy else "http://" + proxy
+                auth = urllib3.util.parse_url(proxy).auth
+                proxy_headers = auth and urllib3.make_headers(proxy_basic_auth=unquote(auth))
+                self._pool = urllib3.ProxyManager(proxy, proxy_headers=proxy_headers, **pool_kw)
+            else:
+                self._pool = urllib3.PoolManager(**pool_kw)
+        except ValueError as exc:  # an unparseable URL, or a proxy scheme urllib3 lacks
+            raise ConfigError(f"bad base_url or proxy for {self.base_url}: {exc}") from exc
+        self._http_error = urllib3.exceptions.HTTPError
 
     def describe(self):
         return {"backend": self.name, "base_url": self.base_url}
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
 
     def complete(self, prompt, params, tag=""):
         endpoint, body = request_body(prompt, params)
@@ -421,20 +447,19 @@ class HttpBackend(Backend):
             _last_user_content(prompt)  # validates shape
         path, choice_text = self._ROUTES[endpoint]
         try:
-            resp = self._session.post(
-                self.base_url + path, json=body, headers=self._headers(),
-                timeout=self.config.timeout,
-            )
-        except self._requests.RequestException as exc:
+            resp = self._pool.request("POST", self.base_url + path, json=body,
+                                      headers=self._headers, redirect=False)
+        except self._http_error as exc:
             raise TransportError(f"request failed after retries: {exc}") from exc
-        attempts = len(resp.raw.retries.history) + 1
-        status = resp.status_code
+        attempts = len(resp.retries.history) + 1
+        status = resp.status
         if status in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {status})")
         if status != 200:
             error = (RateLimitError if status == 429 else
                      TransportError if status >= 500 else ProtocolError)
-            raise error(f"HTTP {status} after {attempts} attempts: {resp.text[:200]}")
+            excerpt = resp.data[:200].decode("utf-8", "replace")
+            raise error(f"HTTP {status} after {attempts} attempts: {excerpt}")
         try:
             data = resp.json()
             texts = [choice_text(choice) for choice in data["choices"]]

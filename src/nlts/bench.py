@@ -4,6 +4,7 @@ Monte Carlo check of the second-order perturbation identity."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
@@ -152,36 +153,39 @@ def load_dataset(
     path = Path(path)
     values: list[float] = []
     holdout_flags: list[bool] = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None or value_column not in reader.fieldnames:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path.name}: byte {exc.start} is not UTF-8 text") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""), delimiter=delimiter)
+    if reader.fieldnames is None or value_column not in reader.fieldnames:
+        raise SchemaError(
+            f"{path.name}: missing {value_column!r} column in header {reader.fieldnames}"
+        )
+    has_holdout = holdout_column in reader.fieldnames
+    for row_no, row in enumerate(reader, start=2):
+        raw = row.get(value_column)
+        if raw is None or not raw.strip():
+            raise SchemaError(f"{path.name}: row {row_no}: blank {value_column!r} value")
+        try:
+            value = float(raw)
+        except ValueError:
             raise SchemaError(
-                f"{path.name}: missing {value_column!r} column in header {reader.fieldnames}"
-            )
-        has_holdout = holdout_column in reader.fieldnames
-        for row_no, row in enumerate(reader, start=2):
-            raw = row.get(value_column)
-            if raw is None or not raw.strip():
-                raise SchemaError(f"{path.name}: row {row_no}: blank {value_column!r} value")
-            try:
-                value = float(raw)
-            except ValueError:
+                f"{path.name}: row {row_no}: {value_column!r} is not numeric: {raw!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{path.name}: row {row_no}: non-finite value {raw!r}")
+        values.append(value)
+        if has_holdout:
+            flag = (row.get(holdout_column) or "").strip()
+            if flag in _TRUTHY:
+                holdout_flags.append(True)
+            elif flag in _FALSY:
+                holdout_flags.append(False)
+            else:
                 raise SchemaError(
-                    f"{path.name}: row {row_no}: {value_column!r} is not numeric: {raw!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise NonFiniteError(f"{path.name}: row {row_no}: non-finite value {raw!r}")
-            values.append(value)
-            if has_holdout:
-                flag = (row.get(holdout_column) or "").strip()
-                if flag in _TRUTHY:
-                    holdout_flags.append(True)
-                elif flag in _FALSY:
-                    holdout_flags.append(False)
-                else:
-                    raise SchemaError(
-                        f"{path.name}: row {row_no}: bad {holdout_column!r} flag {flag!r}"
-                    )
+                    f"{path.name}: row {row_no}: bad {holdout_column!r} flag {flag!r}"
+                )
     if not values:
         raise SchemaError(f"{path.name}: no data rows")
     holdout = 0

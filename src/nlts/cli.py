@@ -182,6 +182,8 @@ def synth(kernels, count, length, holdout, seed, out):
 
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
     """Build a SweepConfig from the bench JSON config schema."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"bench config must be a JSON object, not {type(raw).__name__}")
     known = {
         "datasets", "noise_levels", "kinds", "samples", "seed", "split",
         "codec", "params", "prompt_style", "retries_per_sample",
@@ -192,15 +194,15 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
         raise ConfigError(f"unknown bench config keys: {sorted(unknown)}")
     if "datasets" not in raw or not raw["datasets"]:
         raise ConfigError('bench config needs a nonempty "datasets" list')
-    kwargs: dict = {"datasets": tuple(raw["datasets"])}
-    if "noise_levels" in raw:
-        kwargs["noise_levels"] = tuple(raw["noise_levels"])
-    if "kinds" in raw:
-        kwargs["kinds"] = tuple(raw["kinds"])
-    for key in ("samples", "seed", "prompt_style", "retries_per_sample", "normalization"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "split" in raw and raw["split"] is not None:
+    for key in ("split", "codec", "params", "backend"):
+        block = raw.get(key)
+        if key in raw and not isinstance(block, dict) and not (key == "split" and block is None):
+            raise ConfigError(f"bench config {key!r} must be an object, not {type(block).__name__}")
+    kwargs: dict = {key: raw[key] for key in (
+        "datasets", "noise_levels", "kinds", "samples", "seed", "prompt_style",
+        "retries_per_sample", "normalization", "backend",
+    ) if key in raw}
+    if raw.get("split") is not None:
         s = raw["split"]
         kwargs["split"] = (
             SplitSpec.by_fraction(s["fraction"]) if s.get("mode") == "fraction"
@@ -209,12 +211,7 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
     if "codec" in raw:
         kwargs["codec"] = CodecConfig(**raw["codec"])
     if "params" in raw:
-        p = dict(raw["params"])
-        if "stop" in p:
-            p["stop"] = tuple(p["stop"])
-        kwargs["params"] = GenerationParams(**p)
-    if "backend" in raw:
-        kwargs["backend"] = dict(raw["backend"])
+        kwargs["params"] = GenerationParams(**raw["params"])
     return SweepConfig(**kwargs)
 
 

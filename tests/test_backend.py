@@ -1,5 +1,7 @@
+import base64
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -415,7 +417,8 @@ class _Script(BaseHTTPRequestHandler):
         cls = type(self)
         with self.lock:
             self.calls.append({"path": self.path, "body": body,
-                               "auth": self.headers.get("Authorization")})
+                               "auth": self.headers.get("Authorization"),
+                               "proxy_auth": self.headers.get("Proxy-Authorization")})
             status, payload, *headers = self.script[min(len(self.calls), len(self.script)) - 1]
             cls.active += 1
             cls.peak = max(cls.peak, cls.active)
@@ -441,7 +444,10 @@ class _Server(ThreadingHTTPServer):
 
 
 @pytest.fixture
-def http_server():
+def http_server(monkeypatch):
+    for name in list(os.environ):  # every proxy setting, so each test is hermetic
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
     server = _Server(("127.0.0.1", 0), _Script)
     _Script.script = []
     _Script.calls = []
@@ -741,3 +747,48 @@ class TestHttpBackend:
         texts, usage = backend.complete("a b", PARAMS)
         assert usage.prompt_tokens == 2
         assert usage.completion_tokens == 3
+
+
+class TestTransport:
+    """Proxy selection from the environment, and redirects."""
+
+    def make(self, base):
+        return HttpBackend(BackendConfig(base_url=base, backoff_base=0.001, backoff_cap=0.002))
+
+    @pytest.mark.parametrize("with_scheme", [True, False])
+    def test_http_proxy_gets_the_absolute_url(self, http_server, monkeypatch, with_scheme):
+        base, script = http_server
+        script.script = [_ok_completion()]
+        monkeypatch.setenv("HTTP_PROXY", base if with_scheme else base.removeprefix("http://"))
+        self.make("http://upstream.invalid").complete("p", PARAMS)
+        assert script.calls[0]["path"] == "http://upstream.invalid/v1/completions"
+        assert script.calls[0]["proxy_auth"] is None
+
+    def test_proxy_credentials_are_sent(self, http_server, monkeypatch):
+        base, script = http_server
+        script.script = [_ok_completion()]
+        monkeypatch.setenv("ALL_PROXY", base.replace("http://", "http://user:p%40ss@"))
+        self.make("http://upstream.invalid").complete("p", PARAMS)
+        assert script.calls[0]["path"] == "http://upstream.invalid/v1/completions"
+        assert script.calls[0]["proxy_auth"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    def test_no_proxy_goes_direct(self, http_server, monkeypatch):
+        base, script = http_server
+        script.script = [_ok_completion()]
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+        monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+        self.make(base).complete("p", PARAMS)
+        assert script.calls[0]["path"] == "/v1/completions"
+
+    def test_redirect_is_not_followed(self, http_server):
+        base, script = http_server
+        script.script = [(307, {}, {"Location": "/v1/completions"}), _ok_completion()]
+        with pytest.raises(ProtocolError, match="HTTP 307 after 1 attempts"):
+            self.make(base).complete("p", PARAMS)
+        assert len(script.calls) == 1
+
+    @pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080", "http://[bad"])
+    def test_unusable_proxy_is_config_error(self, http_server, monkeypatch, proxy):
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        with pytest.raises(ConfigError, match="proxy"):
+            self.make("http://upstream.invalid")

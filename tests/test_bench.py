@@ -152,6 +152,12 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="row 2"):
             load_dataset(p)
 
+    def test_non_utf8_names_file(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"t,value\n1,22\n2,caf\xe9\n")
+        with pytest.raises(SchemaError, match=r"s\.csv: byte 18 is not UTF-8"):
+            load_dataset(p)
+
     def test_custom_value_column(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,reading\n1,7.5\n")

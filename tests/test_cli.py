@@ -135,6 +135,14 @@ class TestForecastCommand:
         assert "holdout" in result.output
 
 
+    def test_non_utf8_data_is_schema_error(self, runner, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("t,value\n1,22\n2,café\n".encode("latin-1"))
+        result = runner.invoke(main, ["forecast", "--data", str(data)])
+        assert result.exit_code == 1
+        assert "Error: SchemaError: latin1.csv: byte 18 is not UTF-8 text" in result.output
+
+
 class TestOneBackendSpec:
     """`nlts forecast` flags and a sweep's backend block go through one factory."""
 
@@ -271,6 +279,27 @@ class TestBenchCommand:
             sweep_config_from_dict({})
 
 
+    @pytest.mark.parametrize("config, key", [
+        ([{"datasets": ["a.csv"]}], ""),
+        ({"datasets": ["a.csv"], "split": "horizon:1"}, "'split' "),
+        ({"datasets": ["a.csv"], "codec": [2]}, "'codec' "),
+        ({"datasets": ["a.csv"], "params": "x"}, "'params' "),
+        ({"datasets": ["a.csv"], "params": None}, "'params' "),
+        ({"datasets": ["a.csv"], "backend": "live"}, "'backend' "),
+    ])
+    def test_non_object_config_block_is_config_error(self, runner, tmp_path, config, key):
+        with pytest.raises(ConfigError, match=f"bench config {key}must be"):
+            sweep_config_from_dict(config)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "Error: ConfigError: bench config" in result.output
+
+    def test_null_split_keeps_the_default(self):
+        assert sweep_config_from_dict({"datasets": ["a.csv"], "split": None}).split is None
+
+
 class TestTheoryCheckCommand:
     def test_default_scale_run(self, runner, tmp_path):
         out = tmp_path / "t.json"
@@ -330,6 +359,29 @@ class TestCostCommand:
         result = runner.invoke(main, ["cost", "--usage", str(usage)])
         assert result.exit_code == 1
         assert "Error: ConfigError: usage file must hold a JSON object" in result.output
+
+    @pytest.mark.parametrize("table, error", [
+        ("[1]", "ConfigError: price table must hold a JSON object, not list"),
+        ('{"m": 1}', "ConfigError: price entry for 'm' must be an object"),
+        ('{"m": [0.1, 0.2]}', "ConfigError: price entry for 'm' must be an object"),
+        ('{"m": {"completion_per_1k": 1}}', "ConfigError: price entry for 'm'"),
+        ('{"m": {"prompt_per_1k": "cheap", "completion_per_1k": 1}}',
+         "ConfigError: price entry for 'm'"),
+        ('{"m": {"prompt_per_1k": null, "completion_per_1k": 1}}',
+         "ConfigError: price entry for 'm'"),
+        ('{"m": {"prompt_per_1k": NaN, "completion_per_1k": 1}}',
+         "ParamError: negative or non-finite price for 'm'"),
+        ('{"m": {"prompt_per_1k": Infinity, "completion_per_1k": 1}}',
+         "ParamError: negative or non-finite price for 'm'"),
+    ])
+    def test_malformed_price_table_is_reported(self, runner, tmp_path, table, error):
+        usage = tmp_path / "u.json"
+        usage.write_text(json.dumps({"model": "m", "prompt_tokens": 1, "completion_tokens": 1}))
+        path = tmp_path / "prices.json"
+        path.write_text(table)
+        result = runner.invoke(main, ["cost", "--usage", str(usage), "--table", str(path)])
+        assert result.exit_code == 1
+        assert f"Error: {error}" in result.output
 
     def test_unknown_model_null(self, runner, tmp_path):
         usage = tmp_path / "u.json"
