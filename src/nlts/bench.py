@@ -139,13 +139,8 @@ _TRUTHY = {"1", "true", "True", "TRUE"}
 _FALSY = {"0", "false", "False", "FALSE", ""}
 
 
-def load_dataset(
-    path: str | Path,
-    value_column: str = "value",
-    holdout_column: str = "is_holdout",
-    delimiter: str = ",",
-) -> LoadedDataset:
-    """Load a CSV with one value column and an optional holdout flag column.
+def load_dataset(path: str | Path, value_column: str = "value") -> LoadedDataset:
+    """Load a CSV with one value column and an optional is_holdout flag column.
 
     SchemaError messages name the offending physical row (header is row 1). A
     holdout flag must mark a contiguous tail; anything else is a schema error.
@@ -155,14 +150,16 @@ def load_dataset(
     holdout_flags: list[bool] = []
     try:
         text = path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read dataset: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path.name}: byte {exc.start} is not UTF-8 text") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""), delimiter=delimiter)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None or value_column not in reader.fieldnames:
         raise SchemaError(
             f"{path.name}: missing {value_column!r} column in header {reader.fieldnames}"
         )
-    has_holdout = holdout_column in reader.fieldnames
+    has_holdout = "is_holdout" in reader.fieldnames
     for row_no, row in enumerate(reader, start=2):
         raw = row.get(value_column)
         if raw is None or not raw.strip():
@@ -177,24 +174,20 @@ def load_dataset(
             raise NonFiniteError(f"{path.name}: row {row_no}: non-finite value {raw!r}")
         values.append(value)
         if has_holdout:
-            flag = (row.get(holdout_column) or "").strip()
+            flag = (row.get("is_holdout") or "").strip()
             if flag in _TRUTHY:
                 holdout_flags.append(True)
             elif flag in _FALSY:
                 holdout_flags.append(False)
             else:
-                raise SchemaError(
-                    f"{path.name}: row {row_no}: bad {holdout_column!r} flag {flag!r}"
-                )
+                raise SchemaError(f"{path.name}: row {row_no}: bad 'is_holdout' flag {flag!r}")
     if not values:
         raise SchemaError(f"{path.name}: no data rows")
     holdout = 0
     if holdout_flags:
         holdout = sum(holdout_flags)
         if holdout and not all(holdout_flags[-holdout:]):
-            raise SchemaError(
-                f"{path.name}: {holdout_column!r} must mark a contiguous tail of rows"
-            )
+            raise SchemaError(f"{path.name}: 'is_holdout' must mark a contiguous tail of rows")
     return LoadedDataset(
         series=TimeSeries(np.array(values), name=path.stem),
         holdout=holdout,
@@ -260,6 +253,9 @@ class SweepConfig:
     backend: Mapping = field(default_factory=lambda: {"kind": "oracle"})
 
     def __post_init__(self):
+        for key in ("datasets", "noise_levels", "kinds"):
+            if isinstance(getattr(self, key), str):
+                raise ConfigError(f"sweep {key!r} must be a list, not a string")
         if not self.datasets:
             raise ConfigError("sweep needs at least one dataset")
         for level in self.noise_levels:
@@ -276,7 +272,9 @@ class SweepConfig:
         object.__setattr__(self, "backend", dict(self.backend))
 
 
-def _split_dataset(ds: LoadedDataset, split: SplitSpec | None) -> tuple[TimeSeries, TimeSeries]:
+def split_dataset(ds: LoadedDataset, split: SplitSpec | None) -> tuple[TimeSeries, TimeSeries]:
+    """Split by the given rule; without one, hold out the dataset's flagged
+    tail, or keep 80% as history when nothing is flagged."""
     if split is None:
         if ds.holdout > 0:
             split = SplitSpec.by_horizon(ds.holdout)
@@ -372,7 +370,7 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
 
     for dataset_path in cfg.datasets:
         ds = load_dataset(dataset_path)
-        history, target = _split_dataset(ds, cfg.split)
+        history, target = split_dataset(ds, cfg.split)
         if cfg.normalization == "minmax":
             norm = Normalization.from_values(ds.series.values)
         else:

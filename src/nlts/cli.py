@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -24,10 +25,11 @@ from .bench import (
     load_dataset,
     make_backend,
     run_sweep,
+    split_dataset,
     theory_check,
 )
 from .codec import CodecConfig
-from .core import SplitSpec, split_series
+from .core import SplitSpec
 from .errors import ConfigError, NltsError
 from .noise import NOISE_KINDS, NoiseSpec
 from .pipeline import ForecastJob, run_nlts
@@ -51,7 +53,10 @@ def _parse_split(text: str) -> SplitSpec:
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {out}: {exc.strerror}") from None
     else:
         click.echo(text, nl=False)
 
@@ -64,8 +69,9 @@ def main() -> None:
 @main.command()
 @click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--value-column", default="value", show_default=True)
-@click.option("--split", "split_text", default="frac:0.8", show_default=True,
-              help="frac:F keeps ceil(F*T) history points; horizon:H holds out the last H.")
+@click.option("--split", "split_text", default=None,
+              help="frac:F keeps ceil(F*T) history points; horizon:H holds out the last H. "
+                   "Default: the dataset's is_holdout rows, else frac:0.8.")
 @click.option("--noise", "noise_kind", default="gaussian", show_default=True,
               type=click.Choice([k for k in NOISE_KINDS]))
 @click.option("--alpha", default=0.0, show_default=True, type=float,
@@ -101,13 +107,13 @@ def forecast(
     """Forecast the held-out tail of a CSV series."""
     try:
         ds = load_dataset(data, value_column=value_column)
-        split = _parse_split(split_text)
-        if split.mode == "horizon" and ds.holdout and ds.holdout != split.horizon:
+        split = None if split_text is None else _parse_split(split_text)
+        if split is not None and split.mode == "horizon" and ds.holdout not in (0, split.horizon):
             raise ConfigError(
                 f"dataset marks {ds.holdout} holdout rows but --split asked for "
                 f"{split.horizon}"
             )
-        history, target = split_series(ds.series, split)
+        history, target = split_dataset(ds, split)
         codec = CodecConfig(
             precision_k=precision,
             signed=signed,
@@ -180,38 +186,38 @@ def synth(kernels, count, length, holdout, seed, out):
         raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
 
+def _fields_only(block: dict, cls, prefix: str = "") -> dict:
+    """The config block, once each of its keys names a field of cls."""
+    unknown = sorted(set(block) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown bench config keys: {[prefix + k for k in unknown]}")
+    return block
+
+
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
     """Build a SweepConfig from the bench JSON config schema."""
     if not isinstance(raw, dict):
         raise ConfigError(f"bench config must be a JSON object, not {type(raw).__name__}")
-    known = {
-        "datasets", "noise_levels", "kinds", "samples", "seed", "split",
-        "codec", "params", "prompt_style", "retries_per_sample",
-        "normalization", "backend",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown bench config keys: {sorted(unknown)}")
-    if "datasets" not in raw or not raw["datasets"]:
+    kwargs = dict(_fields_only(raw, SweepConfig))
+    if not raw.get("datasets"):
         raise ConfigError('bench config needs a nonempty "datasets" list')
     for key in ("split", "codec", "params", "backend"):
         block = raw.get(key)
         if key in raw and not isinstance(block, dict) and not (key == "split" and block is None):
             raise ConfigError(f"bench config {key!r} must be an object, not {type(block).__name__}")
-    kwargs: dict = {key: raw[key] for key in (
-        "datasets", "noise_levels", "kinds", "samples", "seed", "prompt_style",
-        "retries_per_sample", "normalization", "backend",
-    ) if key in raw}
-    if raw.get("split") is not None:
-        s = raw["split"]
-        kwargs["split"] = (
-            SplitSpec.by_fraction(s["fraction"]) if s.get("mode") == "fraction"
-            else SplitSpec.by_horizon(s["horizon"])
-        )
+    split = raw.get("split")
+    if split is not None:
+        mode = "fraction" if split.get("mode") == "fraction" else "horizon"
+        if mode not in split:
+            raise ConfigError(f"bench config split needs split.{mode}")
+        by_mode = SplitSpec.by_fraction if mode == "fraction" else SplitSpec.by_horizon
+        kwargs["split"] = by_mode(split[mode])
     if "codec" in raw:
-        kwargs["codec"] = CodecConfig(**raw["codec"])
+        kwargs["codec"] = CodecConfig(**_fields_only(raw["codec"], CodecConfig, "codec."))
     if "params" in raw:
-        kwargs["params"] = GenerationParams(**raw["params"])
+        kwargs["params"] = GenerationParams(
+            **_fields_only(raw["params"], GenerationParams, "params.")
+        )
     return SweepConfig(**kwargs)
 
 

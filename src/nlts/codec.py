@@ -40,7 +40,6 @@ class CodecConfig:
     """
 
     precision_k: int = 3
-    base: int = 10
     signed: bool = True
     basic_mode: bool = False
     scale_quantile: float = 0.95
@@ -51,8 +50,6 @@ class CodecConfig:
     max_digits_per_value: int = 10
 
     def __post_init__(self):
-        if self.base != 10:
-            raise ParamError(f"only base 10 is supported, got {self.base}")
         if not 0 <= self.precision_k <= 10:
             raise ParamError(f"precision_k must be in [0, 10], got {self.precision_k}")
         if self.max_digits_per_value < max(1, self.precision_k + 1):

@@ -22,7 +22,6 @@ class TimeSeries:
 
     values: np.ndarray
     name: str = ""
-    frequency: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -38,7 +37,7 @@ class TimeSeries:
         return int(self.values.size)
 
     def with_values(self, values) -> "TimeSeries":
-        return TimeSeries(values, name=self.name, frequency=self.frequency)
+        return TimeSeries(values, name=self.name)
 
 
 @dataclass(frozen=True)

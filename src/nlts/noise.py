@@ -54,16 +54,11 @@ def _validate(kind: str, p: dict[str, float]) -> None:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Distribution family, its parameters and the level alpha. Randomness comes
-    from the generator passed to inject_noise, never from the spec.
-
-    constant_fallback: when the history has zero variance and alpha > 0, return
-    the series unchanged instead of raising DegenerateSeriesError.
-    """
+    from the generator passed to inject_noise, never from the spec."""
 
     kind: str = "gaussian"
     params: Mapping[str, float] = field(default_factory=dict)
     alpha: float = 0.0
-    constant_fallback: bool = False
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -132,15 +127,14 @@ def standardized_draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.n
 def inject_noise(series: TimeSeries, spec: NoiseSpec, rng: np.random.Generator) -> TimeSeries:
     """x_t + alpha * sigma_x * z_t with sigma_x the population std of the series.
 
-    alpha == 0 or kind == "none" returns the input verbatim. A constant series
-    with alpha > 0 raises DegenerateSeriesError unless constant_fallback is set.
+    alpha == 0 or kind == "none" returns the input object itself, which callers
+    may test with `is`. A constant series with alpha > 0 raises
+    DegenerateSeriesError.
     """
     if spec.alpha == 0.0 or spec.kind == "none":
         return series
     sigma_x = float(series.values.std(ddof=0))
     if sigma_x == 0.0:
-        if spec.constant_fallback:
-            return series
         raise DegenerateSeriesError(
             f"series {series.name!r} is constant; sigma_x = 0 with alpha = {spec.alpha}"
         )

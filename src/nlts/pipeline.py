@@ -17,13 +17,7 @@ import numpy as np
 from . import __version__
 from .backend import Backend, GenerationParams, Usage
 from .codec import CodecConfig, ParseReport, Scaler, deserialize, fit_scaler, fit_scalers, serialize
-from .core import (
-    DEFAULT_QUANTILE_LEVELS,
-    PointForecast,
-    SamplePaths,
-    TimeSeries,
-    aggregate_samples,
-)
+from .core import PointForecast, SamplePaths, TimeSeries, aggregate_samples
 from .errors import ConfigError, InsufficientSamplesError, ParseError
 from .noise import NoiseSpec, inject_noise
 from .rng import rng_identity, substream
@@ -83,10 +77,7 @@ class ForecastJob:
     prompt_style: str = "raw"
     samples: int = 10
     seed: int = 0
-    fresh_noise_per_sample: bool = True
     retries_per_sample: int = 1
-    fit_scaler_on_clean: bool = False
-    quantile_levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS
 
     def __post_init__(self):
         if self.samples < 1:
@@ -97,6 +88,11 @@ class ForecastJob:
             raise ConfigError(f"retries_per_sample must be >= 0, got {self.retries_per_sample}")
         if self.prompt_style not in PROMPT_STYLES:
             raise ConfigError(f"unknown prompt style {self.prompt_style!r}")
+        if self.params.num_samples != 1:
+            raise ConfigError(
+                f"params.num_samples must be 1, got {self.params.num_samples}; "
+                "set samples for the number of continuations"
+            )
 
 
 @dataclass(frozen=True)
@@ -148,11 +144,12 @@ class ForecastResult:
 def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
     """Execute a forecast job against a backend.
 
-    Sample i uses substream(seed, i) for its noise, refits the scaler on its
-    perturbed history (unless fit_scaler_on_clean), and retries failed
-    generations up to retries_per_sample times under fresh tags. A sample is
-    valid when at least `horizon` steps parse. Fewer than ceil(samples / 2)
-    valid samples aborts with InsufficientSamplesError.
+    Sample i adds noise drawn from substream(seed, i) to the history, fits
+    the scaler on that noisy history, and retries failed generations up to
+    retries_per_sample times under fresh tags. When the noise spec adds no
+    noise, every sample shares one scaler and one prompt. A sample is valid
+    when at least `horizon` steps parse. Fewer than ceil(samples / 2) valid
+    samples aborts with InsufficientSamplesError.
 
     Every prompt is built on the calling thread before the first request. The
     requests then run inline, or in a pool of backend.max_in_flight threads
@@ -160,30 +157,18 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
     """
     history = job.history
     budget = completion_token_budget(job.horizon, job.codec)
-    effective = replace(
-        job.params, max_tokens=max(job.params.max_tokens, budget), num_samples=1
-    )
-    if job.fresh_noise_per_sample:
-        noisy = [
-            inject_noise(history, job.noise, substream(job.seed, i)) for i in range(job.samples)
-        ]
-    else:
-        noisy = [inject_noise(history, job.noise, substream(job.seed, 0))] * job.samples
-    # inject_noise returns its input when it adds no noise, so identity tells
-    # when every sample encodes one history
-    shared = all(h is noisy[0] for h in noisy)
-    if job.fit_scaler_on_clean or shared:
-        scaler = fit_scaler(history if job.fit_scaler_on_clean else noisy[0], job.codec)
-        scalers = [scaler] * job.samples
-    else:
-        scalers = fit_scalers(np.stack([h.values for h in noisy]), job.codec)
+    effective = replace(job.params, max_tokens=max(job.params.max_tokens, budget))
+    noisy = [inject_noise(history, job.noise, substream(job.seed, i)) for i in range(job.samples)]
 
     def encode(h: TimeSeries, s: Scaler):
         return build_prompt(serialize(h, s, job.codec), job.prompt_style, job.horizon, job.codec)
 
-    if shared:
-        prompts = [encode(noisy[0], scalers[0])] * job.samples
+    # inject_noise returns its input when it adds no noise
+    if noisy[0] is history:
+        scalers = [fit_scaler(history, job.codec)] * job.samples
+        prompts = [encode(history, scalers[0])] * job.samples
     else:
+        scalers = fit_scalers(np.stack([h.values for h in noisy]), job.codec)
         prompts = list(map(encode, noisy, scalers))
 
     def run_sample(i: int) -> tuple[np.ndarray | None, SampleOutcome, Usage]:
@@ -227,7 +212,7 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
             f"{job.horizon}; need at least {needed}"
         )
     sample_paths = SamplePaths(np.stack(valid))
-    forecast = aggregate_samples(sample_paths, job.quantile_levels)
+    forecast = aggregate_samples(sample_paths)
     manifest = build_manifest(job, backend, scalers)
     return ForecastResult(
         forecast=forecast,
@@ -260,14 +245,13 @@ def build_manifest(job: ForecastJob, backend: Backend, scalers: list[Scaler]) ->
         "samples": job.samples,
         "horizon": job.horizon,
         "prompt_style": job.prompt_style,
-        "fresh_noise_per_sample": job.fresh_noise_per_sample,
-        "fit_scaler_on_clean": job.fit_scaler_on_clean,
         "retries_per_sample": job.retries_per_sample,
-        "quantile_levels": list(job.quantile_levels),
         "history_length": len(job.history),
-        "noise": asdict(job.noise),
-        "codec": asdict(job.codec),
-        "generation": asdict(job.params),
+        # plain copies: every field is a scalar, a str tuple or (noise) a flat
+        # dict, and asdict's recursive deep copy cost about 50 us per cell
+        "noise": {**vars(job.noise), "params": dict(job.noise.params)},
+        "codec": dict(vars(job.codec)),
+        "generation": dict(vars(job.params)),
         "scalers": [[s.offset, s.scale] for s in scalers],
         "backend": backend_info,
         "rng": rng_identity(),

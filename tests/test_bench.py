@@ -158,6 +158,10 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match=r"s\.csv: byte 18 is not UTF-8"):
             load_dataset(p)
 
+    def test_missing_file_names_it(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"nope\.csv: cannot read dataset: No such file"):
+            load_dataset(tmp_path / "nope.csv")
+
     def test_custom_value_column(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,reading\n1,7.5\n")

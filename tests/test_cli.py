@@ -135,6 +135,23 @@ class TestForecastCommand:
         assert "holdout" in result.output
 
 
+    @pytest.mark.parametrize("holdout, history", [(12, 132), (0, 116)])  # 116 = ceil(0.8 * 144)
+    def test_split_defaults_to_the_holdout(self, runner, tmp_path, holdout, history):
+        data = tmp_path / "s.csv"
+        write_series_csv(data, make_airline_series(), holdout=holdout)
+        result = runner.invoke(main, ["forecast", "--data", str(data), "--samples", "2"])
+        assert result.exit_code == 0, result.output
+        dataset = json.loads(result.output)["dataset"]
+        assert (dataset["history"], dataset["horizon"]) == (history, 144 - history)
+
+    def test_out_in_missing_directory_is_reported(self, runner, airline_csv, tmp_path):
+        out = tmp_path / "missing" / "fc.json"
+        result = runner.invoke(main, [
+            "forecast", "--data", str(airline_csv), "--samples", "2", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert f"Error: cannot write {out}: No such file or directory" in result.output
+
     def test_non_utf8_data_is_schema_error(self, runner, tmp_path):
         data = tmp_path / "latin1.csv"
         data.write_bytes("t,value\n1,22\n2,café\n".encode("latin-1"))
@@ -298,6 +315,51 @@ class TestBenchCommand:
 
     def test_null_split_keeps_the_default(self):
         assert sweep_config_from_dict({"datasets": ["a.csv"], "split": None}).split is None
+
+    @pytest.mark.parametrize("extra, error", [
+        ({"split": {"mode": "fraction"}}, "bench config split needs split.fraction"),
+        ({"split": {"mode": "horizon"}}, "bench config split needs split.horizon"),
+        ({"split": {}}, "bench config split needs split.horizon"),
+        ({"codec": {"base": 10}}, "unknown bench config keys: ['codec.base']"),
+        ({"codec": {"precision": 2}}, "unknown bench config keys: ['codec.precision']"),
+        ({"params": {"temp": 0.5}}, "unknown bench config keys: ['params.temp']"),
+        ({"datasets": "air.csv"}, "sweep 'datasets' must be a list, not a string"),
+        ({"kinds": "gaussian"}, "sweep 'kinds' must be a list, not a string"),
+        ({"noise_levels": "0.01"}, "sweep 'noise_levels' must be a list, not a string"),
+    ], ids=["split-fraction", "split-horizon", "split-no-mode", "codec-base", "codec-unknown",
+            "params-unknown", "datasets-string", "kinds-string", "levels-string"])
+    def test_bad_config_value_names_its_key(self, runner, tmp_path, extra, error):
+        config = {"datasets": ["a.csv"], **extra}
+        with pytest.raises(ConfigError) as excinfo:
+            sweep_config_from_dict(config)
+        assert str(excinfo.value) == error
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert f"Error: ConfigError: {error}\n" in result.output
+
+    def test_missing_dataset_is_schema_error(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"datasets": ["missing.csv"]}))
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "Error: SchemaError: missing.csv: cannot read dataset: No such file" in result.output
+
+    def test_params_num_samples_fails_every_cell(self, runner, tmp_path):
+        data = tmp_path / "airline.csv"
+        write_series_csv(data, make_airline_series(), holdout=12)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "datasets": [str(data)], "samples": 2, "noise_levels": [0.0, 0.01],
+            "params": {"num_samples": 3},
+        }))
+        out = tmp_path / "report"
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 3
+        cells = json.loads((out / "results.json").read_text())["cells"]
+        assert len(cells) == 2
+        assert all(c["error"].startswith("ConfigError: params.num_samples must be 1") for c in cells)
 
 
 class TestTheoryCheckCommand:

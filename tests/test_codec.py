@@ -31,10 +31,6 @@ class TestCodecConfig:
         assert cfg.offset_beta == 0.3
         assert cfg.half_bin_correction
 
-    def test_rejects_bad_base(self):
-        with pytest.raises(ParamError):
-            CodecConfig(base=2)
-
     def test_rejects_bad_precision(self):
         with pytest.raises(ParamError):
             CodecConfig(precision_k=-1)

@@ -99,10 +99,9 @@ class TestSplitSeries:
             split_series(TimeSeries(np.array([1.0])), SplitSpec.by_fraction(0.5))
 
     def test_preserves_metadata(self):
-        s = TimeSeries(np.arange(10, dtype=float), name="x", frequency="M")
+        s = TimeSeries(np.arange(10, dtype=float), name="x")
         hist, tgt = split_series(s, SplitSpec.by_horizon(2))
         assert hist.name == tgt.name == "x"
-        assert hist.frequency == tgt.frequency == "M"
 
 
 class TestSamplePaths:

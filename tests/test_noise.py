@@ -170,12 +170,6 @@ class TestInjectNoise:
         with pytest.raises(DegenerateSeriesError):
             inject_noise(s, NoiseSpec(kind="gaussian", alpha=0.01), substream(0, 0))
 
-    def test_constant_series_fallback(self):
-        s = TimeSeries(np.full(10, 3.0))
-        spec = NoiseSpec(kind="gaussian", alpha=0.01, constant_fallback=True)
-        out = inject_noise(s, spec, substream(0, 0))
-        npt.assert_array_equal(out.values, s.values)
-
     def test_preserves_name(self):
         s = self.make_series()
         out = inject_noise(s, NoiseSpec(kind="uniform", alpha=0.1), substream(0, 0))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import numpy.testing as npt
@@ -104,6 +105,11 @@ class TestForecastJobValidation:
         with pytest.raises(ConfigError):
             ForecastJob(history=make_series(), horizon=2, retries_per_sample=-1)
 
+    def test_params_num_samples_points_to_samples(self):
+        params = GenerationParams(num_samples=3)
+        with pytest.raises(ConfigError, match="params.num_samples must be 1, got 3; set samples"):
+            ForecastJob(history=make_series(), horizon=2, samples=2, params=params)
+
 
 class TestRunNlts:
     def test_oracle_alpha_zero_recovers_target(self):
@@ -161,14 +167,6 @@ class TestRunNlts:
         a["manifest"].pop("created")
         b["manifest"].pop("created")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_alpha_zero_noise_path_matches_shared(self):
-        series = make_series()
-        hist, tgt = split_series(series, SplitSpec.by_horizon(6))
-        base = dict(history=hist, horizon=6, samples=4, seed=2)
-        fresh = run_nlts(ForecastJob(**base, fresh_noise_per_sample=True), oracle_for(hist, tgt))
-        shared = run_nlts(ForecastJob(**base, fresh_noise_per_sample=False), oracle_for(hist, tgt))
-        npt.assert_array_equal(fresh.samples.paths, shared.samples.paths)
 
     def test_insufficient_samples(self):
         series = make_series()
@@ -282,6 +280,22 @@ class TestRunNlts:
         assert m["backend"]["backend"] == "oracle"
         assert "version" in m
 
+    def test_manifest_configs_are_copies_of_the_job(self):
+        series = make_series()
+        hist, tgt = split_series(series, SplitSpec.by_horizon(4))
+        job = ForecastJob(
+            history=hist, horizon=4, samples=2,
+            noise=NoiseSpec(kind="laplace", params={"b": 2.0}, alpha=0.01),
+            codec=CodecConfig(precision_k=2), params=GenerationParams(stop=("\n",)),
+        )
+        m = run_nlts(job, oracle_for(hist, tgt, job.codec)).manifest
+        assert m["noise"] == asdict(job.noise)
+        assert m["codec"] == asdict(job.codec)
+        assert m["generation"] == asdict(job.params)
+        assert list(m["codec"]) == [f.name for f in fields(CodecConfig)]
+        m["noise"]["params"]["b"] = 9.0
+        assert job.noise.params["b"] == 2.0
+
     def test_usage_accumulates_across_samples(self):
         series = make_series()
         hist, tgt = split_series(series, SplitSpec.by_horizon(4))
@@ -373,8 +387,6 @@ class TestInlineRequests:
         [
             ({}, 1),  # the Original row: no noise
             ({"noise": NoiseSpec(kind="gaussian", alpha=0.0)}, 1),
-            ({"noise": NoiseSpec(kind="gaussian", alpha=0.02), "fresh_noise_per_sample": False}, 1),
-            ({"noise": NoiseSpec(kind="gaussian", alpha=0.02), "fit_scaler_on_clean": True}, 5),
         ],
     )
     def test_shared_history_fits_one_scaler(self, monkeypatch, changes, prompts):
