@@ -34,7 +34,6 @@ from .bench import (
     compute_metrics,
     load_dataset,
     make_backend,
-    naive_forecast,
     run_sweep,
     theory_check,
 )
@@ -44,7 +43,6 @@ from .codec import (
     Scaler,
     deserialize,
     fit_scaler,
-    identity_scaler,
     serialize,
 )
 from .core import (

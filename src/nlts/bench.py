@@ -1,5 +1,5 @@
-"""Evaluation: metrics, dataset IO, naive baselines, noise-level sweeps, and a
-Monte Carlo check of the second-order perturbation identity."""
+"""Evaluation: metrics, dataset IO, noise-level sweeps, and a Monte Carlo
+check of the second-order perturbation identity."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .codec import CodecConfig, fit_scaler, serialize
 from .core import SplitSpec, TimeSeries, split_series
 from .errors import (
     ConfigError,
-    DegenerateSeriesError,
     LengthMismatchError,
     NltsError,
     NonFiniteError,
@@ -88,14 +87,6 @@ class MetricReport:
     mae: float
     normalization: str
     per_step_errors: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "mse": self.mse,
-            "mae": self.mae,
-            "normalization": self.normalization,
-            "per_step_errors": self.per_step_errors.tolist(),
-        }
 
 
 def compute_metrics(
@@ -195,34 +186,6 @@ def load_dataset(path: str | Path, value_column: str = "value") -> LoadedDataset
     )
 
 
-# --- naive baselines ----------------------------------------------------------
-
-
-def naive_forecast(
-    history,
-    horizon: int,
-    method: str = "last_value",
-    period: int | None = None,
-) -> np.ndarray:
-    """last_value repeats the final observation; seasonal_naive cycles the last
-    `period` observations."""
-    vals = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=float)
-    if vals.size == 0:
-        raise DegenerateSeriesError("history must be nonempty")
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if method == "last_value":
-        return np.full(horizon, float(vals[-1]))
-    if method == "seasonal_naive":
-        if period is None or not 1 <= period <= vals.size:
-            raise ConfigError(
-                f"seasonal_naive needs period in [1, len(history)], got {period}"
-            )
-        tail = vals[-period:]
-        return np.resize(tail, horizon).astype(float)
-    raise ConfigError(f"unknown naive method {method!r}")
-
-
 # --- noise-level sweep --------------------------------------------------------
 
 DEFAULT_NOISE_LEVELS = (0.0, 0.001, 0.005, 0.01, 0.02, 0.05)
@@ -283,7 +246,14 @@ def split_dataset(ds: LoadedDataset, split: SplitSpec | None) -> tuple[TimeSerie
     return split_series(ds.series, split)
 
 
-BACKEND_KINDS = ("oracle", "echo", "scripted", "replay", "live")
+# the keys each backend kind reads from its spec, besides "kind"
+BACKEND_KINDS = {
+    "oracle": (),
+    "echo": ("tail", "steps"),
+    "scripted": ("path",),
+    "replay": ("path",),
+    "live": ("base_url", "api_key", "max_retries"),
+}
 # kinds whose replies are built from the dataset's split, so a sweep builds
 # them once per dataset; the others are built once per sweep
 _PER_DATASET_KINDS = ("oracle", "echo")
@@ -302,9 +272,15 @@ def make_backend(
     decoding recovers the target up to quantization. echo: EchoTailBackend
     with "tail" (default 4) and "steps" (default max(64, 2 * len(target))).
     scripted and replay: a fixture or cassette at "path". live: HttpBackend
-    with "base_url", "api_key" and "max_retries" (default 3).
+    with "base_url", "api_key" and "max_retries" (default 3). A key the kind
+    does not read is a ConfigError.
     """
     kind = spec.get("kind", "oracle")
+    if not isinstance(kind, str) or kind not in BACKEND_KINDS:
+        raise ConfigError(f"unknown backend kind {kind!r}, expected one of {tuple(BACKEND_KINDS)}")
+    unknown = sorted(set(spec) - {"kind", *BACKEND_KINDS[kind]})
+    if unknown:
+        raise ConfigError(f"unknown {kind} backend keys: {unknown}")
     if kind == "oracle":
         return OracleBackend(serialize(target, fit_scaler(history, codec), codec))
     if kind == "echo":
@@ -318,8 +294,6 @@ def make_backend(
                 max_retries=int(spec.get("max_retries", 3)),
             )
         )
-    if kind not in BACKEND_KINDS:
-        raise ConfigError(f"unknown backend kind {kind!r}, expected one of {BACKEND_KINDS}")
     if spec.get("path") is None:
         raise ConfigError(f'{kind} backend needs the "path" of its fixture or cassette')
     if kind == "scripted":
@@ -438,7 +412,7 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
             "normalization": cfg.normalization,
             "prompt_style": cfg.prompt_style,
             "model": cfg.params.model,
-            "backend": dict(cfg.backend),
+            "backend": {k: v for k, v in cfg.backend.items() if k != "api_key"},
         },
         "cells": [c.to_dict() for c in cells],
         "usage_total": usage_total.to_dict(),
@@ -537,18 +511,13 @@ def theory_check(
     dim: int = 10,
     sigma: float = 0.1,
     num_draws: int = 1_000_000,
-    matrix: np.ndarray | None = None,
-    x: np.ndarray | None = None,
     seed: int = 0,
-    func: Callable[[np.ndarray], np.ndarray] | None = None,
-    hessian_trace: float | None = None,
 ) -> TheoryCheckReport:
     """Monte Carlo check that E[f(x + eps)] - f(x) ~ (sigma^2 / 2) * tr(H).
 
-    Default f(x) = -0.5 x^T A x with A = I, where the identity is exact:
-    the gap is -(sigma^2 / 2) tr(A) for isotropic Gaussian eps. A custom
-    vectorized func (rows of an (N, d) array to an (N,) array) needs its
-    analytic hessian_trace at x for the prediction. sigma = 0 gives exactly 0.
+    f(x) = -0.5 x^T x at x = 0.1 * ones(dim), where the identity is exact: the
+    gap is -(sigma^2 / 2) * dim for isotropic Gaussian eps. sigma = 0 gives
+    exactly 0.
     """
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
@@ -556,31 +525,12 @@ def theory_check(
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     if num_draws < 10_000:
         raise ConfigError(f"num_draws must be >= 10000 for a stable check, got {num_draws}")
-    if x is None:
-        x = 0.1 * np.ones(dim)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ConfigError(f"x must have shape ({dim},), got {x.shape}")
+    x = 0.1 * np.ones(dim)
+    a = np.eye(dim)
+    trace_h = -float(dim)
 
-    if func is None:
-        a = np.eye(dim) if matrix is None else np.asarray(matrix, dtype=float)
-        if a.shape != (dim, dim):
-            raise ConfigError(f"matrix must have shape ({dim}, {dim}), got {a.shape}")
-        if not np.allclose(a, a.T, atol=1e-10):
-            raise ConfigError("matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(a)
-        if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
-            raise ConfigError("matrix must be positive semidefinite")
-        trace_h = -float(np.trace(a))
-
-        def f(points: np.ndarray) -> np.ndarray:
-            return -0.5 * np.einsum("ij,jk,ik->i", points, a, points)
-
-    else:
-        if hessian_trace is None:
-            raise ConfigError("custom func needs an analytic hessian_trace")
-        trace_h = float(hessian_trace)
-        f = func
+    def f(points: np.ndarray) -> np.ndarray:
+        return -0.5 * np.einsum("ij,jk,ik->i", points, a, points)
 
     predicted = 0.5 * sigma**2 * trace_h
     if sigma == 0.0:
@@ -590,7 +540,7 @@ def theory_check(
         base = float(f(x[None, :])[0])
         gaps = f(x[None, :] + eps) - base
     measured = float(gaps.mean())
-    se = float(gaps.std(ddof=1) / math.sqrt(num_draws)) if num_draws > 1 else 0.0
+    se = float(gaps.std(ddof=1) / math.sqrt(num_draws))
     denom = max(abs(predicted), 1e-300)
     rel = abs(measured - predicted) / denom if predicted != 0.0 else abs(measured)
     return TheoryCheckReport(
@@ -602,5 +552,5 @@ def theory_check(
         measured_gap=measured,
         standard_error=se,
         relative_error=rel,
-        concave_gap_nonpositive=(trace_h <= 0 and measured <= 4.0 * se + 1e-300),
+        concave_gap_nonpositive=measured <= 4.0 * se + 1e-300,
     )

@@ -124,11 +124,12 @@ def forecast(
         params = GenerationParams(
             model=model, temperature=temperature, top_p=top_p, max_tokens=max_tokens
         )
-        spec = {
-            "kind": "replay" if replay_path is not None else backend_kind,
-            "path": replay_path,
-            "tail": echo_tail,
-        }
+        if replay_path is not None:
+            spec = {"kind": "replay", "path": replay_path}
+        elif backend_kind == "echo":
+            spec = {"kind": "echo", "tail": echo_tail}
+        else:
+            spec = {"kind": backend_kind}
         backend = make_backend(spec, history, target, codec)
         if record_path:
             backend = RecordingBackend(backend, record_path)
@@ -205,13 +206,9 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
         block = raw.get(key)
         if key in raw and not isinstance(block, dict) and not (key == "split" and block is None):
             raise ConfigError(f"bench config {key!r} must be an object, not {type(block).__name__}")
-    split = raw.get("split")
-    if split is not None:
-        mode = "fraction" if split.get("mode") == "fraction" else "horizon"
-        if mode not in split:
-            raise ConfigError(f"bench config split needs split.{mode}")
-        by_mode = SplitSpec.by_fraction if mode == "fraction" else SplitSpec.by_horizon
-        kwargs["split"] = by_mode(split[mode])
+    if raw.get("split") is not None:
+        kwargs["split"] = SplitSpec(**{"mode": "horizon",
+                                       **_fields_only(raw["split"], SplitSpec, "split.")})
     if "codec" in raw:
         kwargs["codec"] = CodecConfig(**_fields_only(raw["codec"], CodecConfig, "codec."))
     if "params" in raw:

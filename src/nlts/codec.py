@@ -85,10 +85,6 @@ class Scaler:
         return np.asarray(y, dtype=float) * self.scale + self.offset
 
 
-def identity_scaler() -> Scaler:
-    return Scaler(0.0, 1.0)
-
-
 def fit_scaler(history, config: CodecConfig = CodecConfig()) -> Scaler:
     """Fit the affine scaler on a history window; see fit_scalers."""
     return fit_scalers(np.reshape(_as_values(history), (1, -1)), config)[0]

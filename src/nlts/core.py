@@ -49,33 +49,41 @@ class SplitSpec:
     horizon: int | None = None
 
     def __post_init__(self):
+        if self.mode not in ("fraction", "horizon"):
+            raise ConfigError(f"unknown split mode {self.mode!r}")
+        if self.fraction is not None:
+            object.__setattr__(self, "fraction", _number(float, self.fraction, "fraction"))
+        if self.horizon is not None:
+            object.__setattr__(self, "horizon", _number(int, self.horizon, "horizon"))
         if self.mode == "fraction":
-            if self.fraction is None or not (0.0 < float(self.fraction) < 1.0):
+            if self.fraction is None or not (0.0 < self.fraction < 1.0):
                 raise ConfigError("fraction mode needs fraction in (0, 1)")
             if self.horizon is not None:
                 raise ConfigError("fraction mode takes no horizon")
-        elif self.mode == "horizon":
-            if self.horizon is None or int(self.horizon) < 1:
+        else:
+            if self.horizon is None or self.horizon < 1:
                 raise ConfigError("horizon mode needs a positive integer horizon")
             if self.fraction is not None:
                 raise ConfigError("horizon mode takes no fraction")
-        else:
-            raise ConfigError(f"unknown split mode {self.mode!r}")
 
     @classmethod
     def by_fraction(cls, fraction: float | str) -> "SplitSpec":
-        return cls("fraction", fraction=_number(float, fraction, "fraction"))
+        return cls("fraction", fraction=fraction)
 
     @classmethod
     def by_horizon(cls, horizon: int | str) -> "SplitSpec":
-        return cls("horizon", horizon=_number(int, horizon, "horizon"))
+        return cls("horizon", horizon=horizon)
 
 
 def _number(kind, value, name: str):
+    """value as a float or int; an int must be whole, so 5.7 is not 5."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"split {name} must be a number, got {value!r}") from exc
+    if kind is int and number != value and not isinstance(value, str):
+        raise ConfigError(f"split {name} must be a whole number, got {value!r}")
+    return number
 
 
 def _snapped_ceil(x: float) -> int:

@@ -174,10 +174,6 @@ def write_series_csv(path: Path, heads: list[str], tails: list[str], raw: np.nda
     path.write_text("t,value,value_raw,is_holdout\r\n" + "".join(map("".join, rows)), newline="")
 
 
-def default_kernel_specs() -> list[KernelSpec]:
-    return [KernelSpec(kind=kind) for kind in KERNEL_KINDS]
-
-
 def generate_benchmark(
     kernels: list[KernelSpec],
     count: int,

@@ -26,7 +26,6 @@ from nlts import (
     default_cost_table,
     deserialize,
     estimate_cost,
-    identity_scaler,
     inject_noise,
     kernel_matrix,
     load_dataset,
@@ -113,9 +112,9 @@ def test_criterion_1_codec_round_trip():
 
 
 def test_criterion_1_worked_examples():
-    enc = serialize([0.314, 3.14, 31.4, 314.0], identity_scaler(), CodecConfig(precision_k=2))
+    enc = serialize([0.314, 3.14, 31.4, 314.0], Scaler(), CodecConfig(precision_k=2))
     assert enc == "3 1, 3 1 4, 3 1 4 0, 3 1 4 0 0"
-    enc0 = serialize([22.0, 25.0, 28.0], identity_scaler(), CodecConfig(precision_k=0))
+    enc0 = serialize([22.0, 25.0, 28.0], Scaler(), CodecConfig(precision_k=0))
     assert enc0 == "2 2, 2 5, 2 8"
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import socket
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +8,6 @@ import pytest
 
 from nlts import (
     ConfigError,
-    DegenerateSeriesError,
     LengthMismatchError,
     NoiseSpec,
     NonFiniteError,
@@ -22,7 +22,6 @@ from nlts import (
     compute_metrics,
     load_dataset,
     make_backend,
-    naive_forecast,
     run_sweep,
     theory_check,
 )
@@ -169,40 +168,6 @@ class TestLoadDataset:
         assert ds.series.values[0] == 7.5
 
 
-class TestNaiveForecast:
-    def test_last_value(self):
-        out = naive_forecast([1.0, 2.0, 3.0], horizon=4)
-        npt.assert_array_equal(out, [3.0, 3.0, 3.0, 3.0])
-
-    def test_seasonal(self):
-        out = naive_forecast([1.0, 2.0, 1.0, 2.0], horizon=3, method="seasonal_naive", period=2)
-        npt.assert_array_equal(out, [1.0, 2.0, 1.0])
-
-    def test_seasonal_period_longer_than_horizon(self):
-        out = naive_forecast([5.0, 6.0, 7.0], horizon=2, method="seasonal_naive", period=3)
-        npt.assert_array_equal(out, [5.0, 6.0])
-
-    def test_accepts_time_series(self):
-        out = naive_forecast(TimeSeries(np.array([9.0])), horizon=2)
-        npt.assert_array_equal(out, [9.0, 9.0])
-
-    def test_empty_history(self):
-        with pytest.raises(DegenerateSeriesError):
-            naive_forecast([], horizon=1)
-
-    def test_bad_period(self):
-        with pytest.raises(ConfigError):
-            naive_forecast([1.0, 2.0], horizon=1, method="seasonal_naive", period=0)
-        with pytest.raises(ConfigError):
-            naive_forecast([1.0, 2.0], horizon=1, method="seasonal_naive", period=3)
-        with pytest.raises(ConfigError):
-            naive_forecast([1.0, 2.0], horizon=1, method="seasonal_naive")
-
-    def test_unknown_method(self):
-        with pytest.raises(ConfigError):
-            naive_forecast([1.0], horizon=1, method="drift")
-
-
 class TestTheoryCheck:
     def test_identity_quadratic(self):
         rep = theory_check(dim=10, sigma=0.1, num_draws=200_000, seed=0)
@@ -217,46 +182,9 @@ class TestTheoryCheck:
         assert rep.predicted_gap == 0.0
         assert rep.relative_error == 0.0
 
-    def test_custom_matrix(self):
-        a = np.diag([1.0, 2.0, 3.0])
-        rep = theory_check(dim=3, sigma=0.2, num_draws=400_000, matrix=a, seed=1)
-        assert rep.predicted_gap == pytest.approx(-0.5 * 0.04 * 6.0)
-        assert rep.measured_gap == pytest.approx(rep.predicted_gap, rel=0.02)
-
-    def test_zero_matrix_gap_within_noise(self):
-        a = np.zeros((4, 4))
-        rep = theory_check(dim=4, sigma=0.1, num_draws=50_000, matrix=a, seed=2)
-        assert rep.predicted_gap == 0.0
-        assert rep.measured_gap == 0.0  # f is identically zero
-
-    def test_asymmetric_matrix_rejected(self):
-        a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(ConfigError):
-            theory_check(dim=2, matrix=a, num_draws=10_000)
-
-    def test_negative_definite_matrix_rejected(self):
-        with pytest.raises(ConfigError):
-            theory_check(dim=2, matrix=-np.eye(2), num_draws=10_000)
-
     def test_too_few_draws(self):
         with pytest.raises(ConfigError):
             theory_check(num_draws=100)
-
-    def test_custom_func(self):
-        # f(x) = sum(x^2): Hessian trace 2d, convex so the gap is positive
-        def f(points):
-            return (points**2).sum(axis=1)
-
-        rep = theory_check(
-            dim=4, sigma=0.1, num_draws=200_000, seed=3, func=f, hessian_trace=8.0
-        )
-        assert rep.predicted_gap == pytest.approx(0.04)
-        assert rep.measured_gap == pytest.approx(0.04, rel=0.05)
-        assert not rep.concave_gap_nonpositive
-
-    def test_custom_func_needs_trace(self):
-        with pytest.raises(ConfigError):
-            theory_check(func=lambda p: p.sum(axis=1), num_draws=10_000)
 
     def test_deterministic(self):
         a = theory_check(dim=3, sigma=0.1, num_draws=20_000, seed=5)
@@ -392,6 +320,33 @@ class TestMakeBackend:
             run_sweep(cfg, tmp_path / "r")
         assert "'gpt'" in str(err.value)
         assert all(kind in str(err.value) for kind in BACKEND_KINDS)
+
+    @pytest.mark.parametrize("spec, unknown", [
+        ({"kind": "oracle", "path": "x"}, "oracle backend keys: ['path']"),
+        ({"kind": "echo", "tial": 3}, "echo backend keys: ['tial']"),
+        ({"kind": "replay", "path": "c.jsonl", "tail": 3}, "replay backend keys: ['tail']"),
+        ({"kind": "live", "timeout": 5, "url": "x"}, "live backend keys: ['timeout', 'url']"),
+    ], ids=["oracle-path", "echo-typo", "replay-tail", "live-unknown"])
+    def test_unknown_key_is_config_error(self, spec, unknown):
+        with pytest.raises(ConfigError) as err:
+            make_backend(spec)
+        assert str(err.value) == f"unknown {unknown}"
+
+    def test_api_key_stays_out_of_the_report(self, airline_csv, tmp_path):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        backend = {"kind": "live", "base_url": f"http://127.0.0.1:{port}",
+                   "api_key": "sk-secret-123", "max_retries": 0}
+        cfg = SweepConfig(datasets=(str(airline_csv),), samples=1, noise_levels=(0.0,),
+                          retries_per_sample=0, backend=backend)
+        report = run_sweep(cfg, tmp_path / "r")
+        assert report["cells"][0]["error"].startswith("TransportError")
+        expected = {k: v for k, v in backend.items() if k != "api_key"}
+        assert report["config"]["backend"] == expected
+        assert cfg.backend["api_key"] == "sk-secret-123"
+        for name in ("results.json", "results.csv", "summary.md"):
+            assert "sk-secret" not in (tmp_path / "r" / name).read_text()
 
     def test_echo_defaults_follow_target(self):
         target = TimeSeries(np.arange(40.0))

@@ -317,17 +317,22 @@ class TestBenchCommand:
         assert sweep_config_from_dict({"datasets": ["a.csv"], "split": None}).split is None
 
     @pytest.mark.parametrize("extra, error", [
-        ({"split": {"mode": "fraction"}}, "bench config split needs split.fraction"),
-        ({"split": {"mode": "horizon"}}, "bench config split needs split.horizon"),
-        ({"split": {}}, "bench config split needs split.horizon"),
+        ({"split": {"mode": "fraction"}}, "fraction mode needs fraction in (0, 1)"),
+        ({"split": {"mode": "horizon"}}, "horizon mode needs a positive integer horizon"),
+        ({"split": {}}, "horizon mode needs a positive integer horizon"),
         ({"codec": {"base": 10}}, "unknown bench config keys: ['codec.base']"),
         ({"codec": {"precision": 2}}, "unknown bench config keys: ['codec.precision']"),
         ({"params": {"temp": 0.5}}, "unknown bench config keys: ['params.temp']"),
         ({"datasets": "air.csv"}, "sweep 'datasets' must be a list, not a string"),
         ({"kinds": "gaussian"}, "sweep 'kinds' must be a list, not a string"),
         ({"noise_levels": "0.01"}, "sweep 'noise_levels' must be a list, not a string"),
+        ({"split": {"mode": "bogus", "horizon": 5, "fraction": 0.5}}, "unknown split mode 'bogus'"),
+        ({"split": {"horizon": 5, "fraction": 0.5}}, "horizon mode takes no fraction"),
+        ({"split": {"horizon": 5.7}}, "split horizon must be a whole number, got 5.7"),
+        ({"split": {"horizon": 5, "hold": 2}}, "unknown bench config keys: ['split.hold']"),
     ], ids=["split-fraction", "split-horizon", "split-no-mode", "codec-base", "codec-unknown",
-            "params-unknown", "datasets-string", "kinds-string", "levels-string"])
+            "params-unknown", "datasets-string", "kinds-string", "levels-string",
+            "split-bogus-mode", "split-unused-key", "split-fractional-horizon", "split-unknown"])
     def test_bad_config_value_names_its_key(self, runner, tmp_path, extra, error):
         config = {"datasets": ["a.csv"], **extra}
         with pytest.raises(ConfigError) as excinfo:
@@ -338,6 +343,19 @@ class TestBenchCommand:
         result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
         assert f"Error: ConfigError: {error}\n" in result.output
+
+    def test_backend_key_typo_is_config_error(self, runner, tmp_path):
+        data = tmp_path / "airline.csv"
+        write_series_csv(data, make_airline_series(), holdout=12)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "datasets": [str(data)], "samples": 2, "backend": {"kind": "echo", "tial": 3},
+        }))
+        out = tmp_path / "report"
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "Error: ConfigError: unknown echo backend keys: ['tial']\n" in result.output
+        assert not (out / "results.json").exists()
 
     def test_missing_dataset_is_schema_error(self, runner, tmp_path):
         config = tmp_path / "config.json"

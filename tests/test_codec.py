@@ -17,7 +17,6 @@ from nlts import (
     TimeSeries,
     deserialize,
     fit_scaler,
-    identity_scaler,
     serialize,
 )
 from nlts.codec import ParseReport, _fragment_bins, _whole_text_bins, fit_scalers, quantize
@@ -193,37 +192,37 @@ class TestWorkedExamples:
     """Hand-computed encodings frozen as regression anchors."""
 
     def test_spaced_k2(self):
-        enc = serialize([0.314, 3.14, 31.4, 314.0], identity_scaler(), CodecConfig(precision_k=2))
+        enc = serialize([0.314, 3.14, 31.4, 314.0], Scaler(), CodecConfig(precision_k=2))
         assert enc == "3 1, 3 1 4, 3 1 4 0, 3 1 4 0 0"
 
     def test_spaced_k0(self):
-        enc = serialize([22.0, 25.0, 28.0], identity_scaler(), CodecConfig(precision_k=0))
+        enc = serialize([22.0, 25.0, 28.0], Scaler(), CodecConfig(precision_k=0))
         assert enc == "2 2, 2 5, 2 8"
 
     def test_precision_scaling_k3(self):
-        assert serialize([2.718], identity_scaler(), CodecConfig(precision_k=3)) == "2 7 1 8"
+        assert serialize([2.718], Scaler(), CodecConfig(precision_k=3)) == "2 7 1 8"
 
     def test_basic_mode_concatenates(self):
         cfg = CodecConfig(precision_k=2, basic_mode=True)
-        assert serialize([0.314, 3.14], identity_scaler(), cfg) == "31, 314"
+        assert serialize([0.314, 3.14], Scaler(), cfg) == "31, 314"
 
     def test_negative_signed(self):
         cfg = CodecConfig(precision_k=1, signed=True)
-        enc = serialize([-2.5], identity_scaler(), cfg)
+        enc = serialize([-2.5], Scaler(), cfg)
         assert enc == "-2 5"
 
     def test_zero(self):
-        assert serialize([0.0], identity_scaler(), CodecConfig(precision_k=0)) == "0"
+        assert serialize([0.0], Scaler(), CodecConfig(precision_k=0)) == "0"
 
     def test_floor_not_round(self):
         # 2.9999 at k=0 floors to 2; only float noise snaps, not real distance
-        assert serialize([2.9999], identity_scaler(), CodecConfig(precision_k=0)) == "2"
-        assert serialize([2.9999], identity_scaler(), CodecConfig(precision_k=3)) == "2 9 9 9"
+        assert serialize([2.9999], Scaler(), CodecConfig(precision_k=0)) == "2"
+        assert serialize([2.9999], Scaler(), CodecConfig(precision_k=3)) == "2 9 9 9"
 
     def test_float_noise_snaps(self):
         # 270573.97 * 100 = 27057396.999999996 in float; must encode as ...97
         cfg = CodecConfig(precision_k=2, max_digits_per_value=12)
-        enc = serialize([270573.97], identity_scaler(), cfg)
+        enc = serialize([270573.97], Scaler(), cfg)
         assert enc.replace(" ", "") == "27057397"
 
     def test_scaler_applied_before_digits(self):
@@ -234,31 +233,31 @@ class TestWorkedExamples:
 class TestSerializeErrors:
     def test_negative_unsigned(self):
         with pytest.raises(DigitOverflowError):
-            serialize([-1.0], identity_scaler(), CodecConfig(signed=False, precision_k=0))
+            serialize([-1.0], Scaler(), CodecConfig(signed=False, precision_k=0))
 
     def test_negative_basic_mode(self):
         with pytest.raises(DigitOverflowError):
-            serialize([-1.0], identity_scaler(), CodecConfig(basic_mode=True, precision_k=0))
+            serialize([-1.0], Scaler(), CodecConfig(basic_mode=True, precision_k=0))
 
     def test_too_many_digits(self):
         cfg = CodecConfig(precision_k=0, max_digits_per_value=3)
         with pytest.raises(DigitOverflowError):
-            serialize([12345.0], identity_scaler(), cfg)
+            serialize([12345.0], Scaler(), cfg)
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteError):
-            serialize(np.array([np.inf]), identity_scaler(), CodecConfig())
+            serialize(np.array([np.inf]), Scaler(), CodecConfig())
 
 
 class TestDeserialize:
     def test_half_bin_correction(self):
         cfg = CodecConfig(precision_k=3, half_bin_correction=True)
-        vals, _ = deserialize("2 7 1 8", identity_scaler(), cfg, horizon=1)
+        vals, _ = deserialize("2 7 1 8", Scaler(), cfg, horizon=1)
         assert vals[0] == pytest.approx(2.7185)
 
     def test_no_half_bin(self):
         cfg = CodecConfig(precision_k=3, half_bin_correction=False)
-        vals, _ = deserialize("2 7 1 8", identity_scaler(), cfg, horizon=1)
+        vals, _ = deserialize("2 7 1 8", Scaler(), cfg, horizon=1)
         assert vals[0] == pytest.approx(2.718)
 
     def test_inverts_scaler(self):
@@ -269,39 +268,39 @@ class TestDeserialize:
 
     def test_junk_inside_fragment_is_stripped(self):
         cfg = CodecConfig(precision_k=0, half_bin_correction=False)
-        vals, rep = deserialize("answer: 4 2, then 1 7", identity_scaler(), cfg, horizon=2)
+        vals, rep = deserialize("answer: 4 2, then 1 7", Scaler(), cfg, horizon=2)
         npt.assert_allclose(vals, [42.0, 17.0])
         assert rep.discarded_fragments == 0
 
     def test_digit_free_fragment_discarded(self):
         cfg = CodecConfig(precision_k=0, half_bin_correction=False)
-        vals, rep = deserialize("1, not sure, 3", identity_scaler(), cfg, horizon=3)
+        vals, rep = deserialize("1, not sure, 3", Scaler(), cfg, horizon=3)
         npt.assert_allclose(vals, [1.0, 3.0])
         assert rep.discarded_fragments == 1
         assert rep.truncated  # only 2 of 3 requested steps parsed
 
     def test_trailing_separator_not_discarded(self):
         cfg = CodecConfig(precision_k=0, half_bin_correction=False)
-        vals, rep = deserialize("1, 2, ", identity_scaler(), cfg, horizon=4)
+        vals, rep = deserialize("1, 2, ", Scaler(), cfg, horizon=4)
         assert rep.parsed_steps == 2
         assert rep.discarded_fragments == 0
 
     def test_truncates_at_horizon(self):
         cfg = CodecConfig(precision_k=0, half_bin_correction=False)
-        vals, rep = deserialize("1, 2, 3, 4, 5", identity_scaler(), cfg, horizon=3)
+        vals, rep = deserialize("1, 2, 3, 4, 5", Scaler(), cfg, horizon=3)
         assert list(vals) == [1.0, 2.0, 3.0]
         assert rep.parsed_steps == 3
         assert not rep.truncated
 
     def test_negative_value(self):
         cfg = CodecConfig(precision_k=1, half_bin_correction=False)
-        vals, _ = deserialize("-2 5", identity_scaler(), cfg, horizon=1)
+        vals, _ = deserialize("-2 5", Scaler(), cfg, horizon=1)
         assert vals[0] == pytest.approx(-2.5)
 
     def test_nothing_parses(self):
         cfg = CodecConfig(precision_k=0)
         with pytest.raises(ParseError) as err:
-            deserialize("no numbers here at all", identity_scaler(), cfg, horizon=2)
+            deserialize("no numbers here at all", Scaler(), cfg, horizon=2)
         assert err.value.report is not None
         assert err.value.report.parsed_steps == 0
         assert err.value.report.discarded_fragments >= 1
@@ -309,7 +308,7 @@ class TestDeserialize:
     def test_report_counts(self):
         cfg = CodecConfig(precision_k=0, half_bin_correction=False)
         text = "7, 8"
-        _, rep = deserialize(text, identity_scaler(), cfg, horizon=5)
+        _, rep = deserialize(text, Scaler(), cfg, horizon=5)
         assert rep.requested_steps == 5
         assert rep.parsed_steps == 2
         assert rep.truncated
@@ -317,7 +316,7 @@ class TestDeserialize:
 
     def test_bad_horizon(self):
         with pytest.raises(ParamError):
-            deserialize("1", identity_scaler(), CodecConfig(), horizon=0)
+            deserialize("1", Scaler(), CodecConfig(), horizon=0)
 
 
 def _grammar_regex(cfg: CodecConfig) -> re.Pattern:
@@ -368,7 +367,7 @@ class TestRoundTripProperty:
         for k in range(6):
             bins = rng.integers(0, 10**6, 200)
             vals = bins / 10.0**k
-            got = quantize(vals, identity_scaler(), CodecConfig(precision_k=k, max_digits_per_value=19))
+            got = quantize(vals, Scaler(), CodecConfig(precision_k=k, max_digits_per_value=19))
             npt.assert_array_equal(got, bins)
 
     @settings(max_examples=120, deadline=None)
@@ -441,10 +440,10 @@ class TestQuantizeMatchesReference:
     )
     def test_pinned_cases(self, values, k):
         cfg = CodecConfig(precision_k=k, max_digits_per_value=19)
-        for scaler in (identity_scaler(), Scaler(offset=-1.25, scale=3.0), Scaler(offset=1e6)):
+        for scaler in (Scaler(), Scaler(offset=-1.25, scale=3.0), Scaler(offset=1e6)):
             got = _quantize_outcome(quantize, values, scaler, cfg)
             assert got == _quantize_outcome(_reference_quantize, values, scaler, cfg)
-        assert quantize([3.14], identity_scaler(), CodecConfig(precision_k=2)).tolist() == [314]
+        assert quantize([3.14], Scaler(), CodecConfig(precision_k=2)).tolist() == [314]
 
     @pytest.mark.parametrize(
         "values, error",
@@ -461,15 +460,15 @@ class TestQuantizeMatchesReference:
     def test_error_order(self, values, error):
         cfg = CodecConfig(precision_k=0, max_digits_per_value=19)
         with pytest.raises(error):
-            _reference_quantize(values, identity_scaler(), cfg)
+            _reference_quantize(values, Scaler(), cfg)
         with pytest.raises(error):
-            quantize(values, identity_scaler(), cfg)
+            quantize(values, Scaler(), cfg)
 
     def test_shapes(self):
         cfg = CodecConfig(precision_k=1, max_digits_per_value=19)
         for values in (2.25, [[1.25, -2.5], [3.0, 4.75]], np.zeros((0, 2))):
-            got = _quantize_outcome(quantize, values, identity_scaler(), cfg)
-            assert got == _quantize_outcome(_reference_quantize, values, identity_scaler(), cfg)
+            got = _quantize_outcome(quantize, values, Scaler(), cfg)
+            assert got == _quantize_outcome(_reference_quantize, values, Scaler(), cfg)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -530,8 +529,8 @@ class TestSerializeText:
         if basic or not signed:
             bins = [abs(b) for b in bins]
         values = np.array(bins, dtype=float)
-        expected = _reference_digit_text(quantize(values, identity_scaler(), cfg), cfg)
-        assert serialize(values, identity_scaler(), cfg) == expected
+        expected = _reference_digit_text(quantize(values, Scaler(), cfg), cfg)
+        assert serialize(values, Scaler(), cfg) == expected
 
 
 # separator pairs for decoding: comma, space, newline and multi-character steps, and
@@ -614,7 +613,7 @@ class TestWholeTextPath:
 
     def test_newline_step_separator(self):
         cfg = CodecConfig(precision_k=0, step_separator="\n", half_bin_correction=False)
-        vals, rep = deserialize("1 0 0 0\n2 0 0 0\n3 0 0 0", identity_scaler(), cfg, horizon=3)
+        vals, rep = deserialize("1 0 0 0\n2 0 0 0\n3 0 0 0", Scaler(), cfg, horizon=3)
         npt.assert_array_equal(vals, [1000.0, 2000.0, 3000.0])
         assert rep.parsed_steps == 3
 
@@ -629,7 +628,7 @@ class TestRunawayDigits:
         text = sign + "9" * width + ", 1, 2"
         assert _whole_text_bins(text, ",", 2, 10) is None
         assert _fragment_bins(text, ",", 2, 10) == ([1, 2], 1)
-        vals, rep = deserialize(text, identity_scaler(), CodecConfig(), 2)
+        vals, rep = deserialize(text, Scaler(), CodecConfig(), 2)
         npt.assert_allclose(vals, [0.0015, 0.0025])
         assert rep.discarded_fragments == 1
         assert rep.parsed_steps == 2
@@ -640,25 +639,25 @@ class TestRunawayDigits:
         text = " ".join("9" * width) + "\n1"
         cfg = CodecConfig(step_separator="\n")
         assert _fragment_bins(text, "\n", 2, 10) == ([1], 1)
-        _, rep = deserialize(text, identity_scaler(), cfg, 2)
+        _, rep = deserialize(text, Scaler(), cfg, 2)
         assert rep.discarded_fragments == 1
         assert rep.truncated
 
     def test_only_runaway_is_parse_error(self):
         with pytest.raises(ParseError) as err:
-            deserialize("9" * 5000, identity_scaler(), CodecConfig(), 3)
+            deserialize("9" * 5000, Scaler(), CodecConfig(), 3)
         assert err.value.report.discarded_fragments == 1
 
     def test_limit_is_inclusive_and_counts_value_digits(self):
         cfg = CodecConfig(precision_k=0, half_bin_correction=False)
-        vals, rep = deserialize("9" * 10 + ", -" + "9" * 10, identity_scaler(), cfg, 2)
+        vals, rep = deserialize("9" * 10 + ", -" + "9" * 10, Scaler(), cfg, 2)
         npt.assert_array_equal(vals, [9_999_999_999.0, -9_999_999_999.0])
         assert rep.discarded_fragments == 0
         # leading zeros are not digits of the value, on either path
         padded = "0" * 20 + "7"
         assert _whole_text_bins(padded + ", 1", ",", 2, 10) == [7, 1]
         assert _fragment_bins("x" + padded + ", 1", ",", 2, 10) == ([7, 1], 0)
-        _, rep = deserialize("1" + "0" * 10 + ", 1", identity_scaler(), cfg, 2)
+        _, rep = deserialize("1" + "0" * 10 + ", 1", Scaler(), cfg, 2)
         assert rep.discarded_fragments == 1
 
 
@@ -678,7 +677,7 @@ class TestAsciiDigitsOnly:
     @pytest.mark.parametrize("text", ["１２, 3", "١٢, 3", "１２x, 3", "߁, 3"])
     def test_other_scripts_are_junk(self, text):
         cfg = CodecConfig(precision_k=0, half_bin_correction=False)
-        vals, rep = deserialize(text, identity_scaler(), cfg, 2)
+        vals, rep = deserialize(text, Scaler(), cfg, 2)
         npt.assert_array_equal(vals, [3.0])
         assert rep.discarded_fragments == 1
         assert _whole_text_bins(text, ",", 2, 10) is None
@@ -707,7 +706,7 @@ class TestAsciiDigitsOnly:
         ascii_only = "".join(c if c.isascii() else "x" for c in text)
         assert _fragment_bins(ascii_only, sep, horizon, limit)[0] == bins
         try:
-            _, report = deserialize(text, identity_scaler(), cfg, horizon)
+            _, report = deserialize(text, Scaler(), cfg, horizon)
         except ParseError:
             assert not bins
             return

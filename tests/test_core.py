@@ -61,6 +61,16 @@ class TestSplitSpec:
         with pytest.raises(ConfigError):
             SplitSpec.by_horizon(0)
 
+    @pytest.mark.parametrize("horizon", ["abc", 5.7, "2.5", [5], float("inf")])
+    def test_horizon_must_be_whole(self, horizon):
+        with pytest.raises(ConfigError, match="split horizon must be a"):
+            SplitSpec("horizon", horizon=horizon)
+
+    def test_numbers_are_coerced(self):
+        assert SplitSpec("horizon", horizon="5").horizon == 5
+        assert type(SplitSpec("horizon", horizon=5.0).horizon) is int
+        assert SplitSpec("fraction", fraction="0.5").fraction == 0.5
+
     def test_mutually_exclusive(self):
         with pytest.raises(ConfigError):
             SplitSpec("fraction", fraction=0.5, horizon=3)

@@ -22,7 +22,7 @@ from nlts import (
     split_series,
 )
 from nlts.rng import derive_seed
-from nlts.synth import KERNEL_KINDS, default_kernel_specs, write_series_csv
+from nlts.synth import KERNEL_KINDS, write_series_csv
 
 
 class TestKernelSpec:
@@ -198,7 +198,7 @@ class TestSampleGP:
 
 class TestGenerateBenchmark:
     def test_files_and_manifest(self, tmp_path):
-        specs = default_kernel_specs()
+        specs = [KernelSpec(kind=k) for k in KERNEL_KINDS]
         manifest = generate_benchmark(specs, count=2, length=40, holdout=10, seed=5,
                                       out_dir=tmp_path)
         csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
@@ -320,7 +320,7 @@ class TestCsvBytes:
 
     @pytest.mark.parametrize("length,holdout", [(430, 30), (40, 0), (2, 1), (57, 56)])
     def test_benchmark_directory_matches_reference(self, tmp_path, length, holdout):
-        specs = default_kernel_specs()
+        specs = [KernelSpec(kind=k) for k in KERNEL_KINDS]
         manifest = generate_benchmark(specs, count=2, length=length, holdout=holdout,
                                       seed=7, out_dir=tmp_path / "out")
         grid = np.linspace(0.0, 1.0, length)
