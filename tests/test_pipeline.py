@@ -33,6 +33,8 @@ from nlts import (
 )
 from nlts.pipeline import USER_PROMPT_TEMPLATE, completion_token_budget
 
+from golden import replay_jobs
+
 CODEC = CodecConfig()
 
 
@@ -317,6 +319,21 @@ class TestRunNlts:
         assert json.dumps(replayed.to_dict(), sort_keys=True) == json.dumps(
             again.to_dict(), sort_keys=True
         )
+
+
+class TestGoldenCassette:
+    """The jobs of tests/golden/replay_jobs.py replay from the cassette their
+    prompts were recorded with: a hit proves the prompt bytes, the generation
+    parameters and the tags are unchanged."""
+
+    @pytest.fixture(scope="class")
+    def backend(self):
+        return ReplayBackend(replay_jobs.CASSETTE)
+
+    @pytest.mark.parametrize("name", list(replay_jobs.jobs()))
+    def test_job_replays_without_a_miss(self, backend, name):
+        job = replay_jobs.jobs()[name]
+        assert run_nlts(job, backend).valid_samples == job.samples
 
 
 class TestInlineRequests:
