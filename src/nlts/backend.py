@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .codec import STEP_SEPARATOR
 from .errors import (
     AuthError,
     ConfigError,
@@ -298,7 +299,7 @@ class EchoTailBackend(_MockBackend):
         if not fragments:
             raise ProtocolError("echo backend got a prompt with no steps")
         cycle = fragments[-self.tail:]
-        return ", ".join(cycle[i % len(cycle)] for i in range(self.steps))
+        return STEP_SEPARATOR.join(cycle[i % len(cycle)] for i in range(self.steps))
 
     def describe(self):
         return {"backend": self.name, "tail": self.tail, "steps": self.steps}

@@ -28,7 +28,7 @@ from .backend import (
     estimate_cost,
 )
 from .codec import CodecConfig, fit_scaler, serialize
-from .core import SplitSpec, TimeSeries, split_series
+from .core import SplitSpec, TimeSeries, as_number, split_series
 from .errors import (
     ConfigError,
     LengthMismatchError,
@@ -259,6 +259,23 @@ BACKEND_KINDS = {
 _PER_DATASET_KINDS = ("oracle", "echo")
 
 
+def backend_settings(spec: Mapping) -> dict:
+    """The backend block with its kind filled in and its whole numbers
+    coerced. A ConfigError names an unknown kind, an unknown key or a value
+    that is not a whole number."""
+    settings = {"kind": "oracle", **spec}
+    kind = settings["kind"]
+    if not isinstance(kind, str) or kind not in BACKEND_KINDS:
+        raise ConfigError(f"unknown backend kind {kind!r}, expected one of {tuple(BACKEND_KINDS)}")
+    unknown = sorted(set(settings) - {"kind", *BACKEND_KINDS[kind]})
+    if unknown:
+        raise ConfigError(f"unknown {kind} backend keys: {unknown}")
+    for key in ("tail", "steps", "max_retries"):
+        if key in settings:
+            settings[key] = as_number(int, settings[key], f"backend {key}")
+    return settings
+
+
 def make_backend(
     spec: Mapping,
     history: TimeSeries | None = None,
@@ -272,26 +289,22 @@ def make_backend(
     decoding recovers the target up to quantization. echo: EchoTailBackend
     with "tail" (default 4) and "steps" (default max(64, 2 * len(target))).
     scripted and replay: a fixture or cassette at "path". live: HttpBackend
-    with "base_url", "api_key" and "max_retries" (default 3). A key the kind
-    does not read is a ConfigError.
+    with "base_url", "api_key" and "max_retries" (default 3). backend_settings
+    checks the spec first.
     """
-    kind = spec.get("kind", "oracle")
-    if not isinstance(kind, str) or kind not in BACKEND_KINDS:
-        raise ConfigError(f"unknown backend kind {kind!r}, expected one of {tuple(BACKEND_KINDS)}")
-    unknown = sorted(set(spec) - {"kind", *BACKEND_KINDS[kind]})
-    if unknown:
-        raise ConfigError(f"unknown {kind} backend keys: {unknown}")
+    spec = backend_settings(spec)
+    kind = spec["kind"]
     if kind == "oracle":
         return OracleBackend(serialize(target, fit_scaler(history, codec), codec))
     if kind == "echo":
         steps = spec.get("steps", max(64, len(target) * 2))
-        return EchoTailBackend(tail=int(spec.get("tail", 4)), steps=int(steps))
+        return EchoTailBackend(tail=spec.get("tail", 4), steps=steps)
     if kind == "live":
         return HttpBackend(
             BackendConfig(
                 base_url=spec.get("base_url"),
                 api_key=spec.get("api_key"),
-                max_retries=int(spec.get("max_retries", 3)),
+                max_retries=spec.get("max_retries", 3),
             )
         )
     if spec.get("path") is None:
@@ -331,14 +344,16 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
     and shared across kinds; improvements are relative to it. Per-cell failures
     are recorded in the report, not fatal. Without an explicit backend, the
     config's backend block goes through make_backend: once per sweep, or once
-    per dataset for the kinds built from its split. Writes results.csv,
-    results.json and summary.md under out_dir and returns the JSON report as a
-    dict.
+    per dataset for the kinds built from its split. The report's
+    config.backend is that block without its api_key, or the explicit
+    backend's describe(). Writes results.csv, results.json and summary.md
+    under out_dir and returns the JSON report as a dict.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells: list[SweepCell] = []
     usage_total = Usage()
+    described = None if backend is None else backend.describe()
     if backend is None and cfg.backend.get("kind", "oracle") not in _PER_DATASET_KINDS:
         backend = make_backend(cfg.backend)
 
@@ -412,7 +427,7 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
             "normalization": cfg.normalization,
             "prompt_style": cfg.prompt_style,
             "model": cfg.params.model,
-            "backend": {k: v for k, v in cfg.backend.items() if k != "api_key"},
+            "backend": described or {k: v for k, v in cfg.backend.items() if k != "api_key"},
         },
         "cells": [c.to_dict() for c in cells],
         "usage_total": usage_total.to_dict(),

@@ -21,6 +21,7 @@ from .bench import (
     DEFAULT_NOISE_LEVELS,
     Normalization,
     SweepConfig,
+    backend_settings,
     compute_metrics,
     load_dataset,
     make_backend,
@@ -215,6 +216,8 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
         kwargs["params"] = GenerationParams(
             **_fields_only(raw["params"], GenerationParams, "params.")
         )
+    if "backend" in raw:
+        backend_settings(raw["backend"])  # fail before any dataset loads
     return SweepConfig(**kwargs)
 
 

@@ -1,14 +1,14 @@
 """Digit-level text codec for numeric series.
 
 Values pass through an affine scaler, are quantized to k decimal places by
-flooring, and are rendered as separated digit tokens, e.g. 3.14 at k=2 becomes
-"3 1 4". Decoding strips non-digit junk per step, re-centers each quantization
-bin (optional half-bin correction), and inverts the scaler.
+flooring, and are rendered in LLMTime's GPT grammar: digits separated by " "
+and steps by ", ", so 3.14 and 2.7 at k=2 become "3 1 4, 2 7 0". Decoding
+strips non-digit junk per step, re-centers each quantization bin (optional
+half-bin correction), and inverts the scaler.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -26,11 +26,14 @@ from .errors import (
 )
 
 _EPS = np.finfo(float).eps
+STEP_SEPARATOR = ", "
+DIGIT_SEPARATOR = " "
 
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Encoding knobs.
+    """Encoding knobs. The grammar itself is fixed: STEP_SEPARATOR between
+    steps and DIGIT_SEPARATOR between the digits of a step.
 
     precision_k: decimal places kept after scaling (floor quantization).
     basic_mode: concatenate digits without separators ("314" instead of "3 1 4");
@@ -45,8 +48,6 @@ class CodecConfig:
     scale_quantile: float = 0.95
     offset_beta: float = 0.3
     half_bin_correction: bool = True
-    step_separator: str = ", "
-    digit_separator: str = " "
     max_digits_per_value: int = 10
 
     def __post_init__(self):
@@ -61,8 +62,6 @@ class CodecConfig:
             raise ParamError(f"scale_quantile must be in (0, 1], got {self.scale_quantile}")
         if self.offset_beta < 0.0:
             raise ParamError(f"offset_beta must be >= 0, got {self.offset_beta}")
-        if not self.step_separator.strip(self.digit_separator):
-            raise ParamError("step_separator must survive stripping the digit separator")
 
 
 @dataclass(frozen=True)
@@ -179,22 +178,11 @@ def serialize(series, scaler: Scaler, config: CodecConfig = CodecConfig()) -> st
         )
     numbers = map(str, values)
     if config.basic_mode:
-        return config.step_separator.join(numbers)
-    # space the whole series at once: separate every character, then drop the
-    # separators after sign marks and around step marks
-    sep = config.digit_separator
-    step_mark, sign_mark = _marks(sep)
-    text = step_mark.join(numbers).replace("-", sign_mark)
-    text = sep.join(text).replace(sign_mark + sep, "-")
-    return text.replace(sep + step_mark + sep, config.step_separator)
-
-
-@functools.lru_cache(maxsize=8)
-def _marks(digit_separator: str) -> tuple[str, str]:
-    """Step and sign placeholders: two characters that are neither digits, "-"
-    nor part of the digit separator."""
-    free = (c for c in map(chr, itertools.count(ord(":"))) if c not in digit_separator)
-    return next(free), next(free)
+        return STEP_SEPARATOR.join(numbers)
+    # space the whole series at once: separate every character, then take the
+    # space back out before each step's comma and after each sign
+    text = DIGIT_SEPARATOR.join(",".join(numbers))
+    return text.replace(" ,", ",").replace("- ", "-")
 
 
 @dataclass(frozen=True)
@@ -237,12 +225,12 @@ def _fragment_to_bin(fragment: str, max_digits: int) -> int | None:
     return -v if negative else v
 
 
-def _fragment_bins(text: str, sep: str, horizon: int, max_digits: int) -> tuple[list[int], int]:
-    """Junk-tolerant parse, one fragment at a time: the first `horizon` bins and
-    the number of fragments discarded on the way."""
+def _fragment_bins(text: str, horizon: int, max_digits: int) -> tuple[list[int], int]:
+    """Junk-tolerant parse, one comma-separated fragment at a time: the first
+    `horizon` bins and the number of fragments discarded on the way."""
     bins: list[int] = []
     discarded = 0
-    for fragment in text.split(sep):
+    for fragment in text.split(","):
         if len(bins) >= horizon:
             break
         v = _fragment_to_bin(fragment, max_digits)
@@ -254,20 +242,20 @@ def _fragment_bins(text: str, sep: str, horizon: int, max_digits: int) -> tuple[
     return bins, discarded
 
 
-def _whole_text_bins(text: str, sep: str, horizon: int, max_digits: int) -> list[int] | None:
+def _whole_text_bins(text: str, horizon: int, max_digits: int) -> list[int] | None:
     """The bins _fragment_bins finds when every fragment up to the horizon is
     clean and within max_digits, from one pass over the whole text; None
     otherwise.
 
-    Drops spaces before splitting, which leaves the fragments intact for any
-    one-character separator but a space. int() ignores the other whitespace
-    around a number, and raises where the per-fragment parser has work to do.
-    Non-ASCII text goes to the per-fragment parser, whose junk filter drops
-    the non-ASCII digits that int() would read.
+    Drops spaces before splitting on commas, which leaves the fragments
+    intact. int() ignores the other whitespace around a number, and raises
+    where the per-fragment parser has work to do. Non-ASCII text goes to the
+    per-fragment parser, whose junk filter drops the non-ASCII digits that
+    int() would read.
     """
-    if len(sep) != 1 or sep == " " or not text.isascii():
+    if not text.isascii():
         return None
-    fragments = filter(None, text.replace(" ", "").split(sep))
+    fragments = filter(None, text.replace(" ", "").split(","))
     try:
         bins = list(itertools.islice(map(int, fragments), horizon))
     except ValueError:
@@ -286,7 +274,8 @@ def deserialize(
 ) -> tuple[np.ndarray, ParseReport]:
     """Decode model output back to values, keeping at most `horizon` steps.
 
-    Splits on the step separator, drops non-numeric junk inside each fragment,
+    Splits on the comma of the step separator, so a reply that drops its
+    space still decodes, drops non-numeric junk inside each fragment,
     and silently skips fragments with no content at all (separator artifacts).
     Fragments with content but no digits, or with a value of more than
     max_digits_per_value digits, count as discarded. Raises ParseError
@@ -294,10 +283,9 @@ def deserialize(
     """
     if horizon < 1:
         raise ParamError(f"horizon must be >= 1, got {horizon}")
-    sep = config.step_separator.strip() or config.step_separator
-    bins = _whole_text_bins(text, sep, horizon, config.max_digits_per_value)
+    bins = _whole_text_bins(text, horizon, config.max_digits_per_value)
     if bins is None:
-        bins, discarded = _fragment_bins(text, sep, horizon, config.max_digits_per_value)
+        bins, discarded = _fragment_bins(text, horizon, config.max_digits_per_value)
     else:
         discarded = 0
     report = ParseReport(

@@ -52,9 +52,9 @@ class SplitSpec:
         if self.mode not in ("fraction", "horizon"):
             raise ConfigError(f"unknown split mode {self.mode!r}")
         if self.fraction is not None:
-            object.__setattr__(self, "fraction", _number(float, self.fraction, "fraction"))
+            object.__setattr__(self, "fraction", as_number(float, self.fraction, "split fraction"))
         if self.horizon is not None:
-            object.__setattr__(self, "horizon", _number(int, self.horizon, "horizon"))
+            object.__setattr__(self, "horizon", as_number(int, self.horizon, "split horizon"))
         if self.mode == "fraction":
             if self.fraction is None or not (0.0 < self.fraction < 1.0):
                 raise ConfigError("fraction mode needs fraction in (0, 1)")
@@ -75,14 +75,15 @@ class SplitSpec:
         return cls("horizon", horizon=horizon)
 
 
-def _number(kind, value, name: str):
-    """value as a float or int; an int must be whole, so 5.7 is not 5."""
+def as_number(kind, value, name: str):
+    """value as a float or int; an int must be whole, so 5.7 is not 5. A
+    ConfigError names the setting."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"split {name} must be a number, got {value!r}") from exc
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
     if kind is int and number != value and not isinstance(value, str):
-        raise ConfigError(f"split {name} must be a whole number, got {value!r}")
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return number
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .backend import Backend, GenerationParams, Usage
+from .codec import STEP_SEPARATOR
 from .codec import CodecConfig, ParseReport, Scaler, deserialize, fit_scaler, fit_scalers, serialize
 from .core import PointForecast, SamplePaths, TimeSeries, aggregate_samples
 from .errors import ConfigError, InsufficientSamplesError, ParseError
@@ -41,8 +42,9 @@ def build_prompt(encoded_history: str, style: str, horizon: int, config: CodecCo
 
     raw: the encoding plus a trailing step separator as the continuation cue.
     chat: fixed system instruction plus a user message carrying the sequence.
-    Neither style states the horizon; it is controlled via token caps and
-    parse-side truncation, so the argument is accepted but unused here.
+    Neither style states the horizon: token caps and parse-side truncation
+    bound it. horizon is only checked and config is unused; both stay for the
+    four-argument call in perfbench/test_perfbench.py.
     """
     if style not in PROMPT_STYLES:
         raise ConfigError(f"unknown prompt style {style!r}, expected one of {PROMPT_STYLES}")
@@ -51,7 +53,7 @@ def build_prompt(encoded_history: str, style: str, horizon: int, config: CodecCo
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if style == "raw":
-        return encoded_history + config.step_separator
+        return encoded_history + STEP_SEPARATOR
     return [
         {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": USER_PROMPT_TEMPLATE.format(sequence=encoded_history)},
@@ -247,9 +249,9 @@ def build_manifest(job: ForecastJob, backend: Backend, scalers: list[Scaler]) ->
         "prompt_style": job.prompt_style,
         "retries_per_sample": job.retries_per_sample,
         "history_length": len(job.history),
-        # plain copies: every field is a scalar, a str tuple or (noise) a flat
-        # dict, and asdict's recursive deep copy cost about 50 us per cell
-        "noise": {**vars(job.noise), "params": dict(job.noise.params)},
+        # plain copies: every field is a scalar or a str tuple, and asdict's
+        # recursive deep copy cost about 50 us per cell
+        "noise": dict(vars(job.noise)),
         "codec": dict(vars(job.codec)),
         "generation": dict(vars(job.params)),
         "scalers": [[s.offset, s.scale] for s in scalers],

@@ -38,19 +38,11 @@ CODECS = {
 STYLES = ("raw", "chat")
 
 
-def history() -> TimeSeries:
-    """20 points of a seasonal series with a trend, rounded to one decimal."""
-    t = np.arange(20.0)
-    return TimeSeries(np.round(50.0 + 1.5 * t + 8.0 * np.sin(t * np.pi / 6.0), 1), name="golden")
-
-
-def backend() -> EchoTailBackend:
-    return EchoTailBackend(tail=4, steps=HORIZON)
-
-
 def jobs() -> dict[str, ForecastJob]:
-    """One job per (noise kind, codec), keyed by a readable name."""
-    series = history()
+    """One job per (noise kind, codec) on a 20-point seasonal history with a
+    trend, keyed by a readable name."""
+    t = np.arange(20.0)
+    series = TimeSeries(np.round(50.0 + 1.5 * t + 8.0 * np.sin(t * np.pi / 6.0), 1), name="golden")
     out = {}
     for i, kind in enumerate(NOISE_KINDS):
         noise = NoiseSpec(kind=kind, alpha=0.0 if kind == "none" else 0.05)
@@ -66,7 +58,7 @@ def jobs() -> dict[str, ForecastJob]:
 def record(path: Path = CASSETTE) -> None:
     """Rewrite the cassette from the current code's prompts."""
     path.unlink(missing_ok=True)
-    recorder = RecordingBackend(backend(), path)
+    recorder = RecordingBackend(EchoTailBackend(tail=4, steps=HORIZON), path)
     for job in jobs().values():
         run_nlts(job, recorder)
 

@@ -276,6 +276,9 @@ class TestRunSweep:
         cfg = SweepConfig(datasets=(str(airline_csv),), samples=2, seed=0, noise_levels=(0.0,))
         report = run_sweep(cfg, tmp_path / "r", backend=backend)
         assert report["cells"][0]["error"] is None
+        # the backend that ran is reported, not the config's unused block
+        saved = json.loads((tmp_path / "r" / "results.json").read_text())
+        assert report["config"]["backend"] == saved["config"]["backend"] == backend.describe()
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -331,6 +334,18 @@ class TestMakeBackend:
         with pytest.raises(ConfigError) as err:
             make_backend(spec)
         assert str(err.value) == f"unknown {unknown}"
+
+    @pytest.mark.parametrize("spec, error", [
+        ({"kind": "echo", "tail": "x"}, "backend tail must be a number, got 'x'"),
+        ({"kind": "echo", "steps": "many"}, "backend steps must be a number, got 'many'"),
+        ({"kind": "echo", "tail": 2.7}, "backend tail must be a whole number, got 2.7"),
+        ({"kind": "live", "max_retries": "x"}, "backend max_retries must be a number, got 'x'"),
+        ({"kind": "live", "max_retries": None}, "backend max_retries must be a number, got None"),
+    ], ids=["echo-tail", "echo-steps", "echo-fractional-tail", "live-retries", "live-retries-null"])
+    def test_bad_number_names_its_key(self, spec, error):
+        with pytest.raises(ConfigError) as err:
+            make_backend(spec, target=TimeSeries(np.arange(8.0)))
+        assert str(err.value) == error
 
     def test_api_key_stays_out_of_the_report(self, airline_csv, tmp_path):
         with socket.socket() as sock:

@@ -330,9 +330,18 @@ class TestBenchCommand:
         ({"split": {"horizon": 5, "fraction": 0.5}}, "horizon mode takes no fraction"),
         ({"split": {"horizon": 5.7}}, "split horizon must be a whole number, got 5.7"),
         ({"split": {"horizon": 5, "hold": 2}}, "unknown bench config keys: ['split.hold']"),
+        ({"codec": {"step_separator": ";"}}, "unknown bench config keys: ['codec.step_separator']"),
+        ({"backend": {"kind": "echo", "tail": "x"}}, "backend tail must be a number, got 'x'"),
+        ({"backend": {"kind": "echo", "steps": "many"}},
+         "backend steps must be a number, got 'many'"),
+        ({"backend": {"kind": "echo", "tail": 2.7}}, "backend tail must be a whole number, got 2.7"),
+        ({"backend": {"kind": "live", "max_retries": "x"}},
+         "backend max_retries must be a number, got 'x'"),
     ], ids=["split-fraction", "split-horizon", "split-no-mode", "codec-base", "codec-unknown",
             "params-unknown", "datasets-string", "kinds-string", "levels-string",
-            "split-bogus-mode", "split-unused-key", "split-fractional-horizon", "split-unknown"])
+            "split-bogus-mode", "split-unused-key", "split-fractional-horizon", "split-unknown",
+            "codec-step-separator", "backend-tail", "backend-steps", "backend-fractional-tail",
+            "backend-max-retries"])
     def test_bad_config_value_names_its_key(self, runner, tmp_path, extra, error):
         config = {"datasets": ["a.csv"], **extra}
         with pytest.raises(ConfigError) as excinfo:

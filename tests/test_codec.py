@@ -3,7 +3,7 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlts import (
@@ -19,7 +19,15 @@ from nlts import (
     fit_scaler,
     serialize,
 )
-from nlts.codec import ParseReport, _fragment_bins, _whole_text_bins, fit_scalers, quantize
+from nlts.codec import (
+    DIGIT_SEPARATOR,
+    STEP_SEPARATOR,
+    ParseReport,
+    _fragment_bins,
+    _whole_text_bins,
+    fit_scalers,
+    quantize,
+)
 
 
 class TestCodecConfig:
@@ -320,8 +328,8 @@ class TestDeserialize:
 
 
 def _grammar_regex(cfg: CodecConfig) -> re.Pattern:
-    d_sep = re.escape(cfg.digit_separator)
-    s_sep = re.escape(cfg.step_separator)
+    d_sep = re.escape(DIGIT_SEPARATOR)
+    s_sep = re.escape(STEP_SEPARATOR)
     if cfg.basic_mode:
         step = r"\d+"
     else:
@@ -497,55 +505,26 @@ def _reference_digit_text(bins, config):
     if config.basic_mode:
         parts = [str(v) for v in values]
     else:
-        join = config.digit_separator.join
+        join = DIGIT_SEPARATOR.join
         parts = [join(str(v)) if v >= 0 else "-" + join(str(-v)) for v in values]
-    return config.step_separator.join(parts)
-
-
-# digit separators include the characters serialize may pick as internal marks
-_DIGIT_SEPARATORS = [" ", "", "|", "-", " - ", ":", ";", ":;<", "_", "0"]
-_STEP_SEPARATORS = [", ", ",", "\n", ";", " | ", ":", " - "]
+    return STEP_SEPARATOR.join(parts)
 
 
 class TestSerializeText:
     @settings(max_examples=300, deadline=None)
     @given(
         bins=st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=30),
-        digit_sep=st.sampled_from(_DIGIT_SEPARATORS),
-        step_sep=st.sampled_from(_STEP_SEPARATORS),
         basic=st.booleans(),
         signed=st.booleans(),
     )
-    def test_matches_per_value_join(self, bins, digit_sep, step_sep, basic, signed):
-        assume(step_sep.strip(digit_sep))  # CodecConfig rejects other pairs
-        cfg = CodecConfig(
-            precision_k=0,
-            basic_mode=basic,
-            signed=signed,
-            digit_separator=digit_sep,
-            step_separator=step_sep,
-            max_digits_per_value=19,
-        )
+    def test_matches_per_value_join(self, bins, basic, signed):
+        cfg = CodecConfig(precision_k=0, basic_mode=basic, signed=signed, max_digits_per_value=19)
         if basic or not signed:
             bins = [abs(b) for b in bins]
         values = np.array(bins, dtype=float)
         expected = _reference_digit_text(quantize(values, Scaler(), cfg), cfg)
         assert serialize(values, Scaler(), cfg) == expected
 
-
-# separator pairs for decoding: comma, space, newline and multi-character steps, and
-# digit separators the whole-text path does not strip
-_DECODE_SEPARATORS = [
-    (", ", " "),
-    (",", ""),
-    (" ", ""),
-    ("\n", " "),
-    ("\t", " "),
-    (" | ", " "),
-    ("||", " "),
-    (", ", "|"),
-    (";", "_"),
-]
 
 _decode_text = st.one_of(
     st.text(alphabet="0123456789- ,;|_\n\t\rx+.", max_size=60),
@@ -565,27 +544,16 @@ _decode_text = st.one_of(
 
 class TestWholeTextPath:
     @settings(max_examples=400, deadline=None)
-    @given(
-        text=_decode_text,
-        seps=st.sampled_from(_DECODE_SEPARATORS),
-        horizon=st.integers(1, 8),
-        half_bin=st.booleans(),
-    )
-    @example(text="1| |2", seps=("||", " "), horizon=2, half_bin=False)
-    @example(text="1 2", seps=(" ", ""), horizon=2, half_bin=False)
-    @example(text="1 0\n 2 0\n3 0", seps=("\n", " "), horizon=3, half_bin=True)
-    def test_matches_fragment_parser(self, text, seps, horizon, half_bin):
-        step_sep, digit_sep = seps
-        cfg = CodecConfig(
-            precision_k=1,
-            step_separator=step_sep,
-            digit_separator=digit_sep,
-            half_bin_correction=half_bin,
-        )
+    @given(text=_decode_text, horizon=st.integers(1, 8), half_bin=st.booleans())
+    @example(text="1| |2", horizon=2, half_bin=False)
+    @example(text="1 2", horizon=2, half_bin=False)
+    @example(text="1 0\n 2 0\n3 0", horizon=3, half_bin=True)
+    @example(text="1 0,2 0 , 3 0,", horizon=3, half_bin=True)
+    def test_matches_fragment_parser(self, text, horizon, half_bin):
+        cfg = CodecConfig(precision_k=1, half_bin_correction=half_bin)
         scaler = Scaler(offset=2.0, scale=3.0)
-        sep = step_sep.strip() or step_sep
-        bins, discarded = _fragment_bins(text, sep, horizon, cfg.max_digits_per_value)
-        fast = _whole_text_bins(text, sep, horizon, cfg.max_digits_per_value)
+        bins, discarded = _fragment_bins(text, horizon, cfg.max_digits_per_value)
+        fast = _whole_text_bins(text, horizon, cfg.max_digits_per_value)
         if fast is not None:
             assert (fast, 0) == (bins, discarded)
         expected = ParseReport(
@@ -606,16 +574,10 @@ class TestWholeTextPath:
         npt.assert_array_equal(values, scaler.inverse((np.array(bins, dtype=float) + half) / 10.0))
 
     def test_serializer_output_takes_whole_text_path(self):
-        assert _whole_text_bins("3 1, -3 1 4, 3 1 4 0", ",", 3, 10) == [31, -314, 3140]
-        assert _whole_text_bins("1 0\n2 0\n", "\n", 5, 10) == [10, 20]
-        assert _whole_text_bins("1, 2, junk", ",", 2, 10) == [1, 2]  # junk past the horizon
-        assert _whole_text_bins("1, junk, 2", ",", 2, 10) is None
-
-    def test_newline_step_separator(self):
-        cfg = CodecConfig(precision_k=0, step_separator="\n", half_bin_correction=False)
-        vals, rep = deserialize("1 0 0 0\n2 0 0 0\n3 0 0 0", Scaler(), cfg, horizon=3)
-        npt.assert_array_equal(vals, [1000.0, 2000.0, 3000.0])
-        assert rep.parsed_steps == 3
+        assert _whole_text_bins("3 1, -3 1 4, 3 1 4 0", 3, 10) == [31, -314, 3140]
+        assert _whole_text_bins("1 0,2 0, ", 5, 10) == [10, 20]
+        assert _whole_text_bins("1, 2, junk", 2, 10) == [1, 2]  # junk past the horizon
+        assert _whole_text_bins("1, junk, 2", 2, 10) is None
 
 
 class TestRunawayDigits:
@@ -626,8 +588,8 @@ class TestRunawayDigits:
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_discarded_on_both_paths(self, width, sign):
         text = sign + "9" * width + ", 1, 2"
-        assert _whole_text_bins(text, ",", 2, 10) is None
-        assert _fragment_bins(text, ",", 2, 10) == ([1, 2], 1)
+        assert _whole_text_bins(text, 2, 10) is None
+        assert _fragment_bins(text, 2, 10) == ([1, 2], 1)
         vals, rep = deserialize(text, Scaler(), CodecConfig(), 2)
         npt.assert_allclose(vals, [0.0015, 0.0025])
         assert rep.discarded_fragments == 1
@@ -635,11 +597,11 @@ class TestRunawayDigits:
 
     @pytest.mark.parametrize("width", [400, 5000])
     def test_spaced_runaway_on_fragment_path(self, width):
-        # a space step separator always takes the per-fragment parser
-        text = " ".join("9" * width) + "\n1"
-        cfg = CodecConfig(step_separator="\n")
-        assert _fragment_bins(text, "\n", 2, 10) == ([1], 1)
-        _, rep = deserialize(text, Scaler(), cfg, 2)
+        # the whole-text path drops the spaces and then refuses the value
+        text = " ".join("9" * width) + ", 1"
+        assert _whole_text_bins(text, 2, 10) is None
+        assert _fragment_bins(text, 2, 10) == ([1], 1)
+        _, rep = deserialize(text, Scaler(), CodecConfig(), 2)
         assert rep.discarded_fragments == 1
         assert rep.truncated
 
@@ -655,8 +617,8 @@ class TestRunawayDigits:
         assert rep.discarded_fragments == 0
         # leading zeros are not digits of the value, on either path
         padded = "0" * 20 + "7"
-        assert _whole_text_bins(padded + ", 1", ",", 2, 10) == [7, 1]
-        assert _fragment_bins("x" + padded + ", 1", ",", 2, 10) == ([7, 1], 0)
+        assert _whole_text_bins(padded + ", 1", 2, 10) == [7, 1]
+        assert _fragment_bins("x" + padded + ", 1", 2, 10) == ([7, 1], 0)
         _, rep = deserialize("1" + "0" * 10 + ", 1", Scaler(), cfg, 2)
         assert rep.discarded_fragments == 1
 
@@ -680,31 +642,25 @@ class TestAsciiDigitsOnly:
         vals, rep = deserialize(text, Scaler(), cfg, 2)
         npt.assert_array_equal(vals, [3.0])
         assert rep.discarded_fragments == 1
-        assert _whole_text_bins(text, ",", 2, 10) is None
+        assert _whole_text_bins(text, 2, 10) is None
 
     def test_ascii_digits_beside_others_survive(self):
-        assert _fragment_bins("1２, 3", ",", 2, 10) == ([1, 3], 0)
+        assert _fragment_bins("1２, 3", 2, 10) == ([1, 3], 0)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        text=_unicode_text,
-        seps=st.sampled_from(_DECODE_SEPARATORS),
-        horizon=st.integers(1, 8),
-    )
-    @example(text="１２, 3", seps=(", ", " "), horizon=2)
-    @example(text="١٢", seps=(",", ""), horizon=1)
-    def test_any_text_decodes_or_raises_parse_error(self, text, seps, horizon):
-        step_sep, digit_sep = seps
-        cfg = CodecConfig(precision_k=1, step_separator=step_sep, digit_separator=digit_sep)
-        sep = step_sep.strip() or step_sep
+    @given(text=_unicode_text, horizon=st.integers(1, 8))
+    @example(text="１２, 3", horizon=2)
+    @example(text="١٢", horizon=1)
+    def test_any_text_decodes_or_raises_parse_error(self, text, horizon):
+        cfg = CodecConfig(precision_k=1)
         limit = cfg.max_digits_per_value
-        bins, discarded = _fragment_bins(text, sep, horizon, limit)
-        fast = _whole_text_bins(text, sep, horizon, limit)
+        bins, discarded = _fragment_bins(text, horizon, limit)
+        fast = _whole_text_bins(text, horizon, limit)
         if fast is not None:
             assert (fast, 0) == (bins, discarded)
         # non-ASCII characters add no digits: as ASCII junk they give the same bins
         ascii_only = "".join(c if c.isascii() else "x" for c in text)
-        assert _fragment_bins(ascii_only, sep, horizon, limit)[0] == bins
+        assert _fragment_bins(ascii_only, horizon, limit)[0] == bins
         try:
             _, report = deserialize(text, Scaler(), cfg, horizon)
         except ParseError:

@@ -287,7 +287,7 @@ class TestRunNlts:
         hist, tgt = split_series(series, SplitSpec.by_horizon(4))
         job = ForecastJob(
             history=hist, horizon=4, samples=2,
-            noise=NoiseSpec(kind="laplace", params={"b": 2.0}, alpha=0.01),
+            noise=NoiseSpec(kind="laplace", alpha=0.01),
             codec=CodecConfig(precision_k=2), params=GenerationParams(stop=("\n",)),
         )
         m = run_nlts(job, oracle_for(hist, tgt, job.codec)).manifest
@@ -295,8 +295,10 @@ class TestRunNlts:
         assert m["codec"] == asdict(job.codec)
         assert m["generation"] == asdict(job.params)
         assert list(m["codec"]) == [f.name for f in fields(CodecConfig)]
-        m["noise"]["params"]["b"] = 9.0
-        assert job.noise.params["b"] == 2.0
+        # vars() hands out the job's own attribute dicts
+        m["noise"]["alpha"] = 9.0
+        m["codec"]["precision_k"] = 9
+        assert (job.noise.alpha, job.codec.precision_k) == (0.01, 2)
 
     def test_usage_accumulates_across_samples(self):
         series = make_series()
