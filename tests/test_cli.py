@@ -10,6 +10,7 @@ from nlts.cli import main, sweep_config_from_dict
 from nlts.errors import ConfigError
 
 from conftest import make_airline_series, write_series_csv
+from golden import cli_outputs
 
 
 @pytest.fixture
@@ -499,3 +500,17 @@ class TestCostCommand:
         usage.write_text(json.dumps({"prompt_tokens": 1}))
         result = runner.invoke(main, ["cost", "--usage", str(usage)])
         assert result.exit_code != 0
+
+
+class TestGoldenOutputs:
+    """The commands of tests/golden/cli_outputs.py write the files recorded in
+    tests/golden/cli/, byte for byte."""
+
+    def test_every_file_matches(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cli_outputs.run()
+        got = cli_outputs.outputs(tmp_path)
+        want = cli_outputs.outputs(cli_outputs.GOLDEN)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name] == want[name], name
