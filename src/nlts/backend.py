@@ -15,7 +15,6 @@ import json
 import math
 import os
 import threading
-import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -485,9 +484,10 @@ class HttpBackend(Backend):
 class RecordingBackend(Backend):
     """Wraps a backend and appends every exchange to a JSONL cassette.
 
-    Line schema: {"request_hash", "canonical_request", "response_body",
-    "timestamp"}, where response_body is {"texts": [...], "usage": {...}} and
-    request_hash = sha256 of the canonical request JSON.
+    Line schema: {"request_hash", "canonical_request", "response_body"},
+    where response_body is {"texts": [...], "usage": {...}} and request_hash =
+    sha256 of the canonical request JSON. A line holds no wall-clock stamp, so
+    recording the same requests twice writes the same bytes.
     """
 
     name = "record"
@@ -507,7 +507,6 @@ class RecordingBackend(Backend):
             "request_hash": request_hash(canonical),
             "canonical_request": canonical,
             "response_body": {"texts": texts, "usage": usage.to_dict()},
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         }
         line = json.dumps(record, sort_keys=True)
         with self._lock:
@@ -535,7 +534,6 @@ class ReplayBackend(Backend):
         if not self.path.exists():
             raise ConfigError(f"cassette not found: {self.path}")
         self._responses: dict[str, dict] = {}
-        self.newest_timestamp: str | None = None
         for line_no, line in enumerate(self.path.read_text().splitlines(), start=1):
             if not line.strip():
                 continue
@@ -552,9 +550,6 @@ class ReplayBackend(Backend):
             if "response_body" not in record:
                 raise ProtocolError(f"cassette line {line_no} has no response_body")
             self._responses[stored] = record["response_body"]
-            ts = record.get("timestamp")
-            if ts and (self.newest_timestamp is None or ts > self.newest_timestamp):
-                self.newest_timestamp = ts
 
     def complete(self, prompt, params, tag=""):
         h = request_hash(canonical_request(*request_body(prompt, params), tag))
@@ -573,8 +568,5 @@ class ReplayBackend(Backend):
         return list(texts), usage
 
     def describe(self):
-        info = {"backend": self.name, "cassette": str(self.path)}
-        if self.newest_timestamp:
-            info["recorded_at"] = self.newest_timestamp
-        return info
+        return {"backend": self.name, "cassette": str(self.path)}
 

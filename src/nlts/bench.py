@@ -7,7 +7,6 @@ import csv
 import io
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -417,7 +416,6 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
     cost = estimate_cost(usage_total, cfg.params.model, default_cost_table())
     report_dict = {
         "schema": SWEEP_SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "config": {
             "datasets": list(cfg.datasets),
             "noise_levels": list(cfg.noise_levels),

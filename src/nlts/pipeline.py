@@ -226,23 +226,9 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
 
 
 def build_manifest(job: ForecastJob, backend: Backend, scalers: list[Scaler]) -> dict:
-    """Reproducibility record embedded in every result.
-
-    Replay-backed runs reuse the cassette's newest timestamp as "created", so a
-    replayed run serializes byte-identically every time.
-    """
-    backend_info = backend.describe()
-    created = backend_info.get("recorded_at")
-    if created is None:
-        inner = backend_info.get("inner")
-        if isinstance(inner, dict):
-            created = inner.get("recorded_at")
-    if created is None:
-        import time
-
-        created = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+    """Reproducibility record embedded in every result. It holds no wall-clock
+    stamp, so two runs of the same job serialize byte-identically."""
     return {
-        "created": created,
         "seed": job.seed,
         "samples": job.samples,
         "horizon": job.horizon,
@@ -255,7 +241,7 @@ def build_manifest(job: ForecastJob, backend: Backend, scalers: list[Scaler]) ->
         "codec": dict(vars(job.codec)),
         "generation": dict(vars(job.params)),
         "scalers": [[s.offset, s.scale] for s in scalers],
-        "backend": backend_info,
+        "backend": backend.describe(),
         "rng": rng_identity(),
         "version": __version__,
     }

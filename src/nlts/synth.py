@@ -4,16 +4,15 @@ Six kernel families evaluated in closed form on a uniform grid, factored with
 escalating jitter, and sampled via L @ z with one RNG substream per series.
 generate_benchmark writes normalized CSVs plus a manifest that pins every
 hyperparameter and seed. Each CSV has the header t,value,value_raw,is_holdout,
-\\r\\n row endings and floats as their shortest round-trip repr; two runs with
-the same arguments write byte-identical CSVs and manifests that differ only in
-"created".
+\\r\\n row endings and floats as their shortest round-trip repr. The manifest
+holds no wall-clock stamp, so two runs with the same arguments write
+byte-identical CSVs and manifests.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -219,7 +218,6 @@ def generate_benchmark(
             )
     manifest = {
         "schema": "nlts.synth/1",
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "seed": seed,
         "count": count,
         "length": length,

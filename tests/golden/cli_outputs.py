@@ -77,28 +77,13 @@ def run() -> None:
     Path(TRANSCRIPT).write_text("".join(transcript))
 
 
-_STAMPS = (
-    # a stamp that is followed by another key: drop its line and its comma
-    re.compile(rb'\n *"(?:created|recorded_at)": "[^"]*",'),
-    # a stamp that closes its object: drop the comma before it
-    re.compile(rb',\s*"(?:created|recorded_at|timestamp)": "[^"]*"(?=\n|\})'),
-)
-
-
-def unstamped(data: bytes) -> bytes:
-    """File bytes without their wall-clock stamps."""
-    for stamp in _STAMPS:
-        data = stamp.sub(b"", data)
-    return data
-
-
 def outputs(root: Path) -> dict[str, bytes]:
     """Every file under root by its relative path. Manifests record the
     installed numpy's version; it is masked, so that a numpy that draws the
     same PCG64 streams does not fail the comparison."""
     return {
         path.relative_to(root).as_posix():
-            re.sub(rb'"numpy": "[^"]*"', b'"numpy": "*"', unstamped(path.read_bytes()))
+            re.sub(rb'"numpy": "[^"]*"', b'"numpy": "*"', path.read_bytes())
         for path in sorted(root.rglob("*"))
         if path.is_file()
     }
@@ -114,9 +99,6 @@ def record(dest: Path = GOLDEN) -> None:
         run()
     finally:
         os.chdir(cwd)
-    for path in dest.rglob("*"):
-        if path.is_file():
-            path.write_bytes(unstamped(path.read_bytes()))
 
 
 if __name__ == "__main__":

@@ -320,6 +320,18 @@ class TestRecordReplay:
         _, usage = ReplayBackend(cassette).complete("p q", PARAMS, tag="a")
         assert usage == Usage(2, 0, 1)
 
+    def test_line_with_a_timestamp_still_replays(self, tmp_path):
+        # cassettes recorded before lines lost their stamp
+        cassette = tmp_path / "c.jsonl"
+        RecordingBackend(OracleBackend("4 2"), cassette).complete("p", PARAMS, tag="a")
+        record = json.loads(cassette.read_text())
+        assert "timestamp" not in record
+        record["timestamp"] = "2025-01-01T00:00:00+00:00"
+        cassette.write_text(json.dumps(record, sort_keys=True) + "\n")
+        rep = ReplayBackend(cassette)
+        assert rep.complete("p", PARAMS, tag="a")[0] == ["4 2"]
+        assert rep.describe() == {"backend": "replay", "cassette": str(cassette)}
+
     def test_missing_cassette(self, tmp_path):
         with pytest.raises(ConfigError):
             ReplayBackend(tmp_path / "absent.jsonl")

@@ -251,8 +251,6 @@ class TestRunSweep:
                           noise_levels=(0.0, 0.005))
         a = run_sweep(cfg, tmp_path / "a")
         b = run_sweep(cfg, tmp_path / "b")
-        a.pop("created")
-        b.pop("created")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_cell_failure_recorded_not_fatal(self, tmp_path):
