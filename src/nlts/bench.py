@@ -36,7 +36,7 @@ from .errors import (
     SchemaError,
 )
 from .noise import NOISE_KINDS, NoiseSpec
-from .pipeline import ForecastJob, run_nlts
+from .pipeline import ForecastJob, check_sampling, run_nlts
 from .rng import substream
 
 # --- normalization and metrics -----------------------------------------------
@@ -228,6 +228,9 @@ class SweepConfig:
                 raise ConfigError(f"unknown noise kind {kind!r}")
         if self.normalization not in ("none", "minmax"):
             raise ConfigError(f"unknown normalization {self.normalization!r}")
+        for key in ("samples", "seed", "retries_per_sample"):
+            object.__setattr__(self, key, as_number(int, getattr(self, key), key))
+        check_sampling(self.samples, self.seed, self.retries_per_sample, self.prompt_style)
         object.__setattr__(self, "datasets", tuple(str(d) for d in self.datasets))
         object.__setattr__(self, "noise_levels", tuple(float(x) for x in self.noise_levels))
         object.__setattr__(self, "kinds", tuple(self.kinds))
@@ -286,7 +289,8 @@ def make_backend(
 
     oracle: replies with the encoded target under the clean-history scaler, so
     decoding recovers the target up to quantization. echo: EchoTailBackend
-    with "tail" (default 4) and "steps" (default max(64, 2 * len(target))).
+    with "tail" (default 4) and "steps" (default max(64, 2 * len(target)),
+    so a spec without a target must name it).
     scripted and replay: a fixture or cassette at "path". live: HttpBackend
     with "base_url", "api_key" and "max_retries" (default 3). backend_settings
     checks the spec first.
@@ -296,7 +300,11 @@ def make_backend(
     if kind == "oracle":
         return OracleBackend(serialize(target, fit_scaler(history, codec), codec))
     if kind == "echo":
-        steps = spec.get("steps", max(64, len(target) * 2))
+        steps = spec.get("steps")
+        if steps is None:
+            if target is None:
+                raise ConfigError('echo backend needs "steps" without a target to size it by')
+            steps = max(64, len(target) * 2)
         return EchoTailBackend(tail=spec.get("tail", 4), steps=steps)
     if kind == "live":
         return HttpBackend(

@@ -165,19 +165,21 @@ def aggregate_samples(
     Median is the per-step order statistic over the sample axis (even m averages
     the two central values). Variance is population (ddof=0). Quantiles use
     numpy's default linear interpolation; 0.5 is always present and is the
-    median array itself.
+    median array itself. No median or quantile value is -0.0: adding 0.0 makes
+    a signed zero +0.0, since a partition may order equal signed zeros
+    differently for different quantile levels.
     """
     levels = sorted({float(q) for q in quantile_levels} | {0.5})
     for q in levels:
         if not (0.0 < q < 1.0):
             raise AggregationError(f"quantile level {q} outside (0, 1)")
     arr = samples.paths
-    median = np.median(arr, axis=0)
+    median = np.median(arr, axis=0) + 0.0
     variance = arr.var(axis=0, ddof=0)
     # every level but the median in one call; np.median averages the two
     # central values, which is not bitwise np.quantile(arr, 0.5)
     others = [q for q in levels if q != 0.5]
-    raw = dict(zip(others, np.quantile(arr, others, axis=0)))
+    raw = dict(zip(others, np.quantile(arr, others, axis=0) + 0.0))
     # Cross-level monotonicity holds for linear-interpolation quantiles in exact
     # arithmetic; clamp against the median so it also holds bitwise in floats.
     quantiles: dict[float, np.ndarray] = {}

@@ -67,6 +67,18 @@ def completion_token_budget(horizon: int, config: CodecConfig) -> int:
     return max(16, horizon * per_step * factor)
 
 
+def check_sampling(samples, seed, retries_per_sample, prompt_style) -> None:
+    """The checks a forecast job and a sweep share; each message names its key."""
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if retries_per_sample < 0:
+        raise ConfigError(f"retries_per_sample must be >= 0, got {retries_per_sample}")
+    if prompt_style not in PROMPT_STYLES:
+        raise ConfigError(f"unknown prompt_style {prompt_style!r}, expected one of {PROMPT_STYLES}")
+
+
 @dataclass(frozen=True)
 class ForecastJob:
     """Everything a forecast run needs besides the backend."""
@@ -82,14 +94,9 @@ class ForecastJob:
     retries_per_sample: int = 1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        check_sampling(self.samples, self.seed, self.retries_per_sample, self.prompt_style)
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.retries_per_sample < 0:
-            raise ConfigError(f"retries_per_sample must be >= 0, got {self.retries_per_sample}")
-        if self.prompt_style not in PROMPT_STYLES:
-            raise ConfigError(f"unknown prompt style {self.prompt_style!r}")
         if self.params.num_samples != 1:
             raise ConfigError(
                 f"params.num_samples must be 1, got {self.params.num_samples}; "

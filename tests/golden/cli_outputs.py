@@ -47,7 +47,8 @@ SCRIPTED_SWEEP = {
     "seed": 5,
     "backend": {"kind": "scripted", "path": "lines.txt"},
 }
-SCRIPTED_LINES = ["no numbers here"] + ["5 1 0, 5 2 0, 5 3 0, 5 4 0, 5 5 0, 5 6 0, 5 7 0, 5 8 0"] * 2
+EIGHT_STEPS = "5 1 0, 5 2 0, 5 3 0, 5 4 0, 5 5 0, 5 6 0, 5 7 0, 5 8 0"
+SCRIPTED_LINES = ["no numbers here", EIGHT_STEPS, EIGHT_STEPS]
 FORECAST = ("forecast", "--data", "air.csv", "--samples", "4", "--seed", "3")
 COMMANDS = (
     (*FORECAST, "--noise", "gaussian", "--alpha", "0.02", "--out", "oracle_gaussian.json"),

@@ -5,7 +5,8 @@ and basic codecs, two samples each, served by the echo backend. The prompt
 style alternates, so that every family and every codec meets both the raw and
 the chat style while the cassette stays under 30 KB. test_pipeline.py replays
 every job from the cassette, so a change to any prompt byte, generation
-parameter or tag shows up as a miss.
+parameter or tag shows up as a miss. It also records the jobs again and
+expects the committed bytes, so a changed echo reply or usage fails too.
 
 Re-record the cassette after a deliberate prompt change, and say so in
 CHANGES.md:

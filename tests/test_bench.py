@@ -361,6 +361,15 @@ class TestMakeBackend:
         for name in ("results.json", "results.csv", "summary.md"):
             assert "sk-secret" not in (tmp_path / "r" / name).read_text()
 
+    def test_echo_without_target_takes_its_steps(self):
+        backend = make_backend({"kind": "echo", "steps": 5, "tail": 2})
+        assert backend.describe() == {"backend": "echo", "tail": 2, "steps": 5}
+
+    def test_echo_without_target_or_steps_names_steps(self):
+        with pytest.raises(ConfigError) as err:
+            make_backend({"kind": "echo", "tail": 2})
+        assert str(err.value) == 'echo backend needs "steps" without a target to size it by'
+
     def test_echo_defaults_follow_target(self):
         target = TimeSeries(np.arange(40.0))
         assert make_backend({"kind": "echo"}, target=target).describe() == {

@@ -338,11 +338,19 @@ class TestBenchCommand:
         ({"backend": {"kind": "echo", "tail": 2.7}}, "backend tail must be a whole number, got 2.7"),
         ({"backend": {"kind": "live", "max_retries": "x"}},
          "backend max_retries must be a number, got 'x'"),
+        ({"seed": "x"}, "seed must be a number, got 'x'"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"samples": 0}, "samples must be >= 1, got 0"),
+        ({"samples": "three"}, "samples must be a number, got 'three'"),
+        ({"samples": 2.5}, "samples must be a whole number, got 2.5"),
+        ({"prompt_style": "xml"}, "unknown prompt_style 'xml', expected one of ('raw', 'chat')"),
+        ({"retries_per_sample": -1}, "retries_per_sample must be >= 0, got -1"),
     ], ids=["split-fraction", "split-horizon", "split-no-mode", "codec-base", "codec-unknown",
             "params-unknown", "datasets-string", "kinds-string", "levels-string",
             "split-bogus-mode", "split-unused-key", "split-fractional-horizon", "split-unknown",
             "codec-step-separator", "backend-tail", "backend-steps", "backend-fractional-tail",
-            "backend-max-retries"])
+            "backend-max-retries", "seed-string", "seed-negative", "samples-zero",
+            "samples-string", "samples-fractional", "prompt-style", "retries-negative"])
     def test_bad_config_value_names_its_key(self, runner, tmp_path, extra, error):
         config = {"datasets": ["a.csv"], **extra}
         with pytest.raises(ConfigError) as excinfo:
@@ -353,6 +361,13 @@ class TestBenchCommand:
         result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
         assert f"Error: ConfigError: {error}\n" in result.output
+
+    def test_scalar_numbers_are_coerced(self):
+        cfg = sweep_config_from_dict(
+            {"datasets": ["a.csv"], "samples": "3", "seed": "7", "retries_per_sample": 2.0}
+        )
+        assert (cfg.samples, cfg.seed, cfg.retries_per_sample) == (3, 7, 2)
+        assert all(type(v) is int for v in (cfg.samples, cfg.seed, cfg.retries_per_sample))
 
     def test_backend_key_typo_is_config_error(self, runner, tmp_path):
         data = tmp_path / "airline.csv"

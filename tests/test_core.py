@@ -260,21 +260,22 @@ class TestAggregateSamples:
 
 
 def _reference_aggregate(samples, quantile_levels):
-    """aggregate_samples as first written, one np.quantile call per level;
-    the batched implementation must match it bitwise."""
+    """aggregate_samples as first written, one np.quantile call per level,
+    with each curve's signed zeros made +0.0; the batched implementation must
+    match it bitwise."""
     levels = sorted({float(q) for q in quantile_levels} | {0.5})
     arr = samples.paths
-    median = np.median(arr, axis=0)
+    median = np.median(arr, axis=0) + 0.0
     variance = arr.var(axis=0, ddof=0)
     quantiles = {}
     running = np.full(arr.shape[1], -np.inf)
     for q in levels:
         if q < 0.5:
-            curve = np.minimum(np.quantile(arr, q, axis=0), median)
+            curve = np.minimum(np.quantile(arr, q, axis=0) + 0.0, median)
         elif q == 0.5:
             curve = median
         else:
-            curve = np.maximum(np.quantile(arr, q, axis=0), median)
+            curve = np.maximum(np.quantile(arr, q, axis=0) + 0.0, median)
         running = np.maximum(running, curve)
         quantiles[q] = running
     return PointForecast(median=median, variance=variance, quantiles=quantiles)
@@ -312,6 +313,17 @@ class TestAggregateMatchesReference:
         assert _bits(aggregate_samples(sp, tuple(levels))) == _bits(
             _reference_aggregate(sp, levels)
         )
+
+    @pytest.mark.parametrize("levels", [(0.25, 0.75), (0.75,)])
+    def test_signed_zero_ties(self, levels):
+        # np.quantile at (0.25, 0.75) gives this column's 0.75 quantile as 0.0,
+        # and at 0.75 alone as -0.0: the partition orders equal zeros by kth
+        column = [-1.0, -1.0, -1.0, 0.0, -0.0, -0.0, 0.0, 1.0, -1.0, -1.0]
+        sp = SamplePaths(np.array(column)[:, None])
+        got = aggregate_samples(sp, levels)
+        assert _bits(got) == _bits(_reference_aggregate(sp, levels))
+        assert got.quantiles[0.75].tolist() == [0.0]
+        assert not np.signbit(got.quantiles[0.75]).any()
 
     def test_median_only(self):
         sp = SamplePaths(np.array([[1.0, 4.0], [2.0, 8.0]]))

@@ -107,6 +107,10 @@ class TestForecastJobValidation:
         with pytest.raises(ConfigError):
             ForecastJob(history=make_series(), horizon=2, retries_per_sample=-1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            ForecastJob(history=make_series(), horizon=2, seed=-1)
+
     def test_params_num_samples_points_to_samples(self):
         params = GenerationParams(num_samples=3)
         with pytest.raises(ConfigError, match="params.num_samples must be 1, got 3; set samples"):
