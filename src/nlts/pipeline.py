@@ -67,7 +67,7 @@ def completion_token_budget(horizon: int, config: CodecConfig) -> int:
     return max(16, horizon * per_step * factor)
 
 
-def check_sampling(samples, seed, retries_per_sample, prompt_style) -> None:
+def check_sampling(samples: int, seed: int, retries_per_sample: int, prompt_style: str) -> None:
     """The checks a forecast job and a sweep share; each message names its key."""
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")

@@ -29,7 +29,6 @@ from conftest import make_airline_series, write_series_csv
 from nlts.cli import main
 
 GOLDEN = Path(__file__).with_name("cli")
-TRANSCRIPT = "transcript.txt"
 ECHO_SWEEP = {
     "datasets": ["air.csv", "air_long.csv"],
     "noise_levels": [0.0, 0.01],
@@ -75,7 +74,7 @@ def run() -> None:
     for args in COMMANDS:
         result = runner.invoke(main, args)
         transcript.append(f"$ nlts {' '.join(args)}\n{result.output}[exit {result.exit_code}]\n")
-    Path(TRANSCRIPT).write_text("".join(transcript))
+    Path("transcript.txt").write_text("".join(transcript))
 
 
 def outputs(root: Path) -> dict[str, bytes]:
