@@ -26,6 +26,7 @@ from .backend import (
 )
 from .bench import (
     DEFAULT_NOISE_LEVELS,
+    BackendSpec,
     LoadedDataset,
     MetricReport,
     Normalization,

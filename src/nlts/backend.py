@@ -17,7 +17,7 @@ import os
 import threading
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .codec import STEP_SEPARATOR
 from .errors import (
@@ -53,7 +53,6 @@ class GenerationParams:
             raise ParamError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_tokens < 1:
             raise ParamError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        object.__setattr__(self, "stop", tuple(self.stop))
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,11 @@ class Usage:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: Mapping, requests: int = 0) -> "Usage":
+    def from_dict(cls, d: dict, requests: int = 0) -> "Usage":
         """Usage from a JSON usage block. Missing token counts are 0 and a
         missing request count is `requests`. Raises TypeError or ValueError
         when the block is not a mapping or a count is not an integer."""
-        if not isinstance(d, Mapping):
+        if not isinstance(d, dict):
             raise TypeError(f"usage block must be a mapping, got {type(d).__name__}")
         return cls(
             prompt_tokens=int(d.get("prompt_tokens", 0)),
@@ -90,7 +89,7 @@ class Usage:
         )
 
 
-Prompt = str | Sequence[Mapping[str, str]]
+Prompt = str | Sequence[dict[str, str]]
 
 
 def _estimate_usage(prompt: Prompt, texts: Sequence[str]) -> Usage:
@@ -120,7 +119,7 @@ DEFAULT_PRICES: dict[str, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class CostTable:
-    prices: Mapping[str, tuple[float, float]]
+    prices: dict[str, tuple[float, float]]
 
     def __post_init__(self):
         clean: dict[str, tuple[float, float]] = {}
@@ -202,12 +201,12 @@ def request_body(prompt: Prompt, params: GenerationParams) -> tuple[str, dict]:
     return endpoint, body
 
 
-def canonical_request(endpoint: str, body: Mapping, tag: str) -> dict:
+def canonical_request(endpoint: str, body: dict, tag: str) -> dict:
     """Request identity for hashing: endpoint, body, caller tag. Never credentials."""
     return {"endpoint": endpoint, "body": json.loads(json.dumps(body)), "tag": tag}
 
 
-def request_hash(canonical: Mapping) -> str:
+def request_hash(canonical: dict) -> str:
     payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -241,7 +240,7 @@ class Backend:
         return {"backend": self.name}
 
 
-def _last_user_content(messages: Sequence[Mapping[str, str]]) -> str:
+def _last_user_content(messages: Sequence[dict[str, str]]) -> str:
     if not messages:
         raise ProtocolError("chat request has no messages")
     for message in messages:

@@ -7,9 +7,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .backend import (
     estimate_cost,
 )
 from .codec import CodecConfig, fit_scaler, serialize
-from .core import SplitSpec, TimeSeries, as_number, split_series
+from .core import SplitSpec, TimeSeries, split_series
 from .errors import (
     ConfigError,
     LengthMismatchError,
@@ -197,57 +196,6 @@ def level_label(level: float) -> str:
     return ORIGINAL_LABEL if level == 0.0 else f"{level:g}"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """One benchmark sweep: datasets crossed with noise levels and families."""
-
-    datasets: tuple[str, ...]
-    noise_levels: tuple[float, ...] = DEFAULT_NOISE_LEVELS
-    kinds: tuple[str, ...] = ("gaussian",)
-    samples: int = 10
-    seed: int = 0
-    split: SplitSpec | None = None
-    codec: CodecConfig = CodecConfig()
-    params: GenerationParams = GenerationParams()
-    prompt_style: str = "raw"
-    retries_per_sample: int = 1
-    normalization: str = "minmax"
-    backend: Mapping = field(default_factory=lambda: {"kind": "oracle"})
-
-    def __post_init__(self):
-        for key in ("datasets", "noise_levels", "kinds"):
-            if isinstance(getattr(self, key), str):
-                raise ConfigError(f"sweep {key!r} must be a list, not a string")
-        if not self.datasets:
-            raise ConfigError("sweep needs at least one dataset")
-        for level in self.noise_levels:
-            if level < 0:
-                raise ConfigError(f"noise level must be >= 0, got {level}")
-        for kind in self.kinds:
-            if kind not in NOISE_KINDS or kind == "none":
-                raise ConfigError(f"unknown noise kind {kind!r}")
-        if self.normalization not in ("none", "minmax"):
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
-        for key in ("samples", "seed", "retries_per_sample"):
-            object.__setattr__(self, key, as_number(int, getattr(self, key), key))
-        check_sampling(self.samples, self.seed, self.retries_per_sample, self.prompt_style)
-        object.__setattr__(self, "datasets", tuple(str(d) for d in self.datasets))
-        object.__setattr__(self, "noise_levels", tuple(float(x) for x in self.noise_levels))
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        object.__setattr__(self, "backend", dict(self.backend))
-
-
-def split_dataset(ds: LoadedDataset, split: SplitSpec | None) -> tuple[TimeSeries, TimeSeries]:
-    """Split by the given rule; without one, hold out the dataset's flagged
-    tail, or keep 80% as history when nothing is flagged."""
-    if split is None:
-        if ds.holdout > 0:
-            split = SplitSpec.by_horizon(ds.holdout)
-        else:
-            split = SplitSpec.by_fraction(0.8)
-    return split_series(ds.series, split)
-
-
 # the keys each backend kind reads from its spec, besides "kind"
 BACKEND_KINDS = {
     "oracle": (),
@@ -261,64 +209,108 @@ BACKEND_KINDS = {
 _PER_DATASET_KINDS = ("oracle", "echo")
 
 
-def backend_settings(spec: Mapping) -> dict:
-    """The backend block with its kind filled in and its whole numbers
-    coerced. A ConfigError names an unknown kind, an unknown key or a value
-    that is not a whole number."""
-    settings = {"kind": "oracle", **spec}
-    kind = settings["kind"]
-    if not isinstance(kind, str) or kind not in BACKEND_KINDS:
-        raise ConfigError(f"unknown backend kind {kind!r}, expected one of {tuple(BACKEND_KINDS)}")
-    unknown = sorted(set(settings) - {"kind", *BACKEND_KINDS[kind]})
-    if unknown:
-        raise ConfigError(f"unknown {kind} backend keys: {unknown}")
-    for key in ("tail", "steps", "max_retries"):
-        if key in settings:
-            settings[key] = as_number(int, settings[key], f"backend {key}")
-    return settings
+@dataclass(frozen=True)
+class BackendSpec:
+    """The backend a sweep or `nlts forecast` runs: its kind and the keys
+    that BACKEND_KINDS lists for it. None means unset, and make_backend gives
+    an unset key its default. The numbers are typed int, not int | None, so
+    a config's explicit null for them is an error; a null path, base_url or
+    api_key means unset."""
+
+    kind: str = "oracle"
+    tail: int = None
+    steps: int = None
+    path: str | None = None
+    base_url: str | None = None
+    api_key: str | None = None
+    max_retries: int = None
+
+    def __post_init__(self):
+        if self.kind not in BACKEND_KINDS:
+            raise ConfigError(
+                f"unknown backend kind {self.kind!r}, expected one of {tuple(BACKEND_KINDS)}"
+            )
+        unknown = [k for k, v in asdict(self).items()
+                   if v is not None and k not in ("kind", *BACKEND_KINDS[self.kind])]
+        if unknown:
+            raise ConfigError(f"unknown {self.kind} backend keys: {unknown}")
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """One benchmark sweep: datasets crossed with noise levels and families."""
+
+    datasets: tuple[str, ...] = ()
+    noise_levels: tuple[float, ...] = DEFAULT_NOISE_LEVELS
+    kinds: tuple[str, ...] = ("gaussian",)
+    samples: int = 10
+    seed: int = 0
+    split: SplitSpec | None = None
+    codec: CodecConfig = CodecConfig()
+    params: GenerationParams = GenerationParams()
+    prompt_style: str = "raw"
+    retries_per_sample: int = 1
+    normalization: str = "minmax"
+    backend: BackendSpec = BackendSpec()
+
+    def __post_init__(self):
+        if not self.datasets:
+            raise ConfigError("sweep needs at least one dataset")
+        for level in self.noise_levels:
+            if level < 0:
+                raise ConfigError(f"noise level must be >= 0, got {level}")
+        for kind in self.kinds:
+            if kind not in NOISE_KINDS or kind == "none":
+                raise ConfigError(f"unknown noise kind {kind!r}")
+        if self.normalization not in ("none", "minmax"):
+            raise ConfigError(f"unknown normalization {self.normalization!r}")
+        check_sampling(self.samples, self.seed, self.retries_per_sample, self.prompt_style)
+
+
+def split_dataset(ds: LoadedDataset, split: SplitSpec | None) -> tuple[TimeSeries, TimeSeries]:
+    """Split by the given rule; without one, hold out the dataset's flagged
+    tail, or keep 80% as history when nothing is flagged."""
+    if split is None:
+        if ds.holdout > 0:
+            split = SplitSpec.by_horizon(ds.holdout)
+        else:
+            split = SplitSpec.by_fraction(0.8)
+    return split_series(ds.series, split)
 
 
 def make_backend(
-    spec: Mapping,
+    spec: BackendSpec,
     history: TimeSeries | None = None,
     target: TimeSeries | None = None,
     codec: CodecConfig = CodecConfig(),
 ) -> Backend:
-    """Build the backend a spec names: the sweep config's "backend" block, or
-    the same dict that `nlts forecast` builds from its flags.
+    """Build the backend a spec names: a sweep config's backend block, or the
+    spec `nlts forecast` builds from its flags.
 
     oracle: replies with the encoded target under the clean-history scaler, so
     decoding recovers the target up to quantization. echo: EchoTailBackend
-    with "tail" (default 4) and "steps" (default max(64, 2 * len(target)),
-    so a spec without a target must name it).
-    scripted and replay: a fixture or cassette at "path". live: HttpBackend
-    with "base_url", "api_key" and "max_retries" (default 3). backend_settings
-    checks the spec first.
+    with tail (default 4) and steps (default max(64, 2 * len(target)), so a
+    spec without a target must set it). scripted and replay: a fixture or
+    cassette at path. live: HttpBackend with base_url, api_key and
+    max_retries (default 3).
     """
-    spec = backend_settings(spec)
-    kind = spec["kind"]
-    if kind == "oracle":
+    if spec.kind == "oracle":
         return OracleBackend(serialize(target, fit_scaler(history, codec), codec))
-    if kind == "echo":
-        steps = spec.get("steps")
+    if spec.kind == "echo":
+        steps = spec.steps
         if steps is None:
             if target is None:
                 raise ConfigError('echo backend needs "steps" without a target to size it by')
             steps = max(64, len(target) * 2)
-        return EchoTailBackend(tail=spec.get("tail", 4), steps=steps)
-    if kind == "live":
-        return HttpBackend(
-            BackendConfig(
-                base_url=spec.get("base_url"),
-                api_key=spec.get("api_key"),
-                max_retries=spec.get("max_retries", 3),
-            )
-        )
-    if spec.get("path") is None:
-        raise ConfigError(f'{kind} backend needs the "path" of its fixture or cassette')
-    if kind == "scripted":
-        return ScriptedBackend(path=spec["path"])
-    return ReplayBackend(spec["path"])
+        return EchoTailBackend(tail=4 if spec.tail is None else spec.tail, steps=steps)
+    if spec.kind == "live":
+        retries = 3 if spec.max_retries is None else spec.max_retries
+        return HttpBackend(BackendConfig(spec.base_url, spec.api_key, retries))
+    if spec.path is None:
+        raise ConfigError(f'{spec.kind} backend needs the "path" of its fixture or cassette')
+    if spec.kind == "scripted":
+        return ScriptedBackend(path=spec.path)
+    return ReplayBackend(spec.path)
 
 
 @dataclass(frozen=True)
@@ -350,9 +342,9 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
     Level 0 is the distribution-free "Original" row, computed once per dataset
     and shared across kinds; improvements are relative to it. Per-cell failures
     are recorded in the report, not fatal. Without an explicit backend, the
-    config's backend block goes through make_backend: once per sweep, or once
+    config's BackendSpec goes through make_backend: once per sweep, or once
     per dataset for the kinds built from its split. The report's
-    config.backend is that block without its api_key, or the explicit
+    config.backend is the spec's set keys without api_key, or the explicit
     backend's describe(). Writes results.csv, results.json and summary.md
     under out_dir and returns the JSON report as a dict.
     """
@@ -361,7 +353,7 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
     cells: list[SweepCell] = []
     usage_total = Usage()
     described = None if backend is None else backend.describe()
-    if backend is None and cfg.backend.get("kind", "oracle") not in _PER_DATASET_KINDS:
+    if backend is None and cfg.backend.kind not in _PER_DATASET_KINDS:
         backend = make_backend(cfg.backend)
 
     for dataset_path in cfg.datasets:
@@ -433,7 +425,8 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
             "normalization": cfg.normalization,
             "prompt_style": cfg.prompt_style,
             "model": cfg.params.model,
-            "backend": described or {k: v for k, v in cfg.backend.items() if k != "api_key"},
+            "backend": described or {k: v for k, v in asdict(cfg.backend).items()
+                                     if v is not None and k != "api_key"},
         },
         "cells": [c.to_dict() for c in cells],
         "usage_total": usage_total.to_dict(),
@@ -542,8 +535,8 @@ def theory_check(
     """
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if num_draws < 10_000:
         raise ConfigError(f"num_draws must be >= 10000 for a stable check, got {num_draws}")
     x = 0.1 * np.ones(dim)

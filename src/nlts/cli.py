@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -19,9 +18,9 @@ from .backend import (
 )
 from .bench import (
     DEFAULT_NOISE_LEVELS,
+    BackendSpec,
     Normalization,
     SweepConfig,
-    backend_settings,
     compute_metrics,
     load_dataset,
     make_backend,
@@ -30,7 +29,7 @@ from .bench import (
     theory_check,
 )
 from .codec import CodecConfig
-from .core import SplitSpec
+from .core import SplitSpec, read_block
 from .errors import ConfigError, NltsError
 from .noise import NOISE_KINDS, NoiseSpec
 from .pipeline import ForecastJob, run_nlts
@@ -40,15 +39,14 @@ from .synth import KERNEL_KINDS, KernelSpec, generate_benchmark
 def _parse_split(text: str) -> SplitSpec:
     """"frac:0.8" / "fraction:0.8" or "horizon:30"."""
     head, _, tail = text.partition(":")
-    head = head.strip().lower()
+    mode = head.strip().lower()
+    mode = "fraction" if mode == "frac" else mode
+    if mode not in ("fraction", "horizon"):
+        raise click.BadParameter(f"split must look like frac:0.8 or horizon:30, got {text!r}")
     try:
-        if head in ("frac", "fraction"):
-            return SplitSpec.by_fraction(tail)
-        if head == "horizon":
-            return SplitSpec.by_horizon(tail)
+        return read_block(SplitSpec, {"mode": mode, mode: tail}, "split.")
     except ConfigError as exc:
         raise click.BadParameter(f"bad split {text!r}: {exc}") from exc
-    raise click.BadParameter(f"split must look like frac:0.8 or horizon:30, got {text!r}")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -85,7 +83,7 @@ def main() -> None:
               help="Concatenate digits instead of spacing them.")
 @click.option("--signed/--unsigned", default=True, show_default=True)
 @click.option("--half-bin/--no-half-bin", default=True, show_default=True)
-@click.option("--backend", "backend_kind", default="oracle", show_default=True,
+@click.option("--backend", "backend_kind", default=BackendSpec.kind, show_default=True,
               type=click.Choice(["live", "oracle", "echo", "replay"]),
               help="replay serves the cassette named by --replay.")
 @click.option("--model", default="GPT-3.5-Turbo-Instruct", show_default=True)
@@ -125,12 +123,8 @@ def forecast(
         params = GenerationParams(
             model=model, temperature=temperature, top_p=top_p, max_tokens=max_tokens
         )
-        if replay_path is not None:
-            spec = {"kind": "replay", "path": replay_path}
-        elif backend_kind == "echo":
-            spec = {"kind": "echo", "tail": echo_tail}
-        else:
-            spec = {"kind": backend_kind}
+        kind = "replay" if replay_path is not None else backend_kind
+        spec = BackendSpec(kind, tail=echo_tail if kind == "echo" else None, path=replay_path)
         backend = make_backend(spec, history, target, codec)
         if record_path:
             backend = RecordingBackend(backend, record_path)
@@ -188,37 +182,9 @@ def synth(kernels, count, length, holdout, seed, out):
         raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _fields_only(block: dict, cls, prefix: str = "") -> dict:
-    """The config block, once each of its keys names a field of cls."""
-    unknown = sorted(set(block) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown bench config keys: {[prefix + k for k in unknown]}")
-    return block
-
-
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
-    """Build a SweepConfig from the bench JSON config schema."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"bench config must be a JSON object, not {type(raw).__name__}")
-    kwargs = dict(_fields_only(raw, SweepConfig))
-    if not raw.get("datasets"):
-        raise ConfigError('bench config needs a nonempty "datasets" list')
-    for key in ("split", "codec", "params", "backend"):
-        block = raw.get(key)
-        if key in raw and not isinstance(block, dict) and not (key == "split" and block is None):
-            raise ConfigError(f"bench config {key!r} must be an object, not {type(block).__name__}")
-    if raw.get("split") is not None:
-        kwargs["split"] = SplitSpec(**{"mode": "horizon",
-                                       **_fields_only(raw["split"], SplitSpec, "split.")})
-    if "codec" in raw:
-        kwargs["codec"] = CodecConfig(**_fields_only(raw["codec"], CodecConfig, "codec."))
-    if "params" in raw:
-        kwargs["params"] = GenerationParams(
-            **_fields_only(raw["params"], GenerationParams, "params.")
-        )
-    if "backend" in raw:
-        backend_settings(raw["backend"])  # fail before any dataset loads
-    return SweepConfig(**kwargs)
+    """Build a SweepConfig from the bench JSON config schema, through read_block."""
+    return read_block(SweepConfig, raw)
 
 
 @main.command()
@@ -271,8 +237,8 @@ def cost(usage_path, model, table_path, out):
             raise ConfigError(f"usage file must hold a JSON object, not {type(raw).__name__}")
         usage = Usage.from_dict(raw.get("usage", raw))
         model_name = model or raw.get("model")
-        if not model_name:
-            raise ConfigError("no model named in the usage file or via --model")
+        if not model_name or not isinstance(model_name, str):
+            raise ConfigError(f"the usage file or --model must name a model, got {model_name!r}")
         table = load_cost_table(table_path) if table_path else default_cost_table()
         amount = estimate_cost(usage, model_name, table)
         payload = {

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,17 +46,13 @@ class TimeSeries:
 class SplitSpec:
     """History/target split rule: a history fraction or a fixed target horizon."""
 
-    mode: str
+    mode: str = "horizon"
     fraction: float | None = None
     horizon: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("fraction", "horizon"):
             raise ConfigError(f"unknown split mode {self.mode!r}")
-        if self.fraction is not None:
-            object.__setattr__(self, "fraction", as_number(float, self.fraction, "split fraction"))
-        if self.horizon is not None:
-            object.__setattr__(self, "horizon", as_number(int, self.horizon, "split horizon"))
         if self.mode == "fraction":
             if self.fraction is None or not (0.0 < self.fraction < 1.0):
                 raise ConfigError("fraction mode needs fraction in (0, 1)")
@@ -67,22 +65,60 @@ class SplitSpec:
                 raise ConfigError("horizon mode takes no fraction")
 
     @classmethod
-    def by_fraction(cls, fraction: float | str) -> "SplitSpec":
+    def by_fraction(cls, fraction: float) -> "SplitSpec":
         return cls("fraction", fraction=fraction)
 
     @classmethod
-    def by_horizon(cls, horizon: int | str) -> "SplitSpec":
+    def by_horizon(cls, horizon: int) -> "SplitSpec":
         return cls("horizon", horizon=horizon)
 
 
-def as_number(kind, value, name: str):
-    """value as a float or int; an int must be whole, so 5.7 is not 5. A
-    ConfigError names the setting."""
+def read_block(cls, block, prefix: str = ""):
+    """A config dataclass built from its JSON block, the one place a config
+    value is read. Each key must name a field of cls, and each value is read
+    by the field's declared type: a bool is true or false; an int or a float
+    is a finite number, or a string that parses as one, and an int is whole;
+    a str is a string; tuple[X, ...] is a list of X; a dataclass is a nested
+    block; X | None also takes null. A ConfigError names the key as a dotted
+    path under prefix, such as codec.signed."""
+    if not isinstance(block, dict):
+        name = f"{prefix[:-1]!r} " if prefix else ""
+        raise ConfigError(f"bench config {name}must be a JSON object, not {type(block).__name__}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(block) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown bench config keys: {[prefix + k for k in unknown]}")
+    return cls(**{k: _read_value(hints[k], v, prefix + k) for k, v in block.items()})
+
+
+def _read_value(hint, value, name: str):
+    if get_origin(hint) is types.UnionType:
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return read_block(hint, value, name + ".")
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_read_value(get_args(hint)[0], v, f"{name}[{i}]") for i, v in enumerate(value))
+    if hint is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    if hint is str and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    if hint in (bool, str):
+        return value
+    if hint not in (int, float):
+        raise TypeError(f"config field {name} has a type no config can hold: {hint}")
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if kind is int and number != value and not isinstance(value, str):
+        number = None if isinstance(value, bool) else hint(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None:
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if hint is int and number != value and not isinstance(value, str):
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return number
 

@@ -189,6 +189,8 @@ def generate_benchmark(
     """
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if length < 2:
         raise ConfigError(f"length must be >= 2, got {length}")
     if not 0 <= holdout < length:

@@ -46,6 +46,15 @@ SCRIPTED_SWEEP = {
     "seed": 5,
     "backend": {"kind": "scripted", "path": "lines.txt"},
 }
+# a backend block with path before kind, and samples as a numeric string: the
+# report lists the backend's keys in BackendSpec's order and samples as 3
+REORDERED_SWEEP = {
+    "datasets": ["air.csv"],
+    "noise_levels": [0.0, 0.02],
+    "samples": "3",
+    "seed": 5,
+    "backend": {"path": "lines.txt", "kind": "scripted"},
+}
 EIGHT_STEPS = "5 1 0, 5 2 0, 5 3 0, 5 4 0, 5 5 0, 5 6 0, 5 7 0, 5 8 0"
 SCRIPTED_LINES = ["no numbers here", EIGHT_STEPS, EIGHT_STEPS]
 FORECAST = ("forecast", "--data", "air.csv", "--samples", "4", "--seed", "3")
@@ -59,6 +68,7 @@ COMMANDS = (
     ("bench", "--config", "echo_sweep.json", "--out", "bench_echo"),
     ("bench", "--config", "scripted_sweep.json", "--out", "bench_scripted"),
     ("synth", "--count", "2", "--length", "24", "--holdout", "4", "--seed", "3", "--out", "synth"),
+    ("bench", "--config", "reordered_sweep.json", "--out", "bench_reordered"),
 )
 
 
@@ -68,6 +78,7 @@ def run() -> None:
     write_series_csv(Path("air_long.csv"), make_airline_series(60), holdout=12)
     Path("echo_sweep.json").write_text(json.dumps(ECHO_SWEEP, indent=2) + "\n")
     Path("scripted_sweep.json").write_text(json.dumps(SCRIPTED_SWEEP, indent=2) + "\n")
+    Path("reordered_sweep.json").write_text(json.dumps(REORDERED_SWEEP, indent=2) + "\n")
     Path("lines.txt").write_text("\n".join(SCRIPTED_LINES) + "\n")
     runner = CliRunner()
     transcript = []

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from nlts import (
+    BackendSpec,
     ConfigError,
     LengthMismatchError,
     NoiseSpec,
@@ -27,6 +28,7 @@ from nlts import (
 )
 import nlts.bench
 from nlts.bench import BACKEND_KINDS, DEFAULT_NOISE_LEVELS, ORIGINAL_LABEL, SWEEP_CSV_COLUMNS
+from nlts.core import read_block
 
 from conftest import make_airline_series, write_series_csv
 
@@ -311,38 +313,39 @@ class TestRunSweep:
 class TestMakeBackend:
     @pytest.mark.parametrize("kind", ["replay", "scripted"])
     def test_missing_path_is_config_error(self, airline_csv, tmp_path, kind):
-        cfg = SweepConfig(datasets=(str(airline_csv),), samples=2, backend={"kind": kind})
+        cfg = SweepConfig(datasets=(str(airline_csv),), samples=2, backend=BackendSpec(kind))
         with pytest.raises(ConfigError, match=kind):
             run_sweep(cfg, tmp_path / "r")
 
     def test_unknown_kind_lists_valid_kinds(self, airline_csv, tmp_path):
-        cfg = SweepConfig(datasets=(str(airline_csv),), samples=2, backend={"kind": "gpt"})
         with pytest.raises(ConfigError) as err:
+            cfg = SweepConfig(datasets=(str(airline_csv),), samples=2, backend=BackendSpec("gpt"))
             run_sweep(cfg, tmp_path / "r")
         assert "'gpt'" in str(err.value)
         assert all(kind in str(err.value) for kind in BACKEND_KINDS)
 
     @pytest.mark.parametrize("spec, unknown", [
         ({"kind": "oracle", "path": "x"}, "oracle backend keys: ['path']"),
-        ({"kind": "echo", "tial": 3}, "echo backend keys: ['tial']"),
+        ({"kind": "echo", "tial": 3}, "bench config keys: ['backend.tial']"),
         ({"kind": "replay", "path": "c.jsonl", "tail": 3}, "replay backend keys: ['tail']"),
-        ({"kind": "live", "timeout": 5, "url": "x"}, "live backend keys: ['timeout', 'url']"),
+        ({"kind": "live", "timeout": 5, "url": "x"},
+         "bench config keys: ['backend.timeout', 'backend.url']"),
     ], ids=["oracle-path", "echo-typo", "replay-tail", "live-unknown"])
     def test_unknown_key_is_config_error(self, spec, unknown):
         with pytest.raises(ConfigError) as err:
-            make_backend(spec)
+            make_backend(read_block(BackendSpec, spec, "backend."))
         assert str(err.value) == f"unknown {unknown}"
 
     @pytest.mark.parametrize("spec, error", [
-        ({"kind": "echo", "tail": "x"}, "backend tail must be a number, got 'x'"),
-        ({"kind": "echo", "steps": "many"}, "backend steps must be a number, got 'many'"),
-        ({"kind": "echo", "tail": 2.7}, "backend tail must be a whole number, got 2.7"),
-        ({"kind": "live", "max_retries": "x"}, "backend max_retries must be a number, got 'x'"),
-        ({"kind": "live", "max_retries": None}, "backend max_retries must be a number, got None"),
+        ({"kind": "echo", "tail": "x"}, "backend.tail must be a number, got 'x'"),
+        ({"kind": "echo", "steps": "many"}, "backend.steps must be a number, got 'many'"),
+        ({"kind": "echo", "tail": 2.7}, "backend.tail must be a whole number, got 2.7"),
+        ({"kind": "live", "max_retries": "x"}, "backend.max_retries must be a number, got 'x'"),
+        ({"kind": "live", "max_retries": None}, "backend.max_retries must be a number, got None"),
     ], ids=["echo-tail", "echo-steps", "echo-fractional-tail", "live-retries", "live-retries-null"])
     def test_bad_number_names_its_key(self, spec, error):
         with pytest.raises(ConfigError) as err:
-            make_backend(spec, target=TimeSeries(np.arange(8.0)))
+            make_backend(read_block(BackendSpec, spec, "backend."), target=TimeSeries(np.arange(8.0)))
         assert str(err.value) == error
 
     def test_api_key_stays_out_of_the_report(self, airline_csv, tmp_path):
@@ -352,31 +355,31 @@ class TestMakeBackend:
         backend = {"kind": "live", "base_url": f"http://127.0.0.1:{port}",
                    "api_key": "sk-secret-123", "max_retries": 0}
         cfg = SweepConfig(datasets=(str(airline_csv),), samples=1, noise_levels=(0.0,),
-                          retries_per_sample=0, backend=backend)
+                          retries_per_sample=0, backend=BackendSpec(**backend))
         report = run_sweep(cfg, tmp_path / "r")
         assert report["cells"][0]["error"].startswith("TransportError")
         expected = {k: v for k, v in backend.items() if k != "api_key"}
         assert report["config"]["backend"] == expected
-        assert cfg.backend["api_key"] == "sk-secret-123"
+        assert cfg.backend.api_key == "sk-secret-123"
         for name in ("results.json", "results.csv", "summary.md"):
             assert "sk-secret" not in (tmp_path / "r" / name).read_text()
 
     def test_echo_without_target_takes_its_steps(self):
-        backend = make_backend({"kind": "echo", "steps": 5, "tail": 2})
+        backend = make_backend(BackendSpec("echo", steps=5, tail=2))
         assert backend.describe() == {"backend": "echo", "tail": 2, "steps": 5}
 
     def test_echo_without_target_or_steps_names_steps(self):
         with pytest.raises(ConfigError) as err:
-            make_backend({"kind": "echo", "tail": 2})
+            make_backend(BackendSpec("echo", tail=2))
         assert str(err.value) == 'echo backend needs "steps" without a target to size it by'
 
     def test_echo_defaults_follow_target(self):
         target = TimeSeries(np.arange(40.0))
-        assert make_backend({"kind": "echo"}, target=target).describe() == {
+        assert make_backend(BackendSpec("echo"), target=target).describe() == {
             "backend": "echo", "tail": 4, "steps": 80,
         }
         spec = {"kind": "echo", "tail": "2", "steps": 5}
-        assert make_backend(spec, target=target).describe()["steps"] == 5
+        assert make_backend(read_block(BackendSpec, spec), target=target).describe()["steps"] == 5
 
     def test_replay_sweep_builds_backend_once(self, tmp_path, monkeypatch):
         datasets = []
@@ -400,7 +403,7 @@ class TestMakeBackend:
 
         monkeypatch.setattr(nlts.bench, "ReplayBackend", CountingReplay)
         cfg = SweepConfig(datasets=tuple(datasets), **levels,
-                          backend={"kind": "replay", "path": str(cassette)})
+                          backend=BackendSpec("replay", path=str(cassette)))
         replayed = run_sweep(cfg, tmp_path / "rep")
         assert built == [str(cassette)]
         assert replayed["cells"] == recorded["cells"]

@@ -1,11 +1,15 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import nlts.bench
-from nlts.bench import SweepConfig, run_sweep
+from nlts.backend import GenerationParams
+from nlts.bench import BackendSpec, SweepConfig, run_sweep
+from nlts.codec import CodecConfig
+from nlts.core import SplitSpec
 from nlts.cli import main, sweep_config_from_dict
 from nlts.errors import ConfigError
 
@@ -171,9 +175,9 @@ class TestOneBackendSpec:
         base = ["forecast", "--data", str(data), "--split", "horizon:12", "--samples", "2"]
         cassette = tmp_path / "c.jsonl"
         flags = {
-            "oracle": (["--backend", "oracle"], {"kind": "oracle"}),
-            "echo": (["--backend", "echo", "--echo-tail", "3"], {"kind": "echo", "tail": 3}),
-            "replay": (["--replay", str(cassette)], {"kind": "replay", "path": str(cassette)}),
+            "oracle": (["--backend", "oracle"], BackendSpec("oracle")),
+            "echo": (["--backend", "echo", "--echo-tail", "3"], BackendSpec("echo", tail=3)),
+            "replay": (["--replay", str(cassette)], BackendSpec("replay", path=str(cassette))),
         }
         args, spec = flags[kind]
         if kind == "replay":
@@ -223,6 +227,14 @@ class TestSynthCommand:
             "synth", "--kernels", "fourier", "--out", str(tmp_path / "x"),
         ])
         assert result.exit_code != 0
+
+    def test_negative_seed_is_config_error(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "synth", "--kernels", "rbf", "--count", "1", "--length", "10",
+            "--holdout", "2", "--seed", "-1", "--out", str(tmp_path / "x"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == "Error: ConfigError: seed must be >= 0, got -1\n"
 
     def test_bad_holdout(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -324,20 +336,20 @@ class TestBenchCommand:
         ({"codec": {"base": 10}}, "unknown bench config keys: ['codec.base']"),
         ({"codec": {"precision": 2}}, "unknown bench config keys: ['codec.precision']"),
         ({"params": {"temp": 0.5}}, "unknown bench config keys: ['params.temp']"),
-        ({"datasets": "air.csv"}, "sweep 'datasets' must be a list, not a string"),
-        ({"kinds": "gaussian"}, "sweep 'kinds' must be a list, not a string"),
-        ({"noise_levels": "0.01"}, "sweep 'noise_levels' must be a list, not a string"),
+        ({"datasets": "air.csv"}, "datasets must be a list, got 'air.csv'"),
+        ({"kinds": "gaussian"}, "kinds must be a list, got 'gaussian'"),
+        ({"noise_levels": "0.01"}, "noise_levels must be a list, got '0.01'"),
         ({"split": {"mode": "bogus", "horizon": 5, "fraction": 0.5}}, "unknown split mode 'bogus'"),
         ({"split": {"horizon": 5, "fraction": 0.5}}, "horizon mode takes no fraction"),
-        ({"split": {"horizon": 5.7}}, "split horizon must be a whole number, got 5.7"),
+        ({"split": {"horizon": 5.7}}, "split.horizon must be a whole number, got 5.7"),
         ({"split": {"horizon": 5, "hold": 2}}, "unknown bench config keys: ['split.hold']"),
         ({"codec": {"step_separator": ";"}}, "unknown bench config keys: ['codec.step_separator']"),
-        ({"backend": {"kind": "echo", "tail": "x"}}, "backend tail must be a number, got 'x'"),
+        ({"backend": {"kind": "echo", "tail": "x"}}, "backend.tail must be a number, got 'x'"),
         ({"backend": {"kind": "echo", "steps": "many"}},
-         "backend steps must be a number, got 'many'"),
-        ({"backend": {"kind": "echo", "tail": 2.7}}, "backend tail must be a whole number, got 2.7"),
+         "backend.steps must be a number, got 'many'"),
+        ({"backend": {"kind": "echo", "tail": 2.7}}, "backend.tail must be a whole number, got 2.7"),
         ({"backend": {"kind": "live", "max_retries": "x"}},
-         "backend max_retries must be a number, got 'x'"),
+         "backend.max_retries must be a number, got 'x'"),
         ({"seed": "x"}, "seed must be a number, got 'x'"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"samples": 0}, "samples must be >= 1, got 0"),
@@ -345,12 +357,26 @@ class TestBenchCommand:
         ({"samples": 2.5}, "samples must be a whole number, got 2.5"),
         ({"prompt_style": "xml"}, "unknown prompt_style 'xml', expected one of ('raw', 'chat')"),
         ({"retries_per_sample": -1}, "retries_per_sample must be >= 0, got -1"),
+        ({"codec": {"signed": "false", "half_bin_correction": "false"}},
+         "codec.signed must be true or false, got 'false'"),
+        ({"codec": {"precision_k": 2.5}}, "codec.precision_k must be a whole number, got 2.5"),
+        ({"params": {"model": 5}}, "params.model must be a string, got 5"),
+        ({"params": {"stop": "\n\n"}}, "params.stop must be a list, got '\\n\\n'"),
+        ({"noise_levels": ["x"]}, "noise_levels[0] must be a number, got 'x'"),
+        ({"noise_levels": [float("nan")]}, "noise_levels[0] must be a finite number, got nan"),
+        ({"seed": True}, "seed must be a number, got True"),
+        ({"datasets": [1]}, "datasets[0] must be a string, got 1"),
+        ({"noise_levels": [0.0, float("inf")]},
+         "noise_levels[1] must be a finite number, got inf"),
     ], ids=["split-fraction", "split-horizon", "split-no-mode", "codec-base", "codec-unknown",
             "params-unknown", "datasets-string", "kinds-string", "levels-string",
             "split-bogus-mode", "split-unused-key", "split-fractional-horizon", "split-unknown",
             "codec-step-separator", "backend-tail", "backend-steps", "backend-fractional-tail",
             "backend-max-retries", "seed-string", "seed-negative", "samples-zero",
-            "samples-string", "samples-fractional", "prompt-style", "retries-negative"])
+            "samples-string", "samples-fractional", "prompt-style", "retries-negative",
+            "codec-signed-string", "codec-fractional-precision", "params-model-number",
+            "params-stop-string", "levels-string-entry", "levels-nan", "seed-bool",
+            "datasets-number", "levels-infinity"])
     def test_bad_config_value_names_its_key(self, runner, tmp_path, extra, error):
         config = {"datasets": ["a.csv"], **extra}
         with pytest.raises(ConfigError) as excinfo:
@@ -361,6 +387,7 @@ class TestBenchCommand:
         result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
         assert f"Error: ConfigError: {error}\n" in result.output
+        assert not (tmp_path / "o" / "results.json").exists()
 
     def test_scalar_numbers_are_coerced(self):
         cfg = sweep_config_from_dict(
@@ -368,6 +395,62 @@ class TestBenchCommand:
         )
         assert (cfg.samples, cfg.seed, cfg.retries_per_sample) == (3, 7, 2)
         assert all(type(v) is int for v in (cfg.samples, cfg.seed, cfg.retries_per_sample))
+
+    # every key of every block, as JSON writes it; the backend keys are
+    # spread over three kinds, since no kind takes them all
+    FULL_CONFIG = {
+        "datasets": ["a.csv", "b.csv"],
+        "noise_levels": [0, "0.01"],
+        "kinds": ["laplace", "uniform"],
+        "samples": "4",
+        "seed": 9.0,
+        "split": {"mode": "fraction", "fraction": "0.75", "horizon": None},
+        "codec": {"precision_k": "2", "signed": False, "basic_mode": True, "scale_quantile": 0.9,
+                  "offset_beta": "0.1", "half_bin_correction": False, "max_digits_per_value": 8},
+        "params": {"model": "GPT-4", "temperature": "0.5", "top_p": 1, "max_tokens": 64.0,
+                   "num_samples": 1, "stop": ["\n"]},
+        "prompt_style": "chat",
+        "retries_per_sample": 2,
+        "normalization": "none",
+    }
+    FULL_TYPED = dict(
+        datasets=("a.csv", "b.csv"),
+        noise_levels=(0.0, 0.01),
+        kinds=("laplace", "uniform"),
+        samples=4,
+        seed=9,
+        split=SplitSpec("fraction", fraction=0.75),
+        codec=CodecConfig(precision_k=2, signed=False, basic_mode=True, scale_quantile=0.9,
+                          offset_beta=0.1, half_bin_correction=False, max_digits_per_value=8),
+        params=GenerationParams(model="GPT-4", temperature=0.5, top_p=1.0, max_tokens=64,
+                                num_samples=1, stop=("\n",)),
+        prompt_style="chat",
+        retries_per_sample=2,
+        normalization="none",
+    )
+    BACKENDS = [
+        ({"kind": "echo", "tail": "3", "steps": 5.0}, BackendSpec("echo", tail=3, steps=5)),
+        ({"path": "c.jsonl", "kind": "replay"}, BackendSpec("replay", path="c.jsonl")),
+        ({"kind": "live", "base_url": "http://127.0.0.1:1", "api_key": None, "max_retries": "5"},
+         BackendSpec("live", base_url="http://127.0.0.1:1", max_retries=5)),
+    ]
+
+    def test_round_trip_names_every_key(self):
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        assert {*self.FULL_CONFIG, "backend"} == names(SweepConfig)
+        for key, cls in (("split", SplitSpec), ("codec", CodecConfig),
+                         ("params", GenerationParams)):
+            assert set(self.FULL_CONFIG[key]) == names(cls), key
+        assert set().union(*(block for block, _ in self.BACKENDS)) == names(BackendSpec)
+
+    @pytest.mark.parametrize("block, spec", BACKENDS, ids=["echo", "replay", "live"])
+    def test_every_key_reads_as_its_typed_value(self, block, spec):
+        cfg = sweep_config_from_dict({**self.FULL_CONFIG, "backend": block})
+        typed = SweepConfig(**self.FULL_TYPED, backend=spec)
+        assert cfg == typed
+        assert repr(cfg) == repr(typed)  # 4 == 4.0, but their reprs differ
 
     def test_backend_key_typo_is_config_error(self, runner, tmp_path):
         data = tmp_path / "airline.csv"
@@ -379,7 +462,7 @@ class TestBenchCommand:
         out = tmp_path / "report"
         result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 1
-        assert "Error: ConfigError: unknown echo backend keys: ['tial']\n" in result.output
+        assert "Error: ConfigError: unknown bench config keys: ['backend.tial']\n" in result.output
         assert not (out / "results.json").exists()
 
     def test_missing_dataset_is_schema_error(self, runner, tmp_path):
@@ -420,6 +503,14 @@ class TestTheoryCheckCommand:
     def test_bad_draws(self, runner):
         result = runner.invoke(main, ["theory-check", "--draws", "10"])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+    def test_sigma_must_be_finite_and_nonnegative(self, runner, sigma):
+        result = runner.invoke(main, ["theory-check", "--sigma", sigma, "--draws", "10000"])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: ConfigError: sigma must be finite and >= 0, got {float(sigma)}\n"
+        )
 
 
 class TestCostCommand:
@@ -509,6 +600,15 @@ class TestCostCommand:
         ])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["cost_usd"] == pytest.approx(2.0)
+
+    def test_non_string_model_is_config_error(self, runner, tmp_path):
+        usage = tmp_path / "u.json"
+        usage.write_text(json.dumps({"model": 5, "prompt_tokens": 1, "completion_tokens": 1}))
+        result = runner.invoke(main, ["cost", "--usage", str(usage)])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: ConfigError: the usage file or --model must name a model, got 5\n"
+        )
 
     def test_no_model_anywhere(self, runner, tmp_path):
         usage = tmp_path / "u.json"

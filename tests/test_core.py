@@ -17,6 +17,7 @@ from nlts import (
     aggregate_samples,
     split_series,
 )
+from nlts.core import read_block
 
 
 class TestTimeSeries:
@@ -63,13 +64,13 @@ class TestSplitSpec:
 
     @pytest.mark.parametrize("horizon", ["abc", 5.7, "2.5", [5], float("inf")])
     def test_horizon_must_be_whole(self, horizon):
-        with pytest.raises(ConfigError, match="split horizon must be a"):
-            SplitSpec("horizon", horizon=horizon)
+        with pytest.raises(ConfigError, match="split.horizon must be a"):
+            read_block(SplitSpec, {"horizon": horizon}, "split.")
 
     def test_numbers_are_coerced(self):
-        assert SplitSpec("horizon", horizon="5").horizon == 5
-        assert type(SplitSpec("horizon", horizon=5.0).horizon) is int
-        assert SplitSpec("fraction", fraction="0.5").fraction == 0.5
+        assert read_block(SplitSpec, {"horizon": "5"}, "split.").horizon == 5
+        assert type(read_block(SplitSpec, {"horizon": 5.0}, "split.").horizon) is int
+        assert read_block(SplitSpec, {"mode": "fraction", "fraction": "0.5"}, "split.").fraction == 0.5
 
     def test_mutually_exclusive(self):
         with pytest.raises(ConfigError):
