@@ -202,8 +202,11 @@ def request_body(prompt: Prompt, params: GenerationParams) -> tuple[str, dict]:
 
 
 def canonical_request(endpoint: str, body: dict, tag: str) -> dict:
-    """Request identity for hashing: endpoint, body, caller tag. Never credentials."""
-    return {"endpoint": endpoint, "body": json.loads(json.dumps(body)), "tag": tag}
+    """Request identity for hashing: endpoint, body, caller tag. Never credentials.
+    The body is hashed as built: request_body makes only JSON-native values (str
+    keys; str, int, float, list and dict values), so it encodes to the same JSON
+    as its decoded copy in a cassette line."""
+    return {"endpoint": endpoint, "body": body, "tag": tag}
 
 
 def request_hash(canonical: dict) -> str:

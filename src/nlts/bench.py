@@ -539,6 +539,8 @@ def theory_check(
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if num_draws < 10_000:
         raise ConfigError(f"num_draws must be >= 10000 for a stable check, got {num_draws}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     x = 0.1 * np.ones(dim)
     a = np.eye(dim)
     trace_h = -float(dim)

@@ -9,6 +9,7 @@ half-bin correction), and inverts the scaler.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -28,6 +29,8 @@ from .errors import (
 _EPS = np.finfo(float).eps
 STEP_SEPARATOR = ", "
 DIGIT_SEPARATOR = " "
+# serialize renders bins in (-_TABLE_LIMIT, _TABLE_LIMIT) from a table
+_TABLE_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -155,13 +158,23 @@ def quantize(values, scaler: Scaler, config: CodecConfig) -> np.ndarray:
     return snapped.astype(np.int64)
 
 
+@functools.cache
+def _spaced_bins() -> tuple[str, ...]:
+    """The spaced token of every bin in [-_TABLE_LIMIT, _TABLE_LIMIT), at
+    index bin + _TABLE_LIMIT: "1 0 8" for 108, "-3 4" for -34. Built on first
+    use, so importing nlts does not pay for it."""
+    return tuple(
+        "-" * (v < 0) + DIGIT_SEPARATOR.join(str(abs(v)))
+        for v in range(-_TABLE_LIMIT, _TABLE_LIMIT)
+    )
+
+
 def serialize(series, scaler: Scaler, config: CodecConfig = CodecConfig()) -> str:
     """Encode a series as step-separated digit tokens under the scaler."""
     bins = quantize(series, scaler, config)
     if bins.size == 0:
         return ""
-    values = bins.tolist()
-    lo, hi = min(values), max(values)
+    lo, hi = int(bins.min()), int(bins.max())
     if lo < 0:
         if config.basic_mode:
             raise DigitOverflowError("negative value but basic mode has no sign token")
@@ -176,6 +189,10 @@ def serialize(series, scaler: Scaler, config: CodecConfig = CodecConfig()) -> st
             f"value needs {len(str(widest))} digits, max_digits_per_value is "
             f"{config.max_digits_per_value}"
         )
+    values = bins.tolist()
+    if widest < _TABLE_LIMIT and not config.basic_mode:
+        tokens = _spaced_bins()
+        return STEP_SEPARATOR.join([tokens[v + _TABLE_LIMIT] for v in values])
     numbers = map(str, values)
     if config.basic_mode:
         return STEP_SEPARATOR.join(numbers)

@@ -9,6 +9,8 @@ import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlts import (
     AuthError,
@@ -30,7 +32,7 @@ from nlts import (
     estimate_cost,
     load_cost_table,
 )
-from nlts.backend import canonical_request, request_hash
+from nlts.backend import canonical_request, request_body, request_hash
 
 PARAMS = GenerationParams(model="test-model", max_tokens=32)
 
@@ -407,6 +409,45 @@ class TestGoldenRequestHashes:
         ]
         assert script.calls[0]["body"] == record["canonical_request"]["body"]
         assert record["request_hash"] == expected
+
+
+# text that JSON must escape or may keep as UTF-8: quotes, backslashes,
+# control characters and non-ASCII, including astral-plane characters
+_json_text = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é漢😀'), st.characters())
+)
+_messages = st.lists(
+    st.fixed_dictionaries({"role": st.sampled_from(["system", "user"]), "content": _json_text}),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestHashAsBuilt:
+    """canonical_request hashes request_body's dict as built; cassettes were
+    recorded when it hashed the body's JSON round trip."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prompt=st.one_of(_json_text, _messages),
+        tag=_json_text,
+        stop=st.lists(_json_text.filter(bool), max_size=3).map(tuple),
+        temperature=st.one_of(
+            st.integers(0, 5), st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+        ),
+        top_p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        max_tokens=st.integers(1, 10**6),
+    )
+    def test_same_bytes_as_round_trip(self, prompt, tag, stop, temperature, top_p, max_tokens):
+        params = GenerationParams(
+            model="m", temperature=temperature, top_p=top_p, max_tokens=max_tokens, stop=stop
+        )
+        endpoint, body = request_body(prompt, params)
+        canonical = canonical_request(endpoint, body, tag)
+        old = {"endpoint": endpoint, "body": json.loads(json.dumps(body)), "tag": tag}
+        assert request_hash(canonical) == request_hash(old)
+        # the cassette line RecordingBackend writes
+        assert json.dumps(canonical, sort_keys=True) == json.dumps(old, sort_keys=True)
 
 
 class _Script(BaseHTTPRequestHandler):

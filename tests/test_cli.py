@@ -512,6 +512,14 @@ class TestTheoryCheckCommand:
             f"Error: ConfigError: sigma must be finite and >= 0, got {float(sigma)}\n"
         )
 
+    @pytest.mark.parametrize("sigma", ["0.1", "0"])
+    def test_negative_seed_is_a_config_error(self, runner, sigma):
+        result = runner.invoke(main, [
+            "theory-check", "--sigma", sigma, "--draws", "10000", "--seed", "-1",
+        ])
+        assert result.exit_code == 1
+        assert result.output == "Error: ConfigError: seed must be >= 0, got -1\n"
+
 
 class TestCostCommand:
     def test_known_model(self, runner, tmp_path):

@@ -526,6 +526,53 @@ class TestSerializeText:
         assert serialize(values, Scaler(), cfg) == expected
 
 
+def _reference_render(bins, config):
+    """serialize's text before the bin table: one character join over the
+    whole series, then the spaces before commas and after signs taken out."""
+    numbers = map(str, bins.tolist())
+    if config.basic_mode:
+        return STEP_SEPARATOR.join(numbers)
+    text = DIGIT_SEPARATOR.join(",".join(numbers))
+    return text.replace(" ,", ",").replace("- ", "-")
+
+
+@st.composite
+def _renderable_bins(draw):
+    """Bins serialize encodes, with the config that allows them: every width up
+    to max_digits_per_value, zero, and magnitudes at the table's edge."""
+    max_digits = draw(st.integers(1, 15))
+    basic = draw(st.booleans())
+    signed = draw(st.booleans())
+    edge = [v for v in (1, 2046, 2047, 2048, 2049) if len(str(v)) <= max_digits]
+    magnitude = st.one_of(
+        st.integers(1, max_digits).flatmap(lambda w: st.integers(10 ** (w - 1), 10**w - 1)),
+        st.just(0),
+        st.sampled_from(edge),
+    )
+    bins = draw(st.lists(magnitude, min_size=1, max_size=30))
+    if signed and not basic:
+        bins = [b * draw(st.sampled_from([1, -1])) for b in bins]
+    cfg = CodecConfig(
+        precision_k=0, basic_mode=basic, signed=signed, max_digits_per_value=max_digits
+    )
+    return bins, cfg
+
+
+class TestSerializeMatchesReferenceRender:
+    @settings(max_examples=500, deadline=None)
+    @given(case=_renderable_bins())
+    @example(case=([0], CodecConfig(precision_k=0)))
+    @example(case=([-7], CodecConfig(precision_k=0)))
+    @example(case=([2047, -2047, 0], CodecConfig(precision_k=0)))
+    @example(case=([2048], CodecConfig(precision_k=0)))
+    @example(case=([-2048, 2047], CodecConfig(precision_k=0)))
+    def test_byte_identical(self, case):
+        bins, cfg = case
+        values = np.array(bins, dtype=float)
+        expected = _reference_render(quantize(values, Scaler(), cfg), cfg)
+        assert serialize(values, Scaler(), cfg) == expected
+
+
 _decode_text = st.one_of(
     st.text(alphabet="0123456789- ,;|_\n\t\rx+.", max_size=60),
     st.builds(

@@ -11,7 +11,9 @@ import pytest
 
 import nlts
 from nlts import (
+    EchoTailBackend,
     ForecastJob,
+    NoiseSpec,
     RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
@@ -65,6 +67,29 @@ def test_replay_spans_see_every_request(monkeypatch, tmp_path, style):
     assert result.valid_samples == 2
     assert result.usage.requests == 6
     assert len(calls) == result.usage.requests
+
+
+@pytest.mark.parametrize(
+    "noise, prompts", [(NoiseSpec("gaussian", 0.05), 5), (NoiseSpec("none"), 1)]
+)
+def test_serialize_span_sees_every_prompt(monkeypatch, noise, prompts):
+    """`codec.serialize` wraps nlts.pipeline's serialize: a noisy job builds
+    each sample's prompt through it once, a noise-free job its one shared
+    prompt, so its per-call mean stays the cost of one prompt."""
+    calls = []
+    original = nlts.pipeline.serialize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nlts.pipeline, "serialize", counting)
+    series = TimeSeries(100.0 + 10.0 * np.sin(np.arange(40) / 3.0))
+    hist, _ = split_series(series, SplitSpec.by_horizon(4))
+    job = ForecastJob(history=hist, horizon=4, noise=noise, samples=5)
+    result = run_nlts(job, EchoTailBackend(tail=4, steps=4))
+    assert result.valid_samples == 5
+    assert len(calls) == prompts
 
 
 def test_synth_spans_see_every_series(monkeypatch, tmp_path):
