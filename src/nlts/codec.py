@@ -136,44 +136,86 @@ def quantize(values, scaler: Scaler, config: CodecConfig) -> np.ndarray:
     round-trip error bounds are unchanged.
     """
     vals = _as_values(values)
+    # _bins writes into its arrays, which a 0-d input would not give it
+    return _bins(vals.reshape(1, -1), scaler.offset, scaler.scale, config).reshape(vals.shape)
+
+
+def _bins(vals: np.ndarray, offset, scale, config: CodecConfig) -> np.ndarray:
+    """quantize for an (m, n) array, with offset and scale broadcast against
+    it: floats for one scaler, (m, 1) columns for one scaler per row."""
     factor = float(10 ** config.precision_k)
-    scaled = scaler.forward(vals) * factor
-    size = np.abs(scaled)
+    scaled = (vals - offset) / scale * factor
+    tol = np.abs(scaled)
     # one reduction screens for both failures: NaN/inf inputs reach `scaled`
     # as NaN/inf, and a bin reaches 2**62 exactly when its scaled value does
-    if not size.max(initial=0.0) < 2.0**62:
+    if not tol.max(initial=0.0) < 2.0**62:
         if not np.isfinite(vals).all():
             raise NonFiniteError("cannot encode non-finite values")
         raise DigitOverflowError("scaled values overflow 64-bit integer bins")
-    if scaler.offset:
-        # intermediate magnitude bounds the accumulated rounding error; with a
-        # zero offset it equals |scaled|, and it never falls below |scaled|
-        size = (np.abs(vals) + abs(scaler.offset)) / scaler.scale * factor
-    tol = np.maximum(size, 1.0)
+    if np.count_nonzero(offset):
+        # intermediate magnitude bounds the accumulated rounding error; it
+        # never falls below |scaled|, and equals it bitwise where the offset
+        # is 0, so rows with and without an offset can share it
+        tol = (np.abs(vals) + abs(offset)) / scale * factor
+    tol = np.maximum(tol, 1.0)
     tol *= 64.0 * _EPS
     nearest = np.rint(scaled)
     # nearest when within tol of it, else floor: a value rounded up by more
-    # than tol floors to nearest - 1, any other value floors to nearest
-    snapped = nearest - (nearest - scaled > tol)
-    return snapped.astype(np.int64)
+    # than tol floors to nearest - 1, any other value floors to nearest.
+    # The difference reuses scaled's buffer, and both go before the int64
+    # copy, so a cell holds fewer (m, n) arrays at once
+    nearest -= np.subtract(nearest, scaled, out=scaled) > tol
+    del scaled, tol
+    return nearest.astype(np.int64)
 
 
 @functools.cache
-def _spaced_bins() -> tuple[str, ...]:
+def _spaced_bins() -> np.ndarray:
     """The spaced token of every bin in [-_TABLE_LIMIT, _TABLE_LIMIT), at
-    index bin + _TABLE_LIMIT: "1 0 8" for 108, "-3 4" for -34. Built on first
-    use, so importing nlts does not pay for it."""
-    return tuple(
+    index bin: "1 0 8" for 108 at 108, "-3 4" for -34 at -34, which numpy
+    counts from the end. An object array, so indexing it with a row of bins
+    gives the row's tokens without a Python int per bin. Built on first use,
+    so importing nlts does not pay for it."""
+    tokens = [
         "-" * (v < 0) + DIGIT_SEPARATOR.join(str(abs(v)))
-        for v in range(-_TABLE_LIMIT, _TABLE_LIMIT)
-    )
+        for v in (*range(_TABLE_LIMIT), *range(-_TABLE_LIMIT, 0))
+    ]
+    return np.array(tokens, dtype=object)
 
 
 def serialize(series, scaler: Scaler, config: CodecConfig = CodecConfig()) -> str:
     """Encode a series as step-separated digit tokens under the scaler."""
-    bins = quantize(series, scaler, config)
-    if bins.size == 0:
-        return ""
+    vals = _as_values(series).reshape(1, -1)
+    return _encode(vals, scaler.offset, scaler.scale, config)[0]
+
+
+def serialize_rows(rows, scalers, config: CodecConfig = CodecConfig()) -> list[str]:
+    """Encode each row of an (m, n) array under its own scaler, in one pass;
+    row i's text is serialize(rows[i], scalers[i], config).
+
+    When any row cannot be encoded, raises the error of the first row that
+    fails, as a loop of serialize calls would.
+    """
+    vals = np.asarray(rows, dtype=float)
+    if vals.ndim != 2 or len(vals) != len(scalers):
+        raise ParamError(
+            f"need an (m, n) array and m scalers, got {vals.shape} and {len(scalers)}"
+        )
+    offsets = np.array([[s.offset] for s in scalers])
+    scales = np.array([[s.scale] for s in scalers])
+    try:
+        return _encode(vals, offsets, scales, config)
+    except (NonFiniteError, DigitOverflowError):
+        for row, scaler in zip(vals, scalers):
+            serialize(row, scaler, config)
+        raise
+
+
+def _encode(vals: np.ndarray, offset, scale, config: CodecConfig) -> list[str]:
+    """The text of each row of an (m, n) array: quantize, check, render."""
+    if vals.size == 0:
+        return [""] * len(vals)
+    bins = _bins(vals, offset, scale, config)
     lo, hi = int(bins.min()), int(bins.max())
     if lo < 0:
         if config.basic_mode:
@@ -189,17 +231,15 @@ def serialize(series, scaler: Scaler, config: CodecConfig = CodecConfig()) -> st
             f"value needs {len(str(widest))} digits, max_digits_per_value is "
             f"{config.max_digits_per_value}"
         )
-    values = bins.tolist()
-    if widest < _TABLE_LIMIT and not config.basic_mode:
-        tokens = _spaced_bins()
-        return STEP_SEPARATOR.join([tokens[v + _TABLE_LIMIT] for v in values])
-    numbers = map(str, values)
     if config.basic_mode:
-        return STEP_SEPARATOR.join(numbers)
-    # space the whole series at once: separate every character, then take the
-    # space back out before each step's comma and after each sign
-    text = DIGIT_SEPARATOR.join(",".join(numbers))
-    return text.replace(" ,", ",").replace("- ", "-")
+        return [STEP_SEPARATOR.join(map(str, row)) for row in bins.tolist()]
+    if widest < _TABLE_LIMIT:
+        return [STEP_SEPARATOR.join(tokens) for tokens in _spaced_bins()[bins].tolist()]
+    # some bin lies outside the table: space each row at once, separating
+    # every character, then take the space back out before each step's comma
+    # and after each sign
+    texts = (DIGIT_SEPARATOR.join(",".join(map(str, row))) for row in bins.tolist())
+    return [text.replace(" ,", ",").replace("- ", "-") for text in texts]
 
 
 @dataclass(frozen=True)

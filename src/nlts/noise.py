@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries
-from .errors import DegenerateSeriesError, ParamError
+from .errors import DegenerateSeriesError, NonFiniteError, ParamError
 
 # each family's fixed draw and the analytic (mean, std) that standardize it
 _FAMILIES = {
@@ -47,6 +47,11 @@ class NoiseSpec:
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ParamError(f"alpha must be finite and >= 0, got {self.alpha}")
 
+    @property
+    def adds_noise(self) -> bool:
+        """False for alpha == 0 or kind "none": the noisy history is the history."""
+        return self.alpha != 0.0 and self.kind != "none"
+
 
 def standardized_draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws from the family, centered by the analytic mean, scaled to unit
@@ -59,19 +64,37 @@ def standardized_draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.n
     return (draw(rng, n) - mean) / std
 
 
-def inject_noise(series: TimeSeries, spec: NoiseSpec, rng: np.random.Generator) -> TimeSeries:
-    """x_t + alpha * sigma_x * z_t with sigma_x the population std of the series.
+def inject_noise_rows(series: TimeSeries, spec: NoiseSpec, rngs) -> np.ndarray:
+    """One noisy copy of the series per generator, stacked as an (m, n) array:
+    row i is x_t + alpha * sigma_x * z_t with z drawn from rngs[i] and sigma_x
+    the population std of the series, computed once.
 
-    alpha == 0 or kind == "none" returns the input object itself, which callers
-    may test with `is`. A constant series with alpha > 0 raises
-    DegenerateSeriesError.
+    A constant series with alpha > 0 raises DegenerateSeriesError, and a noisy
+    value that overflows to infinity raises the NonFiniteError that TimeSeries
+    would.
     """
-    if spec.alpha == 0.0 or spec.kind == "none":
-        return series
     sigma_x = float(series.values.std(ddof=0))
-    if sigma_x == 0.0:
+    if sigma_x == 0.0 and spec.adds_noise:
         raise DegenerateSeriesError(
             f"series {series.name!r} is constant; sigma_x = 0 with alpha = {spec.alpha}"
         )
-    z = standardized_draw(spec, len(series), rng)
-    return series.with_values(series.values + spec.alpha * sigma_x * z)
+    rows = np.empty((len(rngs), len(series)))
+    for row, rng in zip(rows, rngs):
+        row[:] = standardized_draw(spec, len(series), rng)
+    # in place, in the order of x + (alpha * sigma_x) * z: the same bits
+    rows *= spec.alpha * sigma_x
+    rows += series.values
+    if not np.isfinite(rows).all():
+        raise NonFiniteError(f"series {series.name!r} contains NaN or infinity")
+    return rows
+
+
+def inject_noise(series: TimeSeries, spec: NoiseSpec, rng: np.random.Generator) -> TimeSeries:
+    """The one-row case of inject_noise_rows, as a TimeSeries.
+
+    alpha == 0 or kind == "none" returns the input object itself, which callers
+    may test with `is`.
+    """
+    if not spec.adds_noise:
+        return series
+    return series.with_values(inject_noise_rows(series, spec, [rng])[0])

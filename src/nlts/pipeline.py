@@ -16,11 +16,13 @@ import numpy as np
 
 from . import __version__
 from .backend import Backend, GenerationParams, Usage
-from .codec import STEP_SEPARATOR
-from .codec import CodecConfig, ParseReport, Scaler, deserialize, fit_scaler, fit_scalers, serialize
+from .codec import STEP_SEPARATOR, CodecConfig, ParseReport, Scaler, deserialize, fit_scaler
+from .codec import fit_scalers, serialize, serialize_rows
 from .core import PointForecast, SamplePaths, TimeSeries, aggregate_samples
 from .errors import ConfigError, InsufficientSamplesError, ParseError
-from .noise import NoiseSpec, inject_noise
+# run_nlts calls inject_noise_rows; inject_noise stays importable here because
+# perfbench/run.py patches it by this module attribute
+from .noise import NoiseSpec, inject_noise, inject_noise_rows  # noqa: F401
 from .rng import rng_identity, substream
 
 SYSTEM_PROMPT = (
@@ -155,10 +157,11 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
 
     Sample i adds noise drawn from substream(seed, i) to the history, fits
     the scaler on that noisy history, and retries failed generations up to
-    retries_per_sample times under fresh tags. When the noise spec adds no
-    noise, every sample shares one scaler and one prompt. A sample is valid
-    when at least `horizon` steps parse. Fewer than ceil(samples / 2) valid
-    samples aborts with InsufficientSamplesError.
+    retries_per_sample times under fresh tags. The noisy histories are drawn,
+    scaled and quantized as one (samples, n) array. When the noise spec adds
+    no noise, no substream is built, and every sample shares one scaler and
+    one prompt. A sample is valid when at least `horizon` steps parse. Fewer
+    than ceil(samples / 2) valid samples aborts with InsufficientSamplesError.
 
     Every prompt is built on the calling thread before the first request. The
     requests then run inline, or in a pool of backend.max_in_flight threads
@@ -167,18 +170,18 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
     history = job.history
     budget = completion_token_budget(job.horizon, job.codec)
     effective = replace(job.params, max_tokens=max(job.params.max_tokens, budget))
-    noisy = [inject_noise(history, job.noise, substream(job.seed, i)) for i in range(job.samples)]
 
-    def encode(h: TimeSeries, s: Scaler):
-        return build_prompt(serialize(h, s, job.codec), job.prompt_style, job.horizon, job.codec)
+    def encode(text: str):
+        return build_prompt(text, job.prompt_style, job.horizon, job.codec)
 
-    # inject_noise returns its input when it adds no noise
-    if noisy[0] is history:
-        scalers = [fit_scaler(history, job.codec)] * job.samples
-        prompts = [encode(history, scalers[0])] * job.samples
+    if job.noise.adds_noise:
+        rngs = [substream(job.seed, i) for i in range(job.samples)]
+        rows = inject_noise_rows(history, job.noise, rngs)
+        scalers = fit_scalers(rows, job.codec)
+        prompts = list(map(encode, serialize_rows(rows, scalers, job.codec)))
     else:
-        scalers = fit_scalers(np.stack([h.values for h in noisy]), job.codec)
-        prompts = list(map(encode, noisy, scalers))
+        scalers = [fit_scaler(history, job.codec)] * job.samples
+        prompts = [encode(serialize(history, scalers[0], job.codec))] * job.samples
 
     def run_sample(i: int) -> tuple[np.ndarray | None, SampleOutcome, Usage]:
         usage_sample = Usage()

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nlts import (
     CodecConfig,
@@ -27,6 +28,7 @@ from nlts.codec import (
     _whole_text_bins,
     fit_scalers,
     quantize,
+    serialize_rows,
 )
 
 
@@ -571,6 +573,122 @@ class TestSerializeMatchesReferenceRender:
         values = np.array(bins, dtype=float)
         expected = _reference_render(quantize(values, Scaler(), cfg), cfg)
         assert serialize(values, Scaler(), cfg) == expected
+
+
+def _reference_serialize(values, scaler, config):
+    """serialize as a loop of one call per series once was: the reference
+    bins, the sign and width checks in their order, the character render."""
+    bins = _reference_quantize(values, scaler, config)
+    if bins.size == 0:
+        return ""
+    lo, hi = int(bins.min()), int(bins.max())
+    if lo < 0 and config.basic_mode:
+        raise DigitOverflowError("negative value but basic mode has no sign token")
+    if lo < 0 and not config.signed:
+        raise DigitOverflowError(
+            "negative value after scaling in unsigned mode; check the scaler offset"
+        )
+    width = len(str(max(abs(hi), abs(lo))))
+    if width > config.max_digits_per_value:
+        raise DigitOverflowError(
+            f"value needs {width} digits, max_digits_per_value is {config.max_digits_per_value}"
+        )
+    return _reference_render(bins, config)
+
+
+def _encode_outcome(fn):
+    try:
+        return fn()
+    except (NonFiniteError, DigitOverflowError) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def _row_batches(draw):
+    """(m, n) histories with one scaler per row: offsets of 0 mixed with
+    nonzero ones, rows a few ulps off their bin edges, at most one row scaled
+    so its bins leave the table's range, and up to two planted values that
+    can make their row fail to encode."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 16))
+    cfg = CodecConfig(
+        precision_k=draw(st.integers(0, 4)),
+        signed=draw(st.booleans()),
+        basic_mode=draw(st.booleans()),
+        max_digits_per_value=draw(st.integers(5, 12)),
+    )
+    value = st.one_of(
+        st.floats(-20.0, 20.0),
+        st.integers(-2000, 2000).map(lambda v: v / 10.0**cfg.precision_k),
+    )
+    rows = draw(hnp.arrays(float, (m, n), elements=value))
+    signs_ok = cfg.signed and not cfg.basic_mode
+    scalers = []
+    for row in rows:
+        offset = draw(st.sampled_from(["zero", "below", "any"] if signs_ok else ["zero", "below"]))
+        if offset == "zero":
+            offset = 0.0
+            if not signs_ok:
+                row[:] = np.abs(row)
+        elif offset == "below":  # every shifted value nonnegative
+            offset = float(row.min()) - draw(st.floats(0.0, 5.0))
+        else:
+            offset = draw(st.floats(-30.0, 30.0))
+        scalers.append(Scaler(offset=offset, scale=draw(st.floats(0.05, 40.0))))
+        if draw(st.booleans()):  # a few ulps off bin edges, where the tolerance decides
+            edges = np.array(draw(st.lists(st.integers(0, 2000), min_size=n, max_size=n)))
+            ulps = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+            exact = offset + edges / 10.0**cfg.precision_k * scalers[-1].scale
+            row[:] = exact + ulps * np.spacing(exact)
+    wide = draw(st.none() | st.integers(0, m - 1))
+    if wide is not None:
+        s = scalers[wide]
+        scalers[wide] = Scaler(offset=s.offset, scale=s.scale / draw(st.sampled_from([1e2, 1e4])))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)))
+        rows[at] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, -1e3]))
+    return rows, scalers, cfg
+
+
+class TestSerializeRowsMatchesPerRow:
+    @settings(max_examples=250, deadline=None)
+    @given(batch=_row_batches())
+    def test_byte_identical_with_error_parity(self, batch):
+        rows, scalers, cfg = batch
+        with np.errstate(all="ignore"):
+            got = _encode_outcome(lambda: serialize_rows(rows, scalers, cfg))
+            per_row = [_encode_outcome(lambda r=r, s=s: serialize(r, s, cfg))
+                       for r, s in zip(rows, scalers)]
+            reference = [_encode_outcome(lambda r=r, s=s: _reference_serialize(r, s, cfg))
+                         for r, s in zip(rows, scalers)]
+        assert per_row == reference
+        failures = [o for o in reference if isinstance(o, tuple)]
+        assert got == (failures[0] if failures else reference)
+
+    def test_one_row_beyond_the_table(self):
+        cfg = CodecConfig(precision_k=0)
+        rows = np.array([[5.0, -7.0], [3000.0, -2049.0], [2047.0, -2047.0]])
+        scalers = [Scaler(), Scaler(), Scaler(offset=1.0)]
+        texts = ["5, -7", "3 0 0 0, -2 0 4 9", "2 0 4 6, -2 0 4 8"]
+        assert serialize_rows(rows, scalers, cfg) == texts
+
+    def test_first_failing_row_names_the_error(self):
+        cfg = CodecConfig(precision_k=0, signed=False, max_digits_per_value=3)
+        rows = np.array([[1.0, 2.0], [1.0, 1e6], [-1.0, 2.0], [np.nan, 1.0]])
+        with pytest.raises(DigitOverflowError, match="value needs 7 digits"):
+            serialize_rows(rows, [Scaler()] * 4, cfg)
+        with pytest.raises(DigitOverflowError, match="unsigned mode"):
+            serialize_rows(rows[[0, 2, 1]], [Scaler()] * 3, cfg)
+        with pytest.raises(NonFiniteError):
+            serialize_rows(rows[[3, 2]], [Scaler()] * 2, cfg)
+
+    def test_shape_checks(self):
+        assert serialize_rows(np.zeros((3, 0)), [Scaler()] * 3) == ["", "", ""]
+        assert serialize_rows(np.zeros((0, 4)), []) == []
+        with pytest.raises(ParamError):
+            serialize_rows(np.zeros((2, 3)), [Scaler()])
+        with pytest.raises(ParamError):
+            serialize_rows(np.zeros(3), [Scaler()])
 
 
 _decode_text = st.one_of(

@@ -7,13 +7,14 @@ import pytest
 from nlts import (
     DegenerateSeriesError,
     NoiseSpec,
+    NonFiniteError,
     ParamError,
     TimeSeries,
     inject_noise,
     standardized_draw,
     substream,
 )
-from nlts.noise import NOISE_KINDS
+from nlts.noise import NOISE_KINDS, inject_noise_rows
 
 SAMPLED_KINDS = [k for k in NOISE_KINDS if k != "none"]
 
@@ -146,3 +147,44 @@ class TestInjectNoise:
         s = self.make_series()
         out = inject_noise(s, NoiseSpec(kind="uniform", alpha=0.1), substream(0, 0))
         assert out.name == "s"
+
+
+class TestInjectNoiseRows:
+    @pytest.mark.parametrize("kind", SAMPLED_KINDS)
+    @pytest.mark.parametrize("seed", [0, 91])
+    @pytest.mark.parametrize("n", [12, 132])
+    def test_row_i_is_inject_noise_on_substream_i(self, kind, seed, n):
+        history = TimeSeries(substream(seed, 99).normal(50.0, 4.0, n) + np.arange(n), name="h")
+        spec = NoiseSpec(kind=kind, alpha=0.07)
+        rows = inject_noise_rows(history, spec, [substream(seed, i) for i in range(5)])
+        assert rows.shape == (5, n)
+        sigma_x = float(history.values.std(ddof=0))
+        for i, row in enumerate(rows):
+            single = inject_noise(history, spec, substream(seed, i)).values
+            assert row.tobytes() == single.tobytes()
+            z = standardized_draw(spec, n, substream(seed, i))
+            assert row.tobytes() == (history.values + spec.alpha * sigma_x * z).tobytes()
+
+    def test_constant_history_raises_the_inject_noise_message(self):
+        history = TimeSeries(np.full(10, 3.0), name="flat")
+        spec = NoiseSpec(kind="gaussian", alpha=0.01)
+        with pytest.raises(DegenerateSeriesError) as single:
+            inject_noise(history, spec, substream(0, 0))
+        with pytest.raises(DegenerateSeriesError) as rows:
+            inject_noise_rows(history, spec, [substream(0, i) for i in range(4)])
+        assert str(rows.value) == str(single.value)
+        assert "'flat' is constant" in str(rows.value)
+
+    def test_overflow_raises_the_time_series_message(self):
+        history = TimeSeries(np.array([0.0, 2e150]), name="huge")
+        spec = NoiseSpec(kind="gaussian", alpha=1e200)  # alpha * sigma_x is inf
+        with pytest.raises(NonFiniteError) as single:
+            inject_noise(history, spec, substream(0, 0))
+        with pytest.raises(NonFiniteError) as rows:
+            inject_noise_rows(history, spec, [substream(0, i) for i in range(3)])
+        assert str(rows.value) == str(single.value) == "series 'huge' contains NaN or infinity"
+
+    @pytest.mark.parametrize("spec", [NoiseSpec("gaussian", 0.0), NoiseSpec("none", 0.5)])
+    def test_adds_noise(self, spec):
+        assert not spec.adds_noise
+        assert NoiseSpec("beta", 0.1).adds_noise

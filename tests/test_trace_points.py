@@ -1,7 +1,9 @@
-"""The benchmark patches program functions by attribute name (perfbench/run.py
-`trace_points`); a refactor that drops one of those names crashes `--trace 1`
-with AttributeError, and one that moves requests off a traced method makes the
-request spans miss them. Tier-1 does not collect perfbench/, so guard it here."""
+"""The benchmark's `--trace 1` mode patches program functions by attribute
+name (perfbench/run.py `trace_points`). A refactor that drops one of those
+names crashes it with AttributeError, and one that moves work off a patched
+name makes its spans miss that work. No test under perfbench/ calls
+`trace_points`, so these tests guard the names it patches and what each
+span sees."""
 
 import importlib.util
 from pathlib import Path
@@ -73,23 +75,48 @@ def test_replay_spans_see_every_request(monkeypatch, tmp_path, style):
     "noise, prompts", [(NoiseSpec("gaussian", 0.05), 5), (NoiseSpec("none"), 1)]
 )
 def test_serialize_span_sees_every_prompt(monkeypatch, noise, prompts):
-    """`codec.serialize` wraps nlts.pipeline's serialize: a noisy job builds
-    each sample's prompt through it once, a noise-free job its one shared
-    prompt, so its per-call mean stays the cost of one prompt."""
-    calls = []
-    original = nlts.pipeline.serialize
+    """`codec.serialize` wraps nlts.pipeline's serialize. A noise-free job
+    builds its one shared prompt through it; a noisy job encodes every
+    sample's prompt in one serialize_rows call instead, so the span sees
+    only noise-free jobs."""
+    rows_encoded = {"serialize": [], "serialize_rows": []}
+    for name in rows_encoded:
+        original = getattr(nlts.pipeline, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counting(values, *args, _name=name, _original=original, **kwargs):
+            rows_encoded[_name].append(len(values) if _name == "serialize_rows" else 1)
+            return _original(values, *args, **kwargs)
 
-    monkeypatch.setattr(nlts.pipeline, "serialize", counting)
+        monkeypatch.setattr(nlts.pipeline, name, counting)
     series = TimeSeries(100.0 + 10.0 * np.sin(np.arange(40) / 3.0))
     hist, _ = split_series(series, SplitSpec.by_horizon(4))
     job = ForecastJob(history=hist, horizon=4, noise=noise, samples=5)
     result = run_nlts(job, EchoTailBackend(tail=4, steps=4))
     assert result.valid_samples == 5
-    assert len(calls) == prompts
+    if noise.adds_noise:
+        assert rows_encoded == {"serialize": [], "serialize_rows": [prompts]}
+    else:
+        assert rows_encoded == {"serialize": [prompts], "serialize_rows": []}
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 0.05), NoiseSpec("none"),
+                                   NoiseSpec("laplace", 0.0)])
+def test_substream_calls_per_job(monkeypatch, noise):
+    """`rng.substream` wraps nlts.pipeline's substream: a noisy job draws
+    through it once per sample, and a noise-free job not at all."""
+    calls = []
+    original = nlts.pipeline.substream
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(nlts.pipeline, "substream", counting)
+    series = TimeSeries(100.0 + 10.0 * np.sin(np.arange(40) / 3.0))
+    hist, _ = split_series(series, SplitSpec.by_horizon(4))
+    job = ForecastJob(history=hist, horizon=4, noise=noise, samples=6, seed=3)
+    assert run_nlts(job, EchoTailBackend(tail=4, steps=4)).valid_samples == 6
+    assert calls == ([(3, i) for i in range(6)] if noise.adds_noise else [])
 
 
 def test_synth_spans_see_every_series(monkeypatch, tmp_path):
