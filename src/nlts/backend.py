@@ -14,7 +14,9 @@ import hashlib
 import json
 import math
 import os
+import random
 import threading
+import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -362,26 +364,29 @@ class BackendConfig:
 class HttpBackend(Backend):
     """OpenAI-compatible client: POST {base}/v1/completions and /v1/chat/completions.
 
-    Each request is one call on a urllib3 pool of max_in_flight connections
-    that blocks while all are busy, the one in-flight bound. The pool's Retry
-    resends after a transport failure, a 429 or a 5xx, up to max_retries
-    times. The first retry goes at once; retry k (k >= 2) waits
-    backoff_base * 2**(k-1) plus up to backoff_base of jitter, capped at
-    backoff_cap, so these delays never decrease. A Retry-After header in
-    seconds or as a date sets the delay instead, capped at backoff_cap; one
-    that parses as neither, such as "0.5", is ignored. A 429 or 5xx response
-    hands its connection back before the delay; after a transport failure,
-    urllib3 sleeps before it frees the slot. 401/403 raise AuthError at once,
-    and a 3xx is not followed: it raises ProtocolError. Usage.requests counts
-    HTTP attempts, not logical calls.
+    Requests go out on standard-library keep-alive connections. The pool holds
+    max_in_flight slots, each an idle connection or an empty slot that opens
+    one, and taking a slot blocks while all are busy: the one in-flight bound.
+    A reused connection that the server closed while it idled is reopened
+    before the request, without costing an attempt. A transport failure, a
+    429 or a 5xx is retried up to max_retries times. The first retry goes at
+    once; retry k (k >= 2) waits backoff_base * 2**(k-1) plus up to
+    backoff_base of jitter, capped at backoff_cap, so these delays never
+    decrease. A Retry-After header in whole seconds or as an HTTP date sets the
+    delay instead, capped at backoff_cap; one that parses as neither, such as
+    "0.5", or is not in the future keeps the backoff. Every attempt hands its
+    slot back before it sleeps. 401/403 raise AuthError at once, and a 3xx is
+    not followed: it raises ProtocolError. Usage.requests counts HTTP
+    attempts, not logical calls.
 
     HTTP_PROXY, HTTPS_PROXY, ALL_PROXY and NO_PROXY (either case) are read
     once, at construction, through urllib.request.getproxies() and
-    proxy_bypass(). A proxy URL without a scheme means http://, its
-    user:password@ is sent as proxy basic auth, and one that urllib3 cannot use
-    raises ConfigError. TLS verifies against the system trust store
-    (SSL_CERT_FILE, SSL_CERT_DIR), not certifi's bundle, and ~/.netrc is not
-    read.
+    proxy_bypass(). The proxy must be plain http://, which is also what a
+    proxy URL without a scheme means; an https:// endpoint is tunnelled through
+    it with CONNECT. Its user:password@ is sent as proxy basic auth, and any
+    other proxy URL raises ConfigError. TLS verifies against the system trust
+    store (SSL_CERT_FILE, SSL_CERT_DIR), not certifi's bundle, and ~/.netrc is
+    not read.
     """
 
     name = "live"
@@ -398,72 +403,126 @@ class HttpBackend(Backend):
                 f"no endpoint: pass BackendConfig.base_url or set {ENV_API_BASE}"
             )
         self.base_url = base.rstrip("/")
-        api_key = config.api_key or os.environ.get(ENV_API_KEY)
-        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self.max_in_flight = config.max_in_flight
+        self._config = config
+        import base64
+        import http.client
+        import queue
         import urllib.request
         from urllib.parse import unquote, urlsplit
 
-        import urllib3
-
-        class LenientRetry(urllib3.Retry):
-            def parse_retry_after(self, retry_after):
-                try:
-                    return super().parse_retry_after(retry_after)
-                except urllib3.exceptions.InvalidHeader:  # such as "0.5": keep the backoff schedule
-                    return 0.0
-
-        retry = LenientRetry(
-            total=config.max_retries,
-            allowed_methods=None,  # every method, POST included
-            status_forcelist=(429, *range(500, 600)),
-            backoff_factor=config.backoff_base,
-            backoff_jitter=config.backoff_base,
-            backoff_max=config.backoff_cap,
-            retry_after_max=config.backoff_cap,
-            raise_on_status=False,  # the last response comes back for mapping below
-        )
-        pool_kw = dict(maxsize=config.max_in_flight, block=True, retries=retry,
-                       timeout=config.timeout)
+        api_key = config.api_key or os.environ.get(ENV_API_KEY)
+        self._headers = {"Content-Type": "application/json", "User-Agent": "nlts"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         try:
             target = urlsplit(self.base_url)
+            host, port = target.hostname, target.port
             proxies = urllib.request.getproxies()
             proxy = proxies.get(target.scheme) or proxies.get("all")
             if proxy and not urllib.request.proxy_bypass(target.netloc):
-                proxy = proxy if "://" in proxy else "http://" + proxy
-                auth = urllib3.util.parse_url(proxy).auth
-                proxy_headers = auth and urllib3.make_headers(proxy_basic_auth=unquote(auth))
-                self._pool = urllib3.ProxyManager(proxy, proxy_headers=proxy_headers, **pool_kw)
+                proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+                proxy_port = proxy.port or 80
             else:
-                self._pool = urllib3.PoolManager(**pool_kw)
-        except ValueError as exc:  # an unparseable URL, or a proxy scheme urllib3 lacks
+                proxy = None
+        except ValueError as exc:  # an unparseable URL or port
             raise ConfigError(f"bad base_url or proxy for {self.base_url}: {exc}") from exc
-        self._http_error = urllib3.exceptions.HTTPError
+        if target.scheme not in ("http", "https") or not host:
+            raise ConfigError(f"base_url must be an http:// or https:// URL, got {self.base_url}")
+        if proxy and (proxy.scheme != "http" or not proxy.hostname):
+            raise ConfigError(f"proxy for {self.base_url} must be an http:// URL")
+        kw = {"timeout": config.timeout}
+        if target.scheme == "https":
+            import ssl
+
+            kw["context"] = ssl.create_default_context()  # one for every connection
+        connect = http.client.HTTPSConnection if "context" in kw else http.client.HTTPConnection
+        self._path = target.path  # a request's target is this plus the route's path
+        tunnel = None
+        if proxy:
+            userinfo = unquote(proxy.netloc.rpartition("@")[0]).encode()
+            auth = {"Proxy-Authorization": "Basic " + base64.b64encode(userinfo).decode()
+                    } if "@" in proxy.netloc else {}
+            if "context" in kw:  # CONNECT host:port, then TLS through the tunnel
+                tunnel = (host, port, auth)
+            else:  # a plain-HTTP proxy takes the absolute URL
+                self._path = self.base_url
+                self._headers.update(auth)
+            host, port = proxy.hostname, proxy_port
+
+        def connection():
+            conn = connect(host, port, **kw)
+            if tunnel:
+                conn.set_tunnel(*tunnel)
+            return conn
+
+        self._connection = connection
+        self._slots = queue.LifoQueue()
+        for _ in range(config.max_in_flight):
+            self._slots.put(None)
+        self._transport_errors = (OSError, http.client.HTTPException)
 
     def describe(self):
         return {"backend": self.name, "base_url": self.base_url}
+
+    def _attempt(self, target: str, data: bytes) -> tuple[int, str | None, bytes]:
+        """One POST on a pooled connection: status, Retry-After and body. The
+        slot goes back, with the connection closed on any failure, before this
+        returns or raises."""
+        conn = self._slots.get() or self._connection()
+        try:
+            if conn.sock is not None and _readable(conn.sock):
+                conn.close()  # the server closed it while it idled: open a fresh one
+            conn.request("POST", target, data, self._headers)
+            resp = conn.getresponse()
+            return resp.status, resp.getheader("Retry-After"), resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            self._slots.put(conn)
+
+    def _delay(self, failures: int, retry_after: str | None = None) -> float:
+        """Seconds to wait after `failures` failed attempts in a row."""
+        cfg = self._config
+        seconds = _retry_after_seconds(retry_after) if retry_after is not None else 0.0
+        if seconds <= 0 and failures >= 2:
+            seconds = cfg.backoff_base * 2 ** (failures - 1) + random.random() * cfg.backoff_base
+        return min(seconds, cfg.backoff_cap)
 
     def complete(self, prompt, params, tag=""):
         endpoint, body = request_body(prompt, params)
         if endpoint == "chat":
             _last_user_content(prompt)  # validates shape
         path, choice_text = self._ROUTES[endpoint]
-        try:
-            resp = self._pool.request("POST", self.base_url + path, json=body,
-                                      headers=self._headers, redirect=False)
-        except self._http_error as exc:
-            raise TransportError(f"request failed after retries: {exc}") from exc
-        attempts = len(resp.retries.history) + 1
-        status = resp.status
+        target = self._path + path
+        data = json.dumps(body, separators=(",", ":"), ensure_ascii=False).encode()
+        attempts = 0
+        while True:
+            attempts += 1
+            retries_left = attempts <= self._config.max_retries
+            try:
+                status, retry_after, payload = self._attempt(target, data)
+            except self._transport_errors as exc:
+                if not retries_left:
+                    raise TransportError(
+                        f"request failed after {attempts} attempts: {exc!r}") from exc
+                delay = self._delay(attempts)
+            else:
+                if not (retries_left and (status == 429 or 500 <= status < 600)):
+                    break
+                delay = self._delay(attempts, retry_after)
+            if delay > 0:
+                time.sleep(delay)
         if status in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {status})")
         if status != 200:
             error = (RateLimitError if status == 429 else
                      TransportError if status >= 500 else ProtocolError)
-            excerpt = resp.data[:200].decode("utf-8", "replace")
+            excerpt = payload[:200].decode("utf-8", "replace")
             raise error(f"HTTP {status} after {attempts} attempts: {excerpt}")
         try:
-            data = resp.json()
+            data = json.loads(payload)
             texts = [choice_text(choice) for choice in data["choices"]]
         except ValueError as exc:
             raise ProtocolError(f"endpoint returned invalid JSON: {exc}") from exc
@@ -478,6 +537,35 @@ class HttpBackend(Backend):
         except (TypeError, ValueError):
             usage = _estimate_usage(prompt, texts)
         return texts, replace(usage, requests=attempts)
+
+
+def _readable(sock) -> bool:
+    """Whether an idle keep-alive socket has something to read: the server's
+    close, or bytes no request asked for. Either way it cannot be reused."""
+    import select
+
+    if hasattr(select, "poll"):  # select() cannot take descriptors >= FD_SETSIZE
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _retry_after_seconds(value: str) -> float:
+    """A Retry-After header as seconds from now: whole seconds or an HTTP date.
+    Anything else is 0, so the caller keeps its backoff."""
+    import email.utils
+
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    parsed = email.utils.parsedate_tz(value)
+    if parsed is None:
+        return 0.0
+    try:
+        return email.utils.mktime_tz(parsed[:9] + (parsed[9] or 0,)) - time.time()
+    except (OverflowError, ValueError):
+        return 0.0
 
 
 # --- record / replay ----------------------------------------------------------

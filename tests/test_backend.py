@@ -1,4 +1,5 @@
 import base64
+import email.utils
 import json
 import math
 import os
@@ -390,8 +391,10 @@ class TestGoldenRequestHashes:
         texts, _ = ReplayBackend(cassette).complete(request_input, GOLDEN_PARAMS, tag=tag)
         assert texts == ["7 8 9"]
 
-    @pytest.mark.parametrize("request_input, tag, expected", GOLDEN_HASHES,
-                             ids=["completions", "chat"])
+    @pytest.mark.parametrize("request_input, tag, expected", GOLDEN_HASHES + [
+        ([{"role": "system", "content": "prévision, 予測 😀"}] + GOLDEN_MESSAGES, "sample-2/try-0",
+         "ab5fe341d89b7f1f3d134c5dfde865c143247bb6b531b3823e6681bc881d9d28"),
+    ], ids=["completions", "chat", "chat-non-ascii"])
     def test_wire_body_is_hashed_body(self, http_server, tmp_path, request_input, tag, expected):
         base, script = http_server
         chat = not isinstance(request_input, str)
@@ -409,6 +412,10 @@ class TestGoldenRequestHashes:
         ]
         assert script.calls[0]["body"] == record["canonical_request"]["body"]
         assert record["request_hash"] == expected
+        # the wire bytes: compact separators, UTF-8 without \u escapes
+        _, body = request_body(request_input, GOLDEN_PARAMS)
+        assert script.calls[0]["raw"] == json.dumps(
+            body, separators=(",", ":"), ensure_ascii=False).encode()
 
 
 # text that JSON must escape or may keep as UTF-8: quotes, backslashes,
@@ -453,9 +460,11 @@ class TestHashAsBuilt:
 class _Script(BaseHTTPRequestHandler):
     """Serves a scripted list of responses, in order; the last one repeats.
 
-    An entry is (status, body) or (status, body, headers). A bytes body goes
-    out as it is, anything else as JSON. Every reply waits `delay` seconds.
-    `peak` is the most requests the handler has held at once.
+    An entry is (status, body), (status, body, headers) or (status, body,
+    headers, delay). A bytes body goes out as it is, anything else as JSON. A
+    reply waits its entry's delay, else `delay` seconds. `peak` is the most
+    requests the handler has held at once. Each call keeps the raw request
+    body and its parsed JSON.
     """
 
     script = []
@@ -464,25 +473,37 @@ class _Script(BaseHTTPRequestHandler):
     active = peak = 0
     lock = threading.Lock()
 
+    def record(self, raw=b""):
+        """Appends this request to `calls`; returns how many there are."""
+        self.calls.append({"method": self.command, "path": self.path, "raw": raw,
+                           "body": json.loads(raw or b"{}"),
+                           "auth": self.headers.get("Authorization"),
+                           "proxy_auth": self.headers.get("Proxy-Authorization")})
+        return len(self.calls)
+
+    def do_CONNECT(self):
+        """A proxy's tunnel request: recorded, then refused."""
+        with self.lock:
+            self.record()
+        self.send_error(502)
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length) or b"{}")
+        raw = self.rfile.read(length)
         cls = type(self)
         with self.lock:
-            self.calls.append({"path": self.path, "body": body,
-                               "auth": self.headers.get("Authorization"),
-                               "proxy_auth": self.headers.get("Proxy-Authorization")})
-            status, payload, *headers = self.script[min(len(self.calls), len(self.script)) - 1]
+            status, payload, *extra = self.script[min(self.record(raw), len(self.script)) - 1]
             cls.active += 1
             cls.peak = max(cls.peak, cls.active)
-        time.sleep(self.delay)
+        headers = extra[0] if extra else {}
+        time.sleep(extra[1] if len(extra) > 1 else self.delay)
         with self.lock:
             cls.active -= 1
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers[0] if headers else {}).items():
+        for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
@@ -491,38 +512,70 @@ class _Script(BaseHTTPRequestHandler):
         pass
 
 
+class _CloseWhenIdle(_Script):
+    """Replies in HTTP/1.1 without "Connection: close", then closes the
+    connection, as a server does with a keep-alive connection that idled out."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
 class _Server(ThreadingHTTPServer):
+    closed = 0  # connections closed by the server
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with _Script.lock:
+            self.closed += 1
+
     def handle_error(self, request, client_address):
         pass  # a client that timed out has closed its end
 
 
 @pytest.fixture
-def http_server(monkeypatch):
+def serve(monkeypatch):
+    """Starts a loopback _Server for a handler class: serve(handler) -> (base URL, server).
+    _Script's state starts empty."""
     for name in list(os.environ):  # every proxy setting, so each test is hermetic
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
-    server = _Server(("127.0.0.1", 0), _Script)
     _Script.script = []
     _Script.calls = []
     _Script.delay = 0.0
     _Script.active = _Script.peak = 0
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}", _Script
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    running = []
+
+    def start(handler):
+        server = _Server(("127.0.0.1", 0), handler)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        running.append((server, thread))
+        return f"http://127.0.0.1:{server.server_port}", server
+
+    yield start
+    for server, thread in running:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def http_server(serve):
+    return serve(_Script)[0], _Script
 
 
 @pytest.fixture
 def sleeps(monkeypatch):
-    """The delays urllib3's Retry sleeps between attempts, recorded instead of slept."""
-    import urllib3.util.retry
+    """The delays HttpBackend sleeps between attempts, recorded instead of slept."""
+    import nlts.backend
 
     slept = []
-    monkeypatch.setattr(urllib3.util.retry, "time",
+    monkeypatch.setattr(nlts.backend, "time",
                         types.SimpleNamespace(sleep=slept.append, time=time.time))
     return slept
 
@@ -671,7 +724,15 @@ class TestHttpBackend:
         assert usage.requests == 2
         assert sleeps == [0.004]
 
-    @pytest.mark.parametrize("value", ["0.5", "soon", ""])
+    def test_retry_after_date_is_capped(self, http_server, sleeps):
+        base, script = http_server
+        an_hour_ahead = email.utils.formatdate(time.time() + 3600, usegmt=True)
+        script.script = [(503, {}, {"Retry-After": an_hour_ahead}), _ok_completion()]
+        _, usage = self.make(base).complete("p", PARAMS)
+        assert usage.requests == 2
+        assert sleeps == [0.004]
+
+    @pytest.mark.parametrize("value", ["0.5", "soon", "", "0", "Mon, 01 Jan 2001 00:00:00 GMT"])
     def test_unparseable_retry_after_keeps_the_backoff(self, http_server, sleeps, value):
         base, script = http_server
         script.script = [(429, {}, {"Retry-After": value}), (503, {}, {"Retry-After": value}),
@@ -746,6 +807,46 @@ class TestHttpBackend:
         assert finished["first"] - start >= 1.0
         assert finished["second"] < finished["first"]
         assert [c["body"]["prompt"] for c in script.calls] == ["p", "q", "p"]
+
+    def test_pool_slot_is_free_during_transport_backoff(self, http_server):
+        base, script = http_server
+        # two replies slower than the timeout, then prompt ones
+        script.script = [(200, {}, {}, 1.0), (200, {}, {}, 1.0), _ok_completion()]
+        cfg = BackendConfig(base_url=base, max_in_flight=1, timeout=0.2,
+                            backoff_base=0.5, backoff_cap=0.5)
+        backend = HttpBackend(cfg)
+        finished = {}
+
+        def run(name, prompt):
+            backend.complete(prompt, PARAMS)
+            finished[name] = time.monotonic()
+
+        start = time.monotonic()
+        first = threading.Thread(target=run, args=("first", "p"))
+        first.start()
+        while len(script.calls) < 2 and time.monotonic() - start < 5:
+            time.sleep(0.005)
+        run("second", "q")
+        first.join(timeout=5)
+        assert not first.is_alive()
+        # two timeouts of 0.2 s, then 0.5 s of backoff, which the second request ran inside
+        assert finished["first"] - start >= 0.9
+        assert finished["second"] < finished["first"]
+        assert [c["body"]["prompt"] for c in script.calls] == ["p", "p", "q", "p"]
+
+    @pytest.mark.parametrize("max_retries", [3, 0])
+    def test_connection_closed_while_idle_costs_no_attempt(self, serve, max_retries):
+        base, server = serve(_CloseWhenIdle)
+        _Script.script = [_ok_completion()]
+        backend = self.make(base, max_retries=max_retries)
+        attempts = []
+        for i in range(5):
+            attempts.append(backend.complete("p", PARAMS)[1].requests)
+            deadline = time.monotonic() + 5
+            while server.closed <= i and time.monotonic() < deadline:
+                time.sleep(0.001)  # until the server has closed this call's connection
+        assert attempts == [1] * 5
+        assert len(_Script.calls) == 5
 
     def test_pool_bounds_requests_in_flight(self, http_server):
         base, script = http_server
@@ -840,7 +941,22 @@ class TestTransport:
             self.make(base).complete("p", PARAMS)
         assert len(script.calls) == 1
 
-    @pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080", "http://[bad"])
+    @pytest.mark.parametrize("base_url", ["ftp://upstream.invalid", "localhost:8000", "http://"])
+    def test_base_url_must_be_http(self, http_server, base_url):
+        with pytest.raises(ConfigError, match="base_url"):
+            self.make(base_url)
+
+    def test_https_endpoint_is_tunnelled(self, http_server, monkeypatch):
+        base, script = http_server
+        monkeypatch.setenv("HTTPS_PROXY", base.replace("http://", "http://user:p%40ss@"))
+        with pytest.raises(TransportError):  # the fixture refuses the tunnel
+            self.make("https://upstream.invalid").complete("p", PARAMS)
+        assert script.calls[0]["method"] == "CONNECT"
+        assert script.calls[0]["path"] == "upstream.invalid:443"
+        assert script.calls[0]["proxy_auth"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    @pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080", "http://[bad",
+                                       "https://127.0.0.1:3128"])
     def test_unusable_proxy_is_config_error(self, http_server, monkeypatch, proxy):
         monkeypatch.setenv("HTTP_PROXY", proxy)
         with pytest.raises(ConfigError, match="proxy"):

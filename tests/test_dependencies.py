@@ -1,7 +1,10 @@
-"""The packages pyproject.toml declares are exactly the third-party ones src/nlts imports."""
+"""The packages pyproject.toml declares are exactly the third-party ones
+src/nlts imports, and importing nlts leaves the HTTP stack unloaded."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +34,13 @@ def test_third_party_imports_are_declared():
     }
     third_party = imported_top_levels(ROOT / "src" / "nlts") - set(sys.stdlib_module_names)
     assert third_party - {"nlts"} == declared
+
+
+def test_import_leaves_the_http_stack_unloaded():
+    # HttpBackend imports its HTTP and TLS modules when it is built
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, nlts; "
+            "print(sorted({'http.client', 'ssl', 'urllib3'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
