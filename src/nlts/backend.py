@@ -220,7 +220,7 @@ def request_hash(canonical: dict) -> str:
 
 
 class Backend:
-    """Texts-plus-usage generation interface: one method, complete.
+    """Texts-plus-usage generation interface: one method to implement, complete.
 
     Its prompt is a str for the completions endpoint or a list of
     {"role", "content"} messages for the chat endpoint. It returns the
@@ -228,18 +228,20 @@ class Backend:
     the request for cassettes: the endpoint, the request_body and the tag
     together determine the request hash.
 
-    max_in_flight is how many samples run_nlts sends at once. In-process
-    backends have no I/O to overlap, so the default 1 runs samples inline on
-    the calling thread; HttpBackend takes its value from BackendConfig.
+    map(fn, items) returns [fn(x) for x in items] in order, run on the calling
+    thread: in-process backends have no I/O to overlap. HttpBackend overlaps
+    it on its workers. fn must not call map on the same backend.
     """
 
     name = "backend"
-    max_in_flight = 1
 
     def complete(
         self, prompt: Prompt, params: GenerationParams, tag: str = ""
     ) -> tuple[list[str], Usage]:
         raise NotImplementedError
+
+    def map(self, fn, items) -> list:
+        return list(map(fn, items))
 
     def describe(self) -> dict:
         return {"backend": self.name}
@@ -308,6 +310,15 @@ class EchoTailBackend(_MockBackend):
         return {"backend": self.name, "tail": self.tail, "steps": self.steps}
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The text of a fixture or cassette file; failing to read it is a ConfigError."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {what} {path}: {reason}") from exc
+
+
 class ScriptedBackend(_MockBackend):
     """Replays fixture lines; line choice follows the sample index in the tag.
 
@@ -321,7 +332,7 @@ class ScriptedBackend(_MockBackend):
         if lines is None:
             if path is None:
                 raise ConfigError("scripted backend needs lines or a fixture path")
-            lines = [l for l in Path(path).read_text().splitlines() if l.strip()]
+            lines = [l for l in _read_text(Path(path), "fixture").splitlines() if l.strip()]
         self.lines = list(lines)
         if not self.lines:
             raise ConfigError("scripted backend has no fixture lines")
@@ -364,9 +375,10 @@ class BackendConfig:
 class HttpBackend(Backend):
     """OpenAI-compatible client: POST {base}/v1/completions and /v1/chat/completions.
 
-    Requests go out on standard-library keep-alive connections. The pool holds
-    max_in_flight slots, each an idle connection or an empty slot that opens
-    one, and taking a slot blocks while all are busy: the one in-flight bound.
+    Requests go out on standard-library keep-alive connections. map runs on
+    max_in_flight workers that live as long as the backend. Taking one of the
+    pool's max_in_flight slots, an idle connection or empty until it opens
+    one, blocks while all are busy: the one in-flight bound, on any thread.
     A reused connection that the server closed while it idled is reopened
     before the request, without costing an attempt. A transport failure, a
     429 or a 5xx is retried up to max_retries times. The first retry goes at
@@ -403,9 +415,9 @@ class HttpBackend(Backend):
                 f"no endpoint: pass BackendConfig.base_url or set {ENV_API_BASE}"
             )
         self.base_url = base.rstrip("/")
-        self.max_in_flight = config.max_in_flight
         self._config = config
         import base64
+        import concurrent.futures
         import http.client
         import queue
         import urllib.request
@@ -414,6 +426,9 @@ class HttpBackend(Backend):
         api_key = config.api_key or os.environ.get(ENV_API_KEY)
         self._headers = {"Content-Type": "application/json", "User-Agent": "nlts"}
         if api_key:
+            if any(c in "\r\n" or c > "\xff" for c in api_key):  # never echo the key
+                raise ConfigError(f"api_key (or {ENV_API_KEY}) holds a line break or a "
+                                  "character outside Latin-1, which no HTTP header can carry")
             self._headers["Authorization"] = f"Bearer {api_key}"
         try:
             target = urlsplit(self.base_url)
@@ -461,9 +476,13 @@ class HttpBackend(Backend):
         for _ in range(config.max_in_flight):
             self._slots.put(None)
         self._transport_errors = (OSError, http.client.HTTPException)
+        self._workers = concurrent.futures.ThreadPoolExecutor(config.max_in_flight)
 
     def describe(self):
         return {"backend": self.name, "base_url": self.base_url}
+
+    def map(self, fn, items):
+        return list(self._workers.map(fn, items))
 
     def _attempt(self, target: str, data: bytes) -> tuple[int, str | None, bytes]:
         """One POST on a pooled connection: status, Retry-After and body. The
@@ -585,7 +604,6 @@ class RecordingBackend(Backend):
     def __init__(self, inner: Backend, path: str | Path):
         self.inner = inner
         self.path = Path(path)
-        self.max_in_flight = inner.max_in_flight
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.path.touch(exist_ok=True)
@@ -604,6 +622,9 @@ class RecordingBackend(Backend):
                 fh.write(line + "\n")
         return texts, usage
 
+    def map(self, fn, items):
+        return self.inner.map(fn, items)
+
     def describe(self):
         return {"backend": self.name, "inner": self.inner.describe(), "cassette": str(self.path)}
 
@@ -621,10 +642,8 @@ class ReplayBackend(Backend):
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        if not self.path.exists():
-            raise ConfigError(f"cassette not found: {self.path}")
         self._responses: dict[str, dict] = {}
-        for line_no, line in enumerate(self.path.read_text().splitlines(), start=1):
+        for line_no, line in enumerate(_read_text(self.path, "cassette").splitlines(), start=1):
             if not line.strip():
                 continue
             try:

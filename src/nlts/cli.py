@@ -32,7 +32,7 @@ from .codec import CodecConfig
 from .core import SplitSpec, read_block
 from .errors import ConfigError, NltsError
 from .noise import NOISE_KINDS, NoiseSpec
-from .pipeline import ForecastJob, run_nlts
+from .pipeline import PROMPT_STYLES, ForecastJob, run_nlts
 from .synth import KERNEL_KINDS, KernelSpec, generate_benchmark
 
 
@@ -75,22 +75,25 @@ def main() -> None:
               type=click.Choice([k for k in NOISE_KINDS]))
 @click.option("--alpha", default=0.0, show_default=True, type=float,
               help="Noise level as a fraction of the history std.")
-@click.option("--samples", default=10, show_default=True, type=int)
-@click.option("--precision", default=3, show_default=True, type=int,
+@click.option("--samples", default=ForecastJob.samples, show_default=True, type=int)
+@click.option("--precision", default=CodecConfig.precision_k, show_default=True, type=int,
               help="Decimal places kept when encoding.")
-@click.option("--style", default="raw", show_default=True, type=click.Choice(["raw", "chat"]))
-@click.option("--basic/--spaced", "basic_mode", default=False, show_default=True,
+@click.option("--style", default=ForecastJob.prompt_style, show_default=True,
+              type=click.Choice(PROMPT_STYLES))
+@click.option("--basic/--spaced", "basic_mode", default=CodecConfig.basic_mode, show_default=True,
               help="Concatenate digits instead of spacing them.")
-@click.option("--signed/--unsigned", default=True, show_default=True)
-@click.option("--half-bin/--no-half-bin", default=True, show_default=True)
+@click.option("--signed/--unsigned", default=CodecConfig.signed, show_default=True)
+@click.option("--half-bin/--no-half-bin", default=CodecConfig.half_bin_correction,
+              show_default=True)
 @click.option("--backend", "backend_kind", default=BackendSpec.kind, show_default=True,
               type=click.Choice(["live", "oracle", "echo", "replay"]),
               help="replay serves the cassette named by --replay.")
-@click.option("--model", default="GPT-3.5-Turbo-Instruct", show_default=True)
-@click.option("--temperature", default=0.7, show_default=True, type=float)
-@click.option("--top-p", default=1.0, show_default=True, type=float)
-@click.option("--max-tokens", default=256, show_default=True, type=int)
-@click.option("--retries", default=1, show_default=True, type=int)
+@click.option("--model", default=GenerationParams.model, show_default=True)
+@click.option("--temperature", default=GenerationParams.temperature, show_default=True,
+              type=float)
+@click.option("--top-p", default=GenerationParams.top_p, show_default=True, type=float)
+@click.option("--max-tokens", default=GenerationParams.max_tokens, show_default=True, type=int)
+@click.option("--retries", default=ForecastJob.retries_per_sample, show_default=True, type=int)
 @click.option("--echo-tail", default=4, show_default=True, type=int)
 @click.option("--seed", default=42, show_default=True, type=int)
 @click.option("--record", "record_path", type=click.Path(dir_okay=False), default=None,

@@ -9,7 +9,6 @@ per-sample substreams, so results do not depend on completion order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -163,9 +162,10 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
     one prompt. A sample is valid when at least `horizon` steps parse. Fewer
     than ceil(samples / 2) valid samples aborts with InsufficientSamplesError.
 
-    Every prompt is built on the calling thread before the first request. The
-    requests then run inline, or in a pool of backend.max_in_flight threads
-    when the backend does I/O.
+    Every prompt is built on the calling thread before the first request; the
+    samples then run through backend.map. A failing sample raises the first
+    such error in index order, samples not yet started are cancelled, and on
+    HttpBackend up to max_in_flight - 1 running ones finish in the background.
     """
     history = job.history
     budget = completion_token_budget(job.horizon, job.codec)
@@ -205,17 +205,8 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
                 return values[: job.horizon], outcome, usage_sample
         return None, SampleOutcome(i, attempts, False, last_report), usage_sample
 
-    workers = max(1, min(job.samples, backend.max_in_flight))
-    results: list[tuple[np.ndarray | None, SampleOutcome, Usage]]
-    if workers == 1:
-        results = [run_sample(i) for i in range(job.samples)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_sample, range(job.samples)))
-
-    paths = [r[0] for r in results]
-    outcomes = tuple(r[1] for r in results)
-    usage_total = sum((r[2] for r in results), Usage())
+    paths, outcomes, usages = zip(*backend.map(run_sample, range(job.samples)))
+    usage_total = sum(usages, Usage())
     valid = [p for p in paths if p is not None]
     needed = math.ceil(job.samples / 2)
     if len(valid) < needed:

@@ -3,12 +3,14 @@ import email.utils
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
 import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from nlts import (
     BackendConfig,
     ConfigError,
     EchoTailBackend,
+    ForecastJob,
     GenerationParams,
     HttpBackend,
     OracleBackend,
@@ -27,11 +30,13 @@ from nlts import (
     RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
+    TimeSeries,
     TransportError,
     Usage,
     default_cost_table,
     estimate_cost,
     load_cost_table,
+    run_nlts,
 )
 from nlts.backend import canonical_request, request_body, request_hash
 
@@ -240,6 +245,21 @@ class TestScriptedBackend:
     def test_empty_fixture(self):
         with pytest.raises(ConfigError):
             ScriptedBackend(lines=[])
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "latin1"])
+@pytest.mark.parametrize("make, what", [
+    (lambda path: ScriptedBackend(path=path), "fixture"),
+    (ReplayBackend, "cassette"),
+], ids=["scripted", "replay"])
+def test_unreadable_file_is_config_error(tmp_path, kind, make, what):
+    path = tmp_path / "lines.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin1":
+        path.write_bytes("caf\xe9\n".encode("latin-1"))  # not UTF-8
+    with pytest.raises(ConfigError, match=f"cannot read {what} {re.escape(str(path))}: "):
+        make(path)
 
 
 class TestRecordReplay:
@@ -580,6 +600,11 @@ def sleeps(monkeypatch):
     return slept
 
 
+def _job(samples):
+    """A noise-free forecast whose every sample parses _ok_completion's reply."""
+    return ForecastJob(history=TimeSeries(np.arange(1.0, 21.0)), horizon=2, samples=samples)
+
+
 def _ok_completion(text="1 2, 3 4"):
     return (
         200,
@@ -684,12 +709,69 @@ class TestHttpBackend:
             backend.complete("p", PARAMS)
 
     def test_in_flight_from_config(self, tmp_path):
-        # no request is sent: construction opens no connection
+        # no request is sent: construction and map open no connection
         live = HttpBackend(BackendConfig(base_url="http://127.0.0.1:9", max_in_flight=3))
-        assert live.max_in_flight == 3
-        assert RecordingBackend(live, tmp_path / "c.jsonl").max_in_flight == 3
-        assert HttpBackend(BackendConfig(base_url="http://127.0.0.1:9")).max_in_flight == 4
-        assert OracleBackend("1").max_in_flight == 1
+        wave = threading.Barrier(3, timeout=10)
+        lock = threading.Lock()
+        active = [0, 0]  # calls running now, most at once
+
+        def call(i):
+            with lock:
+                active[0] += 1
+                active[1] = max(active)
+            wave.wait()  # returns only once three calls run at once
+            with lock:
+                active[0] -= 1
+            return i, threading.current_thread()
+
+        results = live.map(call, range(6))
+        assert [i for i, _ in results] == list(range(6))
+        assert active[1] == 3
+        workers = {t for _, t in results}
+        assert len(workers) == 3 and threading.current_thread() not in workers
+        # a recording wrapper maps on the inner backend's pool, which outlives a map
+        recorded = RecordingBackend(live, tmp_path / "c.jsonl").map(call, range(3))
+        assert {t for _, t in recorded} == workers
+        inline = OracleBackend("1").map(lambda i: threading.get_ident(), range(3))
+        assert inline == [threading.get_ident()] * 3
+
+    def test_forecasts_share_the_backends_workers(self, http_server):
+        base, script = http_server
+        script.script = [_ok_completion()]
+        script.delay = 0.05
+        backend = self.make(base, max_in_flight=2)
+        threads = set()  # Thread objects, whose idents a new thread could reuse
+        complete = backend.complete
+
+        def on_thread(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return complete(*args, **kwargs)
+
+        backend.complete = on_thread
+        for _ in range(2):
+            assert run_nlts(_job(samples=4), backend).valid_samples == 4
+        assert len(threads) <= 2 and threading.current_thread() not in threads
+        assert len(script.calls) == 8 and script.peak == 2
+
+    def test_failed_sample_cancels_samples_not_started(self, http_server):
+        base, script = http_server
+        script.script = [(401, {"error": "bad key"}), (*_ok_completion(), {}, 0.2)]
+        backend = self.make(base, max_in_flight=1)
+        with pytest.raises(AuthError):
+            run_nlts(_job(samples=4), backend)
+        backend.map(lambda i: i, [0])  # queued behind every sample, run or cancelled
+        # sample 0 got the 401; at most sample 1 had started on the one worker
+        assert 1 <= len(script.calls) <= 2
+
+    @pytest.mark.parametrize("key", ["sk-1\nx", "sk-1\rx", "sk-1\r\n", "sk-\u2603"])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_unsendable_api_key_is_config_error(self, monkeypatch, key, from_env):
+        if from_env:
+            monkeypatch.setenv("NLTS_API_KEY", key)
+        cfg = BackendConfig(base_url="http://127.0.0.1:9", api_key=None if from_env else key)
+        with pytest.raises(ConfigError, match="api_key") as info:
+            HttpBackend(cfg)
+        assert "sk-" not in str(info.value)
 
     def test_missing_base_url(self, monkeypatch):
         monkeypatch.delenv("NLTS_API_BASE", raising=False)

@@ -12,6 +12,7 @@ from nlts.codec import CodecConfig
 from nlts.core import SplitSpec
 from nlts.cli import main, sweep_config_from_dict
 from nlts.errors import ConfigError
+from nlts.pipeline import ForecastJob
 
 from conftest import make_airline_series, write_series_csv
 from golden import cli_outputs
@@ -110,6 +111,36 @@ class TestForecastCommand:
         ])
         assert result.exit_code != 0
         assert "replay" in result.output
+
+    @pytest.mark.parametrize("kind", ["missing", "latin1"])
+    def test_unreadable_cassette_is_config_error(self, runner, airline_csv, tmp_path, kind):
+        cassette = tmp_path / "c.jsonl"
+        if kind == "latin1":
+            cassette.write_bytes("caf\xe9\n".encode("latin-1"))
+        result = runner.invoke(main, [
+            "forecast", "--data", str(airline_csv), "--replay", str(cassette),
+        ])
+        assert result.exit_code == 1
+        assert f"Error: ConfigError: cannot read cassette {cassette}: " in result.output
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        defaults = {p.name: p.default for p in main.commands["forecast"].params}
+        expected = {
+            "model": GenerationParams.model,
+            "temperature": GenerationParams.temperature,
+            "top_p": GenerationParams.top_p,
+            "max_tokens": GenerationParams.max_tokens,
+            "precision": CodecConfig.precision_k,
+            "signed": CodecConfig.signed,
+            "basic_mode": CodecConfig.basic_mode,
+            "half_bin": CodecConfig.half_bin_correction,
+            "samples": ForecastJob.samples,
+            "retries": ForecastJob.retries_per_sample,
+            "style": ForecastJob.prompt_style,
+            "backend_kind": BackendSpec.kind,
+            "seed": 42,
+        }
+        assert {name: defaults[name] for name in expected} == expected
 
     def test_record_then_replay_byte_identical(self, runner, airline_csv, tmp_path):
         cassette = tmp_path / "c.jsonl"
@@ -262,6 +293,24 @@ class TestBenchCommand:
         assert [c["label"] for c in report["cells"]] == [
             "Original", "0.001", "0.005", "0.01", "0.02", "0.05",
         ]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin1"])
+    @pytest.mark.parametrize("backend, what", [("scripted", "fixture"), ("replay", "cassette")])
+    def test_unreadable_backend_file_is_config_error(self, runner, tmp_path, kind, backend, what):
+        data = tmp_path / "airline.csv"
+        write_series_csv(data, make_airline_series(), holdout=12)
+        path = tmp_path / "lines.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "latin1":
+            path.write_bytes("caf\xe9\n".encode("latin-1"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "datasets": [str(data)], "backend": {"kind": backend, "path": str(path)},
+        }))
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert f"Error: ConfigError: cannot read {what} {path}: " in result.output
 
     def test_bad_config_key(self, runner, tmp_path):
         config = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 """The packages pyproject.toml declares are exactly the third-party ones
-src/nlts imports, and importing nlts leaves the HTTP stack unloaded."""
+src/nlts imports, and importing nlts leaves the HTTP stack and its thread pool
+unloaded."""
 
 import ast
 import os
@@ -37,10 +38,10 @@ def test_third_party_imports_are_declared():
 
 
 def test_import_leaves_the_http_stack_unloaded():
-    # HttpBackend imports its HTTP and TLS modules when it is built
+    # HttpBackend imports its HTTP and TLS modules and its worker pool when it is built
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import sys, nlts; "
-            "print(sorted({'http.client', 'ssl', 'urllib3'} & set(sys.modules)))")
+    code = ("import sys, nlts; print(sorted("
+            "{'concurrent.futures', 'http.client', 'ssl', 'urllib3'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -1,4 +1,6 @@
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -153,10 +155,23 @@ class TestRunNlts:
             noise=NoiseSpec(kind="laplace", alpha=0.01),
         )
         wide = oracle_for(hist, tgt)
-        wide.max_in_flight = 4
+        threads = set()
+        wave = threading.Barrier(4, timeout=10)
+
+        def complete(*args, **kwargs):
+            threads.add(threading.current_thread())
+            wave.wait()  # four requests in flight at once, finishing in any order
+            return type(wide).complete(wide, *args, **kwargs)
+
+        def pooled_map(fn, items):
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                return list(pool.map(fn, items))
+
+        wide.complete = complete
+        wide.map = pooled_map
         narrow = oracle_for(hist, tgt)
-        narrow.max_in_flight = 1
         r_wide = run_nlts(job, wide)
+        assert len(threads) == 4 and threading.current_thread() not in threads
         r_narrow = run_nlts(job, narrow)
         npt.assert_array_equal(r_wide.samples.paths, r_narrow.samples.paths)
         npt.assert_array_equal(r_wide.forecast.median, r_narrow.forecast.median)
@@ -336,14 +351,7 @@ class TestInlineRequests:
     """In-process backends run every sample on the calling thread; prompts and
     scalers are built once per run, before the first request."""
 
-    @staticmethod
-    def _no_pool(monkeypatch):
-        def refuse(*args, **kwargs):
-            raise RuntimeError("thread pool constructed")
-
-        monkeypatch.setattr("nlts.pipeline.ThreadPoolExecutor", refuse)
-
-    def test_in_process_backends_never_start_a_pool(self, monkeypatch, tmp_path):
+    def test_in_process_backends_never_start_a_pool(self, tmp_path):
         series = make_series()
         hist, tgt = split_series(series, SplitSpec.by_horizon(6))
         job = ForecastJob(
@@ -352,20 +360,26 @@ class TestInlineRequests:
         )
         cassette = tmp_path / "c.jsonl"
         recorded = run_nlts(job, RecordingBackend(oracle_for(hist, tgt), cassette))
-        self._no_pool(monkeypatch)
         good = serialize(tgt, fit_scaler(hist, CODEC), CODEC)
         for backend in (
             oracle_for(hist, tgt),
             ScriptedBackend(lines=[good]),
             ReplayBackend(cassette),
+            RecordingBackend(oracle_for(hist, tgt), tmp_path / "d.jsonl"),
         ):
+            threads = []
+            inner = backend.inner if isinstance(backend, RecordingBackend) else backend
+            complete = inner.complete
+
+            def on_thread(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return complete(*args, **kwargs)
+
+            inner.complete = on_thread
             assert run_nlts(job, backend).valid_samples == 6
+            assert threads == [threading.get_ident()] * 6
         replayed = run_nlts(job, ReplayBackend(cassette))
         npt.assert_array_equal(replayed.samples.paths, recorded.samples.paths)
-        wide = oracle_for(hist, tgt)
-        wide.max_in_flight = 4  # the patch is live: a backend that asks for a pool fails
-        with pytest.raises(RuntimeError, match="thread pool"):
-            run_nlts(job, wide)
 
     @pytest.mark.parametrize("signed", [True, False])
     def test_batched_scalers_match_per_sample_fit(self, signed):
