@@ -149,9 +149,10 @@ def default_cost_table() -> CostTable:
 def load_cost_table(path: str | Path) -> CostTable:
     """JSON file: {"model": {"prompt_per_1k": x, "completion_per_1k": y}, ...}.
 
-    Raises ConfigError for any other shape or a price that is not a number.
+    Raises ConfigError for an unreadable file, any other shape or a price that
+    is not a number.
     """
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(_read_text(Path(path), "price table"))
     if not isinstance(raw, dict):
         raise ConfigError(f"price table must hold a JSON object, not {type(raw).__name__}")
     prices = {}
@@ -311,7 +312,7 @@ class EchoTailBackend(_MockBackend):
 
 
 def _read_text(path: Path, what: str) -> str:
-    """The text of a fixture or cassette file; failing to read it is a ConfigError."""
+    """The text of an input file; failing to read it is a ConfigError."""
     try:
         return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -605,8 +606,11 @@ class RecordingBackend(Backend):
         self.inner = inner
         self.path = Path(path)
         self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.touch(exist_ok=True)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.touch(exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write cassette {self.path}: {exc.strerror}") from exc
 
     def complete(self, prompt, params, tag=""):
         texts, usage = self.inner.complete(prompt, params, tag=tag)

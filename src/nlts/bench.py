@@ -349,7 +349,10 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
     under out_dir and returns the JSON report as a dict.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
     cells: list[SweepCell] = []
     usage_total = Usage()
     described = None if backend is None else backend.describe()

@@ -12,6 +12,7 @@ from .backend import (
     GenerationParams,
     RecordingBackend,
     Usage,
+    _read_text,
     default_cost_table,
     estimate_cost,
     load_cost_table,
@@ -198,7 +199,7 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
 def bench(config_path, out):
     """Sweep noise levels over datasets and write results.csv/json + summary.md."""
     try:
-        raw = json.loads(Path(config_path).read_text())
+        raw = json.loads(_read_text(Path(config_path), "config"))
         cfg = sweep_config_from_dict(raw)
         report = run_sweep(cfg, out)
         ok = sum(1 for c in report["cells"] if c["error"] is None)
@@ -235,7 +236,7 @@ def theory_check_cmd(dim, sigma, draws, seed, out):
 def cost(usage_path, model, table_path, out):
     """Price a usage record; unknown models report null, never zero."""
     try:
-        raw = json.loads(Path(usage_path).read_text())
+        raw = json.loads(_read_text(Path(usage_path), "usage file"))
         if not isinstance(raw, dict):
             raise ConfigError(f"usage file must hold a JSON object, not {type(raw).__name__}")
         usage = Usage.from_dict(raw.get("usage", raw))

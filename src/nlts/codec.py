@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, _linear_quantile
 from .errors import (
     DegenerateSeriesError,
     DigitOverflowError,
@@ -98,9 +98,10 @@ def fit_scalers(rows, config: CodecConfig = CodecConfig()) -> list[Scaler]:
     signed mode keeps offset 0 and takes the scale from |history|, so x and -x
     get the same scaler; otherwise offset = min - offset_beta * range so
     shifted values are nonnegative with headroom. Scale is the scale_quantile
-    quantile of |history| (signed) or history - offset (unsigned), falling
-    back to 1 when that quantile is not positive (constant-at-offset or
-    all-zero histories).
+    quantile of |history| (signed) or history - offset (unsigned), read from
+    one partition of the rows and bitwise np.quantile's, falling back to 1
+    when that quantile is not positive (constant-at-offset or all-zero
+    histories).
     """
     vals = np.asarray(rows, dtype=float)
     if vals.ndim != 2:
@@ -116,7 +117,7 @@ def fit_scalers(rows, config: CodecConfig = CodecConfig()) -> list[Scaler]:
         lo = vals.min(axis=1)
         offsets = lo - config.offset_beta * (vals.max(axis=1) - lo)
         shifted = vals - offsets[:, None]
-    scales = np.quantile(shifted, config.scale_quantile, axis=1)
+    scales = _linear_quantile(shifted, config.scale_quantile, axis=1, partition=True)
     scales[scales <= 0.0] = 1.0
     return [Scaler(offset=o, scale=s) for o, s in zip(offsets.tolist(), scales.tolist())]
 

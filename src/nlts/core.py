@@ -192,30 +192,61 @@ class PointForecast:
 DEFAULT_QUANTILE_LEVELS = (0.05, 0.25, 0.75, 0.95)
 
 
+def _linear_quantile(values: np.ndarray, q: float, axis: int, partition: bool = False):
+    """Level q of values along axis by np.quantile's default "linear" method,
+    bit for bit. values must be sorted along axis; with partition set, it is
+    instead partitioned in place at the two order statistics that q reads.
+
+    numpy reads order statistics a = lo and b = lo + 1 around the virtual
+    index (n - 1) * q, with weight g = index - lo, and returns a + (b - a) * g,
+    or b - (b - a) * (1 - g) when g >= 0.5. An index at the last position
+    reads the maximum twice, with g measured from position -1.
+    """
+    n = values.shape[axis]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        lo = hi = n - 1
+        g = virtual + 1.0
+    else:
+        lo = math.floor(virtual)
+        hi, g = lo + 1, virtual - lo
+    if partition:
+        values.partition((lo, hi), axis=axis)
+    a = values.take(lo, axis=axis)
+    b = values.take(hi, axis=axis)
+    if g >= 0.5:
+        return b - (b - a) * (1.0 - g)
+    return a + (b - a) * g
+
+
 def aggregate_samples(
     samples: SamplePaths,
     quantile_levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS,
 ) -> PointForecast:
     """Reduce sample paths to a point forecast.
 
-    Median is the per-step order statistic over the sample axis (even m averages
-    the two central values). Variance is population (ddof=0). Quantiles use
-    numpy's default linear interpolation; 0.5 is always present and is the
-    median array itself. No median or quantile value is -0.0: adding 0.0 makes
-    a signed zero +0.0, since a partition may order equal signed zeros
-    differently for different quantile levels.
+    One sort along the sample axis gives every level. Median is the per-step
+    order statistic (even m averages the two central values, as np.median
+    does). Variance is population (ddof=0). Quantiles are numpy's default
+    linear interpolation, bit for bit; 0.5 is always present and is the median
+    array itself. No median or quantile value is -0.0: adding 0.0 makes a
+    signed zero +0.0, since a sort may order equal signed zeros either way.
     """
     levels = sorted({float(q) for q in quantile_levels} | {0.5})
     for q in levels:
         if not (0.0 < q < 1.0):
             raise AggregationError(f"quantile level {q} outside (0, 1)")
     arr = samples.paths
-    median = np.median(arr, axis=0) + 0.0
+    ordered = np.sort(arr, axis=0)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        median = ordered[mid] + 0.0
+    else:
+        # np.median's mean of the two central values
+        median = (ordered[mid - 1] + ordered[mid]) / 2 + 0.0
     variance = arr.var(axis=0, ddof=0)
-    # every level but the median in one call; np.median averages the two
-    # central values, which is not bitwise np.quantile(arr, 0.5)
-    others = [q for q in levels if q != 0.5]
-    raw = dict(zip(others, np.quantile(arr, others, axis=0) + 0.0))
+    # the median is not bitwise the linear quantile at 0.5
+    raw = {q: _linear_quantile(ordered, q, axis=0) + 0.0 for q in levels if q != 0.5}
     # Cross-level monotonicity holds for linear-interpolation quantiles in exact
     # arithmetic; clamp against the median so it also holds bitwise in floats.
     quantiles: dict[float, np.ndarray] = {}

@@ -64,25 +64,25 @@ def standardized_draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.n
     return (draw(rng, n) - mean) / std
 
 
-def inject_noise_rows(series: TimeSeries, spec: NoiseSpec, rngs) -> np.ndarray:
-    """One noisy copy of the series per generator, stacked as an (m, n) array:
-    row i is x_t + alpha * sigma_x * z_t with z drawn from rngs[i] and sigma_x
-    the population std of the series, computed once.
+def inject_noise_rows(series: TimeSeries, spec: NoiseSpec, draws: np.ndarray) -> np.ndarray:
+    """One noisy copy of the series per row of draws, an (m, n) array of
+    standardized draws: row i is x_t + alpha * sigma_x * draws[i, t], with
+    sigma_x the population std of the series, computed once. draws is only
+    read.
 
     A constant series with alpha > 0 raises DegenerateSeriesError, and a noisy
     value that overflows to infinity raises the NonFiniteError that TimeSeries
     would.
     """
+    if np.ndim(draws) != 2 or np.shape(draws)[1] != len(series):
+        raise ParamError(f"need an (m, {len(series)}) array of draws, got shape {np.shape(draws)}")
     sigma_x = float(series.values.std(ddof=0))
     if sigma_x == 0.0 and spec.adds_noise:
         raise DegenerateSeriesError(
             f"series {series.name!r} is constant; sigma_x = 0 with alpha = {spec.alpha}"
         )
-    rows = np.empty((len(rngs), len(series)))
-    for row, rng in zip(rows, rngs):
-        row[:] = standardized_draw(spec, len(series), rng)
-    # in place, in the order of x + (alpha * sigma_x) * z: the same bits
-    rows *= spec.alpha * sigma_x
+    # in the order of x + (alpha * sigma_x) * z: the same bits
+    rows = draws * (spec.alpha * sigma_x)
     rows += series.values
     if not np.isfinite(rows).all():
         raise NonFiniteError(f"series {series.name!r} contains NaN or infinity")
@@ -90,11 +90,13 @@ def inject_noise_rows(series: TimeSeries, spec: NoiseSpec, rngs) -> np.ndarray:
 
 
 def inject_noise(series: TimeSeries, spec: NoiseSpec, rng: np.random.Generator) -> TimeSeries:
-    """The one-row case of inject_noise_rows, as a TimeSeries.
+    """The one-row case of inject_noise_rows, with the draw taken from rng, as
+    a TimeSeries.
 
     alpha == 0 or kind == "none" returns the input object itself, which callers
     may test with `is`.
     """
     if not spec.adds_noise:
         return series
-    return series.with_values(inject_noise_rows(series, spec, [rng])[0])
+    draws = standardized_draw(spec, len(series), rng)[None]
+    return series.with_values(inject_noise_rows(series, spec, draws)[0])

@@ -8,6 +8,7 @@ per-sample substreams, so results do not depend on completion order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -21,7 +22,8 @@ from .core import PointForecast, SamplePaths, TimeSeries, aggregate_samples
 from .errors import ConfigError, InsufficientSamplesError, ParseError
 # run_nlts calls inject_noise_rows; inject_noise stays importable here because
 # perfbench/run.py patches it by this module attribute
-from .noise import NoiseSpec, inject_noise, inject_noise_rows  # noqa: F401
+from .noise import NOISE_KINDS, NoiseSpec, inject_noise, inject_noise_rows  # noqa: F401
+from .noise import standardized_draw
 from .rng import rng_identity, substream
 
 SYSTEM_PROMPT = (
@@ -78,6 +80,22 @@ def check_sampling(samples: int, seed: int, retries_per_sample: int, prompt_styl
         raise ConfigError(f"retries_per_sample must be >= 0, got {retries_per_sample}")
     if prompt_style not in PROMPT_STYLES:
         raise ConfigError(f"unknown prompt_style {prompt_style!r}, expected one of {PROMPT_STYLES}")
+
+
+@functools.lru_cache(maxsize=len(NOISE_KINDS))
+def _sample_draws(kind: str, n: int, seed: int, samples: int) -> np.ndarray:
+    """The standardized draws of a noisy job as a read-only (samples, n)
+    array: row i is drawn from substream(seed, i).
+
+    They depend on neither alpha nor the history's values, so the levels of a
+    sweep's (dataset, kind) block, which run back to back, share one entry,
+    and datasets of one length share one entry per kind. The cache holds
+    len(NOISE_KINDS) entries; a lone forecast never reuses one.
+    """
+    spec = NoiseSpec(kind)
+    draws = np.array([standardized_draw(spec, n, substream(seed, i)) for i in range(samples)])
+    draws.setflags(write=False)
+    return draws
 
 
 @dataclass(frozen=True)
@@ -156,11 +174,14 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
 
     Sample i adds noise drawn from substream(seed, i) to the history, fits
     the scaler on that noisy history, and retries failed generations up to
-    retries_per_sample times under fresh tags. The noisy histories are drawn,
-    scaled and quantized as one (samples, n) array. When the noise spec adds
-    no noise, no substream is built, and every sample shares one scaler and
-    one prompt. A sample is valid when at least `horizon` steps parse. Fewer
-    than ceil(samples / 2) valid samples aborts with InsufficientSamplesError.
+    retries_per_sample times under fresh tags. The standardized draws come
+    from a small cache keyed by (kind, history length, seed, samples), so
+    jobs that differ only in alpha or in the history's values draw once. The
+    noisy histories are scaled and quantized as one (samples, n) array. When
+    the noise spec adds no noise, nothing is drawn, and every sample shares
+    one scaler and one prompt. A sample is valid when at least `horizon`
+    steps parse. Fewer than ceil(samples / 2) valid samples aborts with
+    InsufficientSamplesError.
 
     Every prompt is built on the calling thread before the first request; the
     samples then run through backend.map. A failing sample raises the first
@@ -175,8 +196,8 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
         return build_prompt(text, job.prompt_style, job.horizon, job.codec)
 
     if job.noise.adds_noise:
-        rngs = [substream(job.seed, i) for i in range(job.samples)]
-        rows = inject_noise_rows(history, job.noise, rngs)
+        draws = _sample_draws(job.noise.kind, len(history), job.seed, job.samples)
+        rows = inject_noise_rows(history, job.noise, draws)
         scalers = fit_scalers(rows, job.codec)
         prompts = list(map(encode, serialize_rows(rows, scalers, job.codec)))
     else:

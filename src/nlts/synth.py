@@ -196,7 +196,10 @@ def generate_benchmark(
     if not 0 <= holdout < length:
         raise ConfigError(f"holdout must be in [0, length), got {holdout} for length {length}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
     grid = np.linspace(0.0, 1.0, length)
     heads = [repr(t) + "," for t in grid.tolist()]
     tails = [",0\r\n"] * (length - holdout) + [",1\r\n"] * holdout

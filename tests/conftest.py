@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import nlts.pipeline
+
 # Map acceptance tests to their criterion number for the one-line-per-criterion
 # summary printed after the run.
 _CRITERION_PREFIX = "test_criterion_"
@@ -41,6 +43,13 @@ def pytest_terminal_summary(terminalreporter):
     for num in sorted(_results):
         outcome, label = _results[num]
         terminalreporter.write_line(f"{outcome}: criterion {num} ({label.replace('_', ' ')})")
+
+
+@pytest.fixture(autouse=True)
+def cold_draw_cache():
+    """Start every test with an empty noise-draw cache, so that the substream
+    calls a test counts do not depend on which tests ran before it."""
+    nlts.pipeline._sample_draws.cache_clear()
 
 
 def make_airline_series(n: int = 144) -> np.ndarray:

@@ -123,6 +123,15 @@ class TestForecastCommand:
         assert result.exit_code == 1
         assert f"Error: ConfigError: cannot read cassette {cassette}: " in result.output
 
+    def test_record_under_a_file_is_config_error(self, runner, airline_csv):
+        cassette = airline_csv / "c.jsonl"
+        result = runner.invoke(main, [
+            "forecast", "--data", str(airline_csv), "--backend", "oracle",
+            "--record", str(cassette),
+        ])
+        assert result.exit_code == 1
+        assert result.output == f"Error: ConfigError: cannot write cassette {cassette}: File exists\n"
+
     def test_defaults_are_the_dataclass_defaults(self):
         defaults = {p.name: p.default for p in main.commands["forecast"].params}
         expected = {
@@ -267,6 +276,17 @@ class TestSynthCommand:
         assert result.exit_code == 1
         assert result.output == "Error: ConfigError: seed must be >= 0, got -1\n"
 
+    def test_out_under_a_file_is_config_error(self, runner, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("x\n")
+        out = afile / "sub"
+        result = runner.invoke(main, [
+            "synth", "--kernels", "rbf", "--count", "1", "--length", "10",
+            "--holdout", "2", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert result.output == f"Error: ConfigError: cannot write {out}: Not a directory\n"
+
     def test_bad_holdout(self, runner, tmp_path):
         result = runner.invoke(main, [
             "synth", "--kernels", "rbf", "--count", "1", "--length", "10",
@@ -311,6 +331,25 @@ class TestBenchCommand:
         result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
         assert f"Error: ConfigError: cannot read {what} {path}: " in result.output
+
+    def test_out_under_a_file_is_config_error(self, runner, tmp_path):
+        data = tmp_path / "airline.csv"
+        write_series_csv(data, make_airline_series(), holdout=12)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"datasets": [str(data)], "samples": 2}))
+        out = data / "sub"
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: ConfigError: cannot write {out}: Not a directory\n"
+
+    def test_non_utf8_config_is_reported(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes('{"datasets": ["caf\xe9.csv"]}'.encode("latin-1"))
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert result.output.startswith(
+            f"Error: ConfigError: cannot read config {config}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_key(self, runner, tmp_path):
         config = tmp_path / "config.json"
@@ -604,6 +643,18 @@ class TestCostCommand:
         result = runner.invoke(main, ["cost", "--usage", str(usage)])
         assert result.exit_code == 1
         assert "Error: " in result.output
+
+    @pytest.mark.parametrize("option, what", [("--usage", "usage file"), ("--table", "price table")])
+    def test_non_utf8_file_is_config_error(self, runner, tmp_path, option, what):
+        usage = tmp_path / "u.json"
+        usage.write_text(json.dumps({"model": "GPT-4", "prompt_tokens": 1, "completion_tokens": 1}))
+        files = {"--usage": usage, "--table": tmp_path / "t.json"}
+        files["--table"].write_text("{}")
+        files[option].write_bytes('{"caf\xe9": 1}'.encode("latin-1"))
+        result = runner.invoke(main, ["cost", "--usage", str(usage), "--table", str(files["--table"])])
+        assert result.exit_code == 1
+        assert result.output.startswith(
+            f"Error: ConfigError: cannot read {what} {files[option]}: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("content", ["[1, 2]", "3", "null"])
     def test_non_object_usage_file_is_reported(self, runner, tmp_path, content):

@@ -171,6 +171,40 @@ class TestFitScalersMatchesReference:
             assert (scaler.offset.hex(), scaler.scale.hex()) == _reference_fit_scaler(row, cfg)
             assert fit_scaler(row, cfg) == scaler
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 40),
+        data=st.data(),
+        signed=st.booleans(),
+        q=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    @example(m=1, n=1, data=None, signed=False, q=1.0)
+    @example(m=2, n=2, data=None, signed=True, q=0.5)
+    def test_scale_is_np_quantile_of_the_rows(self, m, n, data, signed, q):
+        """fit_scalers reads the scale from one partition; it must be the old
+        np.quantile(shifted, q, axis=1) bit for bit, with ties and signed
+        zeros among the values."""
+        if data is None:
+            rows = np.array([-0.0, 0.0, 3.0, 3.0])[: m * n].reshape(m, n)
+        else:
+            pool = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3))
+            value = st.one_of(st.sampled_from(pool + [0.0, -0.0]), st.floats(-1e12, 1e12))
+            rows = np.array(data.draw(st.lists(
+                st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m,
+            )))
+        cfg = CodecConfig(signed=signed, scale_quantile=q)
+        if signed:
+            offsets, shifted = np.zeros(m), np.abs(rows)
+        else:
+            lo = rows.min(axis=1)
+            offsets = lo - cfg.offset_beta * (rows.max(axis=1) - lo)
+            shifted = rows - offsets[:, None]
+        scales = np.quantile(shifted, q, axis=1)
+        scales[scales <= 0.0] = 1.0
+        got = [(s.offset.hex(), s.scale.hex()) for s in fit_scalers(rows, cfg)]
+        assert got == [(o.hex(), s.hex()) for o, s in zip(offsets.tolist(), scales.tolist())]
+
     def test_constant_and_zero_rows_fall_back(self):
         rows = np.array([[4.0, 4.0, 4.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
         for cfg in (CodecConfig(signed=False), CodecConfig(signed=True)):

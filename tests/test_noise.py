@@ -15,6 +15,7 @@ from nlts import (
     substream,
 )
 from nlts.noise import NOISE_KINDS, inject_noise_rows
+from nlts.pipeline import _sample_draws
 
 SAMPLED_KINDS = [k for k in NOISE_KINDS if k != "none"]
 
@@ -149,6 +150,10 @@ class TestInjectNoise:
         assert out.name == "s"
 
 
+def _draws(spec, n, seed, m):
+    return np.array([standardized_draw(spec, n, substream(seed, i)) for i in range(m)])
+
+
 class TestInjectNoiseRows:
     @pytest.mark.parametrize("kind", SAMPLED_KINDS)
     @pytest.mark.parametrize("seed", [0, 91])
@@ -156,7 +161,9 @@ class TestInjectNoiseRows:
     def test_row_i_is_inject_noise_on_substream_i(self, kind, seed, n):
         history = TimeSeries(substream(seed, 99).normal(50.0, 4.0, n) + np.arange(n), name="h")
         spec = NoiseSpec(kind=kind, alpha=0.07)
-        rows = inject_noise_rows(history, spec, [substream(seed, i) for i in range(5)])
+        draws = _sample_draws(kind, n, seed, 5)
+        assert draws.tobytes() == _draws(spec, n, seed, 5).tobytes()
+        rows = inject_noise_rows(history, spec, draws)
         assert rows.shape == (5, n)
         sigma_x = float(history.values.std(ddof=0))
         for i, row in enumerate(rows):
@@ -165,13 +172,25 @@ class TestInjectNoiseRows:
             z = standardized_draw(spec, n, substream(seed, i))
             assert row.tobytes() == (history.values + spec.alpha * sigma_x * z).tobytes()
 
+    def test_cached_draws_are_read_only(self):
+        draws = _sample_draws("gaussian", 8, 0, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0, 0] = 1.0
+        assert _sample_draws("gaussian", 8, 0, 3) is draws
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 9), (1, 2, 10)])
+    def test_draws_must_match_the_series(self, shape):
+        history = TimeSeries(np.arange(10.0))
+        with pytest.raises(ParamError, match=r"\(m, 10\) array of draws"):
+            inject_noise_rows(history, NoiseSpec("gaussian", 0.1), np.zeros(shape))
+
     def test_constant_history_raises_the_inject_noise_message(self):
         history = TimeSeries(np.full(10, 3.0), name="flat")
         spec = NoiseSpec(kind="gaussian", alpha=0.01)
         with pytest.raises(DegenerateSeriesError) as single:
             inject_noise(history, spec, substream(0, 0))
         with pytest.raises(DegenerateSeriesError) as rows:
-            inject_noise_rows(history, spec, [substream(0, i) for i in range(4)])
+            inject_noise_rows(history, spec, _draws(spec, 10, 0, 4))
         assert str(rows.value) == str(single.value)
         assert "'flat' is constant" in str(rows.value)
 
@@ -181,7 +200,7 @@ class TestInjectNoiseRows:
         with pytest.raises(NonFiniteError) as single:
             inject_noise(history, spec, substream(0, 0))
         with pytest.raises(NonFiniteError) as rows:
-            inject_noise_rows(history, spec, [substream(0, i) for i in range(3)])
+            inject_noise_rows(history, spec, _draws(spec, 2, 0, 3))
         assert str(rows.value) == str(single.value) == "series 'huge' contains NaN or infinity"
 
     @pytest.mark.parametrize("spec", [NoiseSpec("gaussian", 0.0), NoiseSpec("none", 0.5)])

@@ -6,6 +6,7 @@ name makes its spans miss that work. No test under perfbench/ calls
 span sees."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,16 @@ from nlts import (
     ReplayBackend,
     ScriptedBackend,
     SplitSpec,
+    SweepConfig,
     TimeSeries,
     fit_scaler,
     run_nlts,
+    run_sweep,
     serialize,
     split_series,
 )
+
+from conftest import make_airline_series, write_series_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -99,11 +104,7 @@ def test_serialize_span_sees_every_prompt(monkeypatch, noise, prompts):
         assert rows_encoded == {"serialize": [prompts], "serialize_rows": []}
 
 
-@pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 0.05), NoiseSpec("none"),
-                                   NoiseSpec("laplace", 0.0)])
-def test_substream_calls_per_job(monkeypatch, noise):
-    """`rng.substream` wraps nlts.pipeline's substream: a noisy job draws
-    through it once per sample, and a noise-free job not at all."""
+def _count_substream_calls(monkeypatch) -> list:
     calls = []
     original = nlts.pipeline.substream
 
@@ -112,11 +113,50 @@ def test_substream_calls_per_job(monkeypatch, noise):
         return original(*args)
 
     monkeypatch.setattr(nlts.pipeline, "substream", counting)
+    return calls
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 0.05), NoiseSpec("none"),
+                                   NoiseSpec("laplace", 0.0)])
+def test_substream_calls_per_job(monkeypatch, tmp_path, noise):
+    """`rng.substream` wraps nlts.pipeline's substream. On a cold draw cache a
+    noisy job draws through it once per sample, and a noise-free job not at
+    all. A job that differs only in alpha or in the history's values reuses
+    the cached draws, makes no call, and sends a cold run's prompts byte for
+    byte."""
+    calls = _count_substream_calls(monkeypatch)
     series = TimeSeries(100.0 + 10.0 * np.sin(np.arange(40) / 3.0))
     hist, _ = split_series(series, SplitSpec.by_horizon(4))
     job = ForecastJob(history=hist, horizon=4, noise=noise, samples=6, seed=3)
     assert run_nlts(job, EchoTailBackend(tail=4, steps=4)).valid_samples == 6
     assert calls == ([(3, i) for i in range(6)] if noise.adds_noise else [])
+
+    shifted = hist.with_values(hist.values * 1.5 - 20.0)
+    variants = [replace(job, noise=replace(noise, alpha=2 * noise.alpha)),
+                replace(job, history=shifted)]
+    for k, variant in enumerate(variants):
+        calls.clear()
+        warm, cold = tmp_path / f"warm{k}.jsonl", tmp_path / f"cold{k}.jsonl"
+        run_nlts(variant, RecordingBackend(EchoTailBackend(tail=4, steps=4), warm))
+        assert calls == []
+        nlts.pipeline._sample_draws.cache_clear()
+        run_nlts(variant, RecordingBackend(EchoTailBackend(tail=4, steps=4), cold))
+        assert len(calls) == (6 if noise.adds_noise else 0)
+        assert warm.read_bytes() == cold.read_bytes()
+
+
+def test_sweep_draws_once_per_kind(monkeypatch, tmp_path):
+    """A one-dataset sweep draws each kind's samples once and reuses them
+    for every level of that kind."""
+    calls = _count_substream_calls(monkeypatch)
+    data = tmp_path / "air.csv"
+    write_series_csv(data, make_airline_series(60), holdout=6)
+    cfg = SweepConfig(datasets=(str(data),), kinds=("gaussian", "uniform", "gamma"),
+                      noise_levels=(0.0, 0.01, 0.02, 0.05, 0.1, 0.2), samples=4, seed=5)
+    report = run_sweep(cfg, tmp_path / "report")
+    assert len(report["cells"]) == 1 + 3 * 5
+    assert all(cell["error"] is None for cell in report["cells"])
+    assert calls == [(5, i) for i in range(4)] * 3
 
 
 def test_synth_spans_see_every_series(monkeypatch, tmp_path):
