@@ -19,7 +19,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .codec import STEP_SEPARATOR
 from .errors import (
@@ -80,15 +80,44 @@ class Usage:
     @classmethod
     def from_dict(cls, d: dict, requests: int = 0) -> "Usage":
         """Usage from a JSON usage block. Missing token counts are 0 and a
-        missing request count is `requests`. Raises TypeError or ValueError
-        when the block is not a mapping or a count is not an integer."""
+        missing request count is `requests`; keys with no field are ignored.
+        A count is an int, a whole float such as 12.0 or an integer string,
+        and is >= 0. Raises TypeError when the block is not a mapping or a
+        count is of another type, and ValueError when a count is fractional,
+        non-finite, negative or a string that is not an integer."""
         if not isinstance(d, dict):
             raise TypeError(f"usage block must be a mapping, got {type(d).__name__}")
         return cls(
-            prompt_tokens=int(d.get("prompt_tokens", 0)),
-            completion_tokens=int(d.get("completion_tokens", 0)),
-            requests=int(d.get("requests", requests)),
+            prompt_tokens=_count(d, "prompt_tokens", 0),
+            completion_tokens=_count(d, "completion_tokens", 0),
+            requests=_count(d, "requests", requests),
         )
+
+    @classmethod
+    def total(cls, usages: Iterable["Usage"]) -> "Usage":
+        """The componentwise sum of usages, added as ints."""
+        usages = list(usages)
+        return cls(
+            prompt_tokens=sum(u.prompt_tokens for u in usages),
+            completion_tokens=sum(u.completion_tokens for u in usages),
+            requests=sum(u.requests for u in usages),
+        )
+
+
+def _count(d: dict, key: str, default: int) -> int:
+    """A usage block's count under key, as Usage.from_dict reads it."""
+    value = d.get(key, default)
+    if isinstance(value, float):
+        if not value.is_integer():  # also false for inf and NaN
+            raise ValueError(f"usage {key} must be a whole number, got {value!r}")
+        value = int(value)
+    elif isinstance(value, (int, str)) and not isinstance(value, bool):
+        value = int(value)
+    else:
+        raise TypeError(f"usage {key} must be a number, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"usage {key} must be >= 0, got {value}")
+    return value
 
 
 Prompt = str | Sequence[dict[str, str]]
@@ -212,9 +241,45 @@ def canonical_request(endpoint: str, body: dict, tag: str) -> dict:
     return {"endpoint": endpoint, "body": body, "tag": tag}
 
 
+# json.dumps(value, sort_keys=True, separators=(",", ":")) without building
+# an encoder per call
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def request_hash(canonical: dict) -> str:
-    payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(canonical).encode("utf-8")).hexdigest()
+
+
+def _joined_pairs(text: str) -> str:
+    """text with each surrogate pair joined into the character it encodes.
+    Two strs encode to the same JSON exactly when these forms are equal: JSON
+    escapes a str's UTF-16 code units, which a pair and its character share."""
+    if text.isascii():
+        return text
+    return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+
+
+def _prompt_digest(prompt: str) -> bytes:
+    return hashlib.sha256(_joined_pairs(prompt).encode("utf-8", "surrogatepass")).digest()
+
+
+def lookup_key(canonical) -> tuple[str, str, bytes] | str:
+    """ReplayBackend's in-memory key for a canonical request. Two canonical
+    requests get equal keys exactly when their request_hash is equal.
+
+    A completions request keys as its body's canonical JSON without the
+    prompt, its tag and the SHA-256 of its prompt, tag and prompt taken with
+    their surrogate pairs joined, so that a request under the same params
+    reuses the first part and digests only its prompt. Any other canonical
+    request, a chat's among them, keys as its whole canonical JSON.
+    """
+    if isinstance(canonical, dict) and canonical.keys() == {"endpoint", "body", "tag"}:
+        body, tag = canonical["body"], canonical["tag"]
+        if (canonical["endpoint"] == "completions" and isinstance(tag, str)
+                and isinstance(body, dict) and isinstance(body.get("prompt"), str)):
+            rest = {k: v for k, v in body.items() if k != "prompt"}
+            return _canonical_json(rest), _joined_pairs(tag), _prompt_digest(body["prompt"])
+    return _canonical_json(canonical)
 
 
 # --- backend interface --------------------------------------------------------
@@ -300,8 +365,12 @@ class EchoTailBackend(_MockBackend):
         self.steps = steps
 
     def reply(self, text, tag):
-        fragments = [f.strip() for f in text.split(",")]
-        fragments = [f for f in fragments if f]
+        # only the last `tail` steps are echoed: split off the last tail + 1
+        # fragments, which hold them unless some are blank, and split the
+        # whole prompt only then
+        fragments = [f for f in map(str.strip, text.rsplit(",", self.tail + 1)[1:]) if f]
+        if len(fragments) < self.tail:
+            fragments = [f for f in map(str.strip, text.split(",")) if f]
         if not fragments:
             raise ProtocolError("echo backend got a prompt with no steps")
         cycle = fragments[-self.tail:]
@@ -544,7 +613,7 @@ class HttpBackend(Backend):
         try:
             data = json.loads(payload)
             texts = [choice_text(choice) for choice in data["choices"]]
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"endpoint returned invalid JSON: {exc}") from exc
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"{endpoint} response missing choices or their text: {exc}") from exc
@@ -634,52 +703,83 @@ class RecordingBackend(Backend):
 
 
 class ReplayBackend(Backend):
-    """Serves recorded responses by request hash; any miss is a TransportError.
+    """Serves recorded responses by request; any miss is a TransportError.
 
     On load, each record's stored hash is recomputed from its canonical request;
     records that fail verification are dropped, so an edited request or hash
-    surfaces as a miss. The hash does not cover response_body: an edited
-    response is served as it stands, and is only checked for shape.
+    surfaces as a miss. Each verified record's response is checked once, at
+    load, and indexed under its lookup_key, so a hit costs one prompt digest
+    and one dict lookup. The hash does not cover response_body: an edited
+    response is served as it stands, and a malformed one raises ProtocolError
+    whenever its record is hit.
     """
 
     name = "replay"
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._responses: dict[str, dict] = {}
+        # lookup key -> (texts, usage), or (None, message) for a malformed response
+        self._responses: dict[tuple | str, tuple] = {}
+        # the last params object served and its body's JSON without a prompt
+        self._body: tuple[GenerationParams | None, str] = (None, "")
         for line_no, line in enumerate(_read_text(self.path, "cassette").splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError(f"cassette line {line_no} is not valid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ProtocolError(f"cassette line {line_no} is not a JSON object")
-            stored = record.get("request_hash", "")
-            canonical = record.get("canonical_request")
-            if canonical is None or request_hash(canonical) != stored:
-                continue  # tampered or foreign record: never served
-            if "response_body" not in record:
-                raise ProtocolError(f"cassette line {line_no} has no response_body")
-            self._responses[stored] = record["response_body"]
+            if line.strip():
+                try:
+                    self._load(line_no, line)
+                except RecursionError as exc:
+                    raise ProtocolError(f"cassette line {line_no} is nested too deeply") from exc
+
+    def _load(self, line_no: int, line: str) -> None:
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ProtocolError(f"cassette line {line_no} is not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ProtocolError(f"cassette line {line_no} is not a JSON object")
+        stored = record.get("request_hash", "")
+        canonical = record.get("canonical_request")
+        if canonical is None or request_hash(canonical) != stored:
+            return  # tampered or foreign record: never served
+        if "response_body" not in record:
+            raise ProtocolError(f"cassette line {line_no} has no response_body")
+        self._responses[lookup_key(canonical)] = _checked_response(record["response_body"],
+                                                                   stored)
 
     def complete(self, prompt, params, tag=""):
-        h = request_hash(canonical_request(*request_body(prompt, params), tag))
-        if h not in self._responses:
+        if isinstance(prompt, str) and isinstance(tag, str):
+            seen, body = self._body
+            if seen is not params:
+                _, rest = request_body("", params)
+                del rest["prompt"]
+                body = _canonical_json(rest)
+                self._body = (params, body)
+            key = (body, _joined_pairs(tag), _prompt_digest(prompt))
+        else:
+            key = lookup_key(canonical_request(*request_body(prompt, params), tag))
+        try:
+            texts, usage = self._responses[key]
+        except KeyError:
+            h = request_hash(canonical_request(*request_body(prompt, params), tag))
             raise TransportError(
                 f"cassette {self.path} has no response for request {h[:12]}... (tag={tag!r})"
-            )
-        stored = self._responses[h]
-        try:
-            texts = stored["texts"]
-            usage = Usage.from_dict(stored.get("usage", {}), requests=1)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"cassette response for {h[:12]}... is malformed") from exc
-        if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
-            raise ProtocolError(f"cassette response for {h[:12]}... has non-string texts")
+            ) from None
+        if texts is None:
+            raise ProtocolError(usage)
         return list(texts), usage
 
     def describe(self):
         return {"backend": self.name, "cassette": str(self.path)}
 
+
+def _checked_response(body, stored_hash: str) -> tuple:
+    """A cassette response as (texts, usage), or as (None, the ProtocolError
+    message) when it is malformed."""
+    try:
+        texts = body["texts"]
+        usage = Usage.from_dict(body.get("usage", {}), requests=1)
+    except (KeyError, TypeError, ValueError) as exc:
+        return None, (f"cassette response for {stored_hash[:12]}... is malformed: "
+                      f"{type(exc).__name__}: {exc}")
+    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+        return None, f"cassette response for {stored_hash[:12]}... has non-string texts"
+    return tuple(texts), usage

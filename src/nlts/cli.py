@@ -206,7 +206,7 @@ def bench(config_path, out):
         click.echo(f"{ok}/{len(report['cells'])} cells succeeded; reports in {out}")
         if ok < len(report["cells"]):
             sys.exit(3)
-    except (NltsError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (NltsError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
 
@@ -254,7 +254,7 @@ def cost(usage_path, model, table_path, out):
         if amount is None:
             payload["note"] = "model not in the price table; cost unknown"
         _emit(payload, out)
-    except (NltsError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (NltsError, json.JSONDecodeError, RecursionError, ValueError, TypeError) as exc:
         raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
 

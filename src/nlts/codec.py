@@ -324,13 +324,9 @@ def _whole_text_bins(text: str, horizon: int, max_digits: int) -> list[int] | No
     return bins
 
 
-def deserialize(
-    text: str,
-    scaler: Scaler,
-    config: CodecConfig,
-    horizon: int,
-) -> tuple[np.ndarray, ParseReport]:
-    """Decode model output back to values, keeping at most `horizon` steps.
+def parse_bins(text: str, config: CodecConfig, horizon: int) -> tuple[list[int], ParseReport]:
+    """Parse model output to at most `horizon` signed bins, the first half
+    of deserialize.
 
     Splits on the comma of the step separator, so a reply that drops its
     space still decodes, drops non-numeric junk inside each fragment,
@@ -355,7 +351,28 @@ def deserialize(
     )
     if not bins:
         raise ParseError("no numeric steps found in model output", report=report)
+    return bins, report
+
+
+def decode_rows(rows, scalers, config: CodecConfig = CodecConfig()) -> np.ndarray:
+    """Values of m rows of bins of one length, each under its own scaler, in
+    one (m, n) array pass: the second half of deserialize. Re-centers each
+    bin (half-bin correction) and inverts the row's scaler."""
     factor = float(10 ** config.precision_k)
     half = 0.5 if config.half_bin_correction else 0.0
-    values = scaler.inverse((np.array(bins, dtype=float) + half) / factor)
-    return values, report
+    offsets = np.array([[s.offset] for s in scalers])
+    scales = np.array([[s.scale] for s in scalers])
+    return (np.array(rows, dtype=float) + half) / factor * scales + offsets
+
+
+def deserialize(
+    text: str,
+    scaler: Scaler,
+    config: CodecConfig,
+    horizon: int,
+) -> tuple[np.ndarray, ParseReport]:
+    """Decode model output back to values, keeping at most `horizon` steps:
+    parse_bins, then decode_rows on the one row. Raises ParseError when
+    nothing parses."""
+    bins, report = parse_bins(text, config, horizon)
+    return decode_rows([bins], [scaler], config)[0], report

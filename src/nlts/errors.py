@@ -14,7 +14,7 @@ class AggregationError(NltsError):
 
 
 class ParamError(NltsError):
-    """Invalid noise distribution parameters."""
+    """A parameter out of its range: a noise, codec, scaler, generation or price setting."""
 
 
 class DegenerateSeriesError(NltsError):

@@ -16,12 +16,14 @@ import numpy as np
 
 from . import __version__
 from .backend import Backend, GenerationParams, Usage
-from .codec import STEP_SEPARATOR, CodecConfig, ParseReport, Scaler, deserialize, fit_scaler
-from .codec import fit_scalers, serialize, serialize_rows
+from .codec import STEP_SEPARATOR, CodecConfig, ParseReport, Scaler, decode_rows, fit_scaler
+from .codec import fit_scalers, parse_bins, serialize, serialize_rows
 from .core import PointForecast, SamplePaths, TimeSeries, aggregate_samples
 from .errors import ConfigError, InsufficientSamplesError, ParseError
-# run_nlts calls inject_noise_rows; inject_noise stays importable here because
-# perfbench/run.py patches it by this module attribute
+# run_nlts calls inject_noise_rows, parse_bins and decode_rows; inject_noise and
+# deserialize stay importable here because perfbench/run.py patches them by
+# these module attributes
+from .codec import deserialize  # noqa: F401
 from .noise import NOISE_KINDS, NoiseSpec, inject_noise, inject_noise_rows  # noqa: F401
 from .noise import standardized_draw
 from .rng import rng_identity, substream
@@ -180,8 +182,9 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
     noisy histories are scaled and quantized as one (samples, n) array. When
     the noise spec adds no noise, nothing is drawn, and every sample shares
     one scaler and one prompt. A sample is valid when at least `horizon`
-    steps parse. Fewer than ceil(samples / 2) valid samples aborts with
-    InsufficientSamplesError.
+    steps parse, and the valid samples' bins are decoded as one
+    (valid, horizon) array. Fewer than ceil(samples / 2) valid samples aborts
+    with InsufficientSamplesError.
 
     Every prompt is built on the calling thread before the first request; the
     samples then run through backend.map. A failing sample raises the first
@@ -204,38 +207,35 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
         scalers = [fit_scaler(history, job.codec)] * job.samples
         prompts = [encode(serialize(history, scalers[0], job.codec))] * job.samples
 
-    def run_sample(i: int) -> tuple[np.ndarray | None, SampleOutcome, Usage]:
-        usage_sample = Usage()
-        last_report: ParseReport | None = None
-        attempts = 0
+    def run_sample(i: int) -> tuple[list[int] | None, SampleOutcome, list[Usage]]:
+        usages = []
+        report: ParseReport | None = None
         for attempt in range(job.retries_per_sample + 1):
-            attempts = attempt + 1
-            tag = f"sample-{i}/try-{attempt}"
-            texts, usage = backend.complete(prompts[i], effective, tag=tag)
-            usage_sample = usage_sample + usage
+            texts, usage = backend.complete(prompts[i], effective, tag=f"sample-{i}/try-{attempt}")
+            usages.append(usage)
             if not texts:
                 continue
             try:
-                values, report = deserialize(texts[0], scalers[i], job.codec, job.horizon)
+                bins, report = parse_bins(texts[0], job.codec, job.horizon)
             except ParseError as exc:
-                last_report = exc.report
+                report = exc.report
                 continue
-            last_report = report
             if report.parsed_steps >= job.horizon:
-                outcome = SampleOutcome(i, attempts, True, report)
-                return values[: job.horizon], outcome, usage_sample
-        return None, SampleOutcome(i, attempts, False, last_report), usage_sample
+                return bins, SampleOutcome(i, attempt + 1, True, report), usages
+        return None, SampleOutcome(i, attempt + 1, False, report), usages
 
-    paths, outcomes, usages = zip(*backend.map(run_sample, range(job.samples)))
-    usage_total = sum(usages, Usage())
-    valid = [p for p in paths if p is not None]
+    bins, outcomes, usages = zip(*backend.map(run_sample, range(job.samples)))
+    usage_total = Usage.total(u for sample in usages for u in sample)
+    valid = [i for i, row in enumerate(bins) if row is not None]
     needed = math.ceil(job.samples / 2)
     if len(valid) < needed:
         raise InsufficientSamplesError(
             f"only {len(valid)} of {job.samples} samples parsed to horizon "
             f"{job.horizon}; need at least {needed}"
         )
-    sample_paths = SamplePaths(np.stack(valid))
+    # every valid sample parsed exactly horizon bins: decode them as one array
+    values = decode_rows([bins[i] for i in valid], [scalers[i] for i in valid], job.codec)
+    sample_paths = SamplePaths(values)
     forecast = aggregate_samples(sample_paths)
     manifest = build_manifest(job, backend, scalers)
     return ForecastResult(

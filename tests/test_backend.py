@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlts import (
@@ -38,7 +38,7 @@ from nlts import (
     load_cost_table,
     run_nlts,
 )
-from nlts.backend import canonical_request, request_body, request_hash
+from nlts.backend import canonical_request, lookup_key, request_body, request_hash
 
 PARAMS = GenerationParams(model="test-model", max_tokens=32)
 
@@ -106,6 +106,30 @@ class TestUsage:
             Usage.from_dict([("prompt_tokens", 1)])
         with pytest.raises(TypeError):
             Usage.from_dict(None)
+
+    @pytest.mark.parametrize("count", [float("inf"), float("-inf"), float("nan"), -7, -1.0,
+                                       2.5, "-3", "2.5", "1e400"])
+    def test_from_dict_rejects_counts_that_are_not_whole_and_nonnegative(self, count):
+        with pytest.raises(ValueError):
+            Usage.from_dict({"prompt_tokens": count})
+        with pytest.raises(ValueError):
+            Usage.from_dict({}, requests=count)
+
+    @pytest.mark.parametrize("count", [True, [1], {"n": 1}])
+    def test_from_dict_rejects_counts_that_are_not_numbers(self, count):
+        with pytest.raises(TypeError):
+            Usage.from_dict({"completion_tokens": count})
+
+    def test_from_dict_reads_whole_floats_and_ignores_unknown_keys(self):
+        usage = Usage.from_dict({"prompt_tokens": 12.0, "completion_tokens": 0,
+                                 "total_tokens": 12, "requests": 10.0**20})
+        assert usage == Usage(12, 0, 10**20)
+        assert type(usage.prompt_tokens) is int
+
+    def test_total_adds_componentwise(self):
+        usages = [Usage(10, 20, 1), Usage(5, 7, 2), Usage()]
+        assert Usage.total(usages) == Usage(15, 27, 3) == usages[0] + usages[1] + usages[2]
+        assert Usage.total([]) == Usage()
 
 
 class TestCost:
@@ -221,6 +245,32 @@ class TestEchoTailBackend:
         with pytest.raises(ConfigError):
             EchoTailBackend(tail=0)
 
+    @staticmethod
+    def full_split_reply(backend, text):
+        """The reply as computed from every fragment of the prompt."""
+        fragments = [f.strip() for f in text.split(",")]
+        fragments = [f for f in fragments if f]
+        if not fragments:
+            raise ProtocolError("echo backend got a prompt with no steps")
+        cycle = fragments[-backend.tail:]
+        return ", ".join(cycle[i % len(cycle)] for i in range(backend.steps))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(alphabet=st.sampled_from("0123456789-, \t\n\xa0\u2003a")),
+        tail=st.integers(1, 6),
+        steps=st.integers(1, 9),
+    )
+    def test_reply_matches_full_split(self, text, tail, steps):
+        backend = EchoTailBackend(tail=tail, steps=steps)
+        try:
+            expected = self.full_split_reply(backend, text)
+        except ProtocolError:
+            with pytest.raises(ProtocolError, match="no steps"):
+                backend.reply(text, "")
+        else:
+            assert backend.reply(text, "") == expected
+
 
 class TestScriptedBackend:
     def test_tagged_calls_pick_lines_by_sample(self):
@@ -333,6 +383,56 @@ class TestRecordReplay:
         cassette.write_text(json.dumps(record) + "\n")
         with pytest.raises(ProtocolError, match="non-string texts"):
             ReplayBackend(cassette).complete("p", PARAMS, tag="a")
+
+    @pytest.mark.parametrize("count", ["1e400", "-7", "2.5"])
+    def test_bad_usage_count_fails_at_its_hit(self, tmp_path, count):
+        cassette = tmp_path / "c.jsonl"
+        rec = RecordingBackend(OracleBackend("1"), cassette)
+        rec.complete("p", PARAMS, tag="a")
+        rec.complete("p", PARAMS, tag="b")
+        good, bad = cassette.read_text().splitlines()
+        bad = bad.replace('"prompt_tokens": 1', f'"prompt_tokens": {count}')
+        cassette.write_text(good + "\n" + bad + "\n")
+        rep = ReplayBackend(cassette)  # loads: the response is checked, not raised
+        assert rep.complete("p", PARAMS, tag="a")[0] == ["1"]
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="is malformed: ValueError: usage "
+                                                    "prompt_tokens") as info:
+                rep.complete("p", PARAMS, tag="b")
+            errors.append(info.value)
+        assert errors[0] is not errors[1]
+
+    def test_deeply_nested_line_is_protocol_error(self, tmp_path):
+        cassette = tmp_path / "c.jsonl"
+        RecordingBackend(OracleBackend("1"), cassette).complete("p", PARAMS, tag="a")
+        cassette.write_text(cassette.read_text() + "[" * 100_000 + "\n")
+        with pytest.raises(ProtocolError, match="line 2 "):
+            ReplayBackend(cassette)
+
+    def test_miss_names_hash_prefix_and_tag(self, tmp_path):
+        cassette = tmp_path / "c.jsonl"
+        RecordingBackend(OracleBackend("1"), cassette).complete("p", PARAMS, tag="a")
+        rep = ReplayBackend(cassette)
+        for prompt in ("q", [{"role": "user", "content": "p"}]):
+            h = request_hash(canonical_request(*request_body(prompt, PARAMS), "a"))
+            with pytest.raises(TransportError, match=re.escape(f"{h[:12]}... (tag='a')")):
+                rep.complete(prompt, PARAMS, tag="a")
+
+    def test_params_objects_in_turn(self, tmp_path):
+        """The request key's params part is kept for the last params object
+        served; another object, equal or not, must still find its records."""
+        cassette = tmp_path / "c.jsonl"
+        other = GenerationParams(model="test-model", max_tokens=33)
+        rec = RecordingBackend(EchoTailBackend(tail=1, steps=1), cassette)
+        rec.complete("1, ", PARAMS, tag="a")
+        rec.complete("2, ", other, tag="a")
+        rep = ReplayBackend(cassette)
+        equal = GenerationParams(model="test-model", max_tokens=32)
+        for params, prompt in [(PARAMS, "1, "), (other, "2, "), (equal, "1, "), (PARAMS, "1, ")]:
+            assert rep.complete(prompt, params, tag="a")[0] == [prompt[0]]
+        with pytest.raises(TransportError):
+            rep.complete("1, ", other, tag="a")
 
     def test_usage_defaults_to_one_request(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
@@ -475,6 +575,71 @@ class TestHashAsBuilt:
         assert request_hash(canonical) == request_hash(old)
         # the cassette line RecordingBackend writes
         assert json.dumps(canonical, sort_keys=True) == json.dumps(old, sort_keys=True)
+
+
+# small pools, so that distinct canonical requests often share a request
+# hash: 1, 1.0 and True encode differently but compare equal, as do -0.0 and
+# 0.0, while NaN encodes alike but never compares equal. The prompts and tags
+# hold non-ASCII text and lone surrogates, and "😀" and its surrogate pair
+# "\ud83d\ude00" differ as strs but encode alike
+_key_scalars = st.sampled_from([0, 1, 1.0, True, False, 0.0, -0.0, float("nan"), None, "1",
+                                "", "é"])
+_key_values = st.recursive(
+    _key_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(st.sampled_from(["a", "n", "prompt"]), inner,
+                                            max_size=2)),
+    max_leaves=4,
+)
+_key_prompts = st.sampled_from(["", "1 2, ", "1 2, 3", "é", "😀", "\ud83d\ude00", "\ud800",
+                                "\udfff", "\x00"])
+_key_bodies = st.one_of(
+    st.fixed_dictionaries({"prompt": _key_prompts},
+                          optional={"model": _key_values, "n": _key_values}),
+    st.fixed_dictionaries({"messages": st.lists(
+        st.fixed_dictionaries({"role": st.just("user"), "content": _key_prompts}), max_size=2)},
+        optional={"n": _key_values}),
+    _key_values,
+)
+_key_fields = {
+    "endpoint": st.sampled_from(["completions", "chat", 1]),
+    "body": _key_bodies,
+    "tag": st.sampled_from(["", "a", "é", "😀", "\ud83d\ude00", "\ude00", 1, None]),
+}
+_canonicals = st.one_of(
+    st.fixed_dictionaries(_key_fields),
+    st.fixed_dictionaries(_key_fields, optional={"extra": _key_values}),
+    st.fixed_dictionaries({k: v for k, v in _key_fields.items() if k != "tag"}),
+    _key_values,
+)
+
+
+class TestLookupKey:
+    """ReplayBackend indexes records by lookup_key instead of request_hash."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(a=_canonicals, b=_canonicals)
+    def test_equal_exactly_when_hashes_are(self, a, b):
+        assert (lookup_key(a) == lookup_key(b)) == (request_hash(a) == request_hash(b))
+        # a cassette line's canonical request is the JSON round trip
+        assert lookup_key(json.loads(json.dumps(a))) == lookup_key(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(prompt=st.one_of(_key_prompts, _json_text,
+                            _messages.map(lambda ms: ms + [{"role": "user", "content": "1"}])),
+           tag=st.one_of(_json_text, _key_prompts),
+           max_tokens=st.integers(1, 40), stop=st.lists(_json_text.filter(bool),
+                                                        max_size=2).map(tuple))
+    # the cassette line reads a surrogate pair back as its character
+    @example(prompt="1, \ud83d\ude00", tag="\ud83d\ude00", max_tokens=1, stop=())
+    def test_request_finds_its_record(self, tmp_path_factory, prompt, tag, max_tokens, stop):
+        cassette = tmp_path_factory.mktemp("replay") / "c.jsonl"
+        params = GenerationParams(model="m", max_tokens=max_tokens, stop=stop)
+        RecordingBackend(OracleBackend("7"), cassette).complete(prompt, params, tag=tag)
+        replay = ReplayBackend(cassette)
+        assert replay.complete(prompt, params, tag=tag)[0] == ["7"]
+        with pytest.raises(TransportError):
+            replay.complete(prompt, params, tag=tag + "x")
 
 
 class _Script(BaseHTTPRequestHandler):
@@ -961,6 +1126,21 @@ class TestHttpBackend:
         backend = self.make(base)
         _, usage = backend.complete("a b", PARAMS)
         assert usage == Usage(2, 3, 2)
+
+    @pytest.mark.parametrize("count", [b"1e400", b"-7", b"2.5"])
+    def test_usage_estimated_when_a_count_is_out_of_range(self, http_server, count):
+        base, script = http_server
+        script.script = [(200, b'{"choices": [{"text": "1 2 3"}], "usage": {"prompt_tokens": '
+                               + count + b', "completion_tokens": 9}}')]
+        _, usage = self.make(base).complete("a b", PARAMS)
+        assert usage == Usage(2, 3, 1)
+
+    def test_deeply_nested_body_is_protocol_error(self, http_server):
+        base, script = http_server
+        script.script = [(200, b"[" * 100_000)]
+        with pytest.raises(ProtocolError, match="invalid JSON"):
+            self.make(base).complete("p", PARAMS)
+        assert len(script.calls) == 1
 
     def test_endpoint_request_count_is_ignored(self, http_server):
         base, script = http_server

@@ -276,6 +276,13 @@ class TestSynthCommand:
         assert result.exit_code == 1
         assert result.output == "Error: ConfigError: seed must be >= 0, got -1\n"
 
+    def test_deeply_nested_config_is_reported(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000)
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: RecursionError: maximum recursion depth")
+
     def test_out_under_a_file_is_config_error(self, runner, tmp_path):
         afile = tmp_path / "afile"
         afile.write_text("x\n")
@@ -686,6 +693,29 @@ class TestCostCommand:
         result = runner.invoke(main, ["cost", "--usage", str(usage), "--table", str(path)])
         assert result.exit_code == 1
         assert f"Error: {error}" in result.output
+
+    @pytest.mark.parametrize("count, error", [
+        ("-1000", "usage prompt_tokens must be >= 0, got -1000"),
+        ("1e400", "usage prompt_tokens must be a whole number, got inf"),
+        ("2.5", "usage prompt_tokens must be a whole number, got 2.5"),
+    ])
+    def test_bad_token_count_is_reported(self, runner, tmp_path, count, error):
+        usage = tmp_path / "u.json"
+        usage.write_text('{"model": "GPT-4", "prompt_tokens": %s, "completion_tokens": 1}' % count)
+        result = runner.invoke(main, ["cost", "--usage", str(usage)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: ValueError: {error}\n"
+
+    @pytest.mark.parametrize("option", ["--usage", "--table"])
+    def test_deeply_nested_file_is_reported(self, runner, tmp_path, option):
+        files = {"--usage": tmp_path / "u.json", "--table": tmp_path / "t.json"}
+        files["--usage"].write_text(json.dumps({"model": "m", "prompt_tokens": 1}))
+        files["--table"].write_text(json.dumps({"m": {"prompt_per_1k": 1, "completion_per_1k": 1}}))
+        files[option].write_text("[" * 100_000)
+        result = runner.invoke(main, ["cost", "--usage", str(files["--usage"]),
+                                      "--table", str(files["--table"])])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: RecursionError: maximum recursion depth")
 
     def test_unknown_model_null(self, runner, tmp_path):
         usage = tmp_path / "u.json"

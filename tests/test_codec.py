@@ -26,7 +26,9 @@ from nlts.codec import (
     ParseReport,
     _fragment_bins,
     _whole_text_bins,
+    decode_rows,
     fit_scalers,
+    parse_bins,
     quantize,
     serialize_rows,
 )
@@ -777,6 +779,55 @@ class TestWholeTextPath:
         assert _whole_text_bins("1 0,2 0, ", 5, 10) == [10, 20]
         assert _whole_text_bins("1, 2, junk", 2, 10) == [1, 2]  # junk past the horizon
         assert _whole_text_bins("1, junk, 2", 2, 10) is None
+
+
+class TestDecodeRowsMatchesDeserialize:
+    """run_nlts parses each reply with parse_bins and decodes the replies that
+    reach the horizon with one decode_rows call; each row must be bitwise the
+    values deserialize gives for that reply."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(_decode_text, min_size=1, max_size=6),
+        horizon=st.integers(1, 5),
+        half_bin=st.booleans(),
+        precision_k=st.integers(0, 4),
+        offsets=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+        scales=st.lists(st.floats(1e-6, 1e6), min_size=6, max_size=6),
+    )
+    @example(texts=["1 2, 3 4, 5", "1 2, 3", "junk", "7, x, 8, 9"], horizon=3, half_bin=True,
+             precision_k=1, offsets=[0.0, -2.5, 1.0, 3.0, 0.0, 0.0],
+             scales=[1.0, 0.3, 7.0, 1e-3, 1.0, 1.0])
+    def test_bitwise_per_row(self, texts, horizon, half_bin, precision_k, offsets, scales):
+        cfg = CodecConfig(precision_k=precision_k, half_bin_correction=half_bin)
+        scalers = [Scaler(offset=o, scale=s) for o, s in zip(offsets, scales)]
+        rows, row_scalers, expected = [], [], []
+        for text, scaler in zip(texts, scalers):
+            try:
+                bins, report = parse_bins(text, cfg, horizon)
+            except ParseError as err:
+                with pytest.raises(ParseError) as again:
+                    deserialize(text, scaler, cfg, horizon)
+                assert again.value.report == err.report
+                continue
+            values, same_report = deserialize(text, scaler, cfg, horizon)
+            assert same_report == report and len(bins) == len(values) == report.parsed_steps
+            if report.parsed_steps == horizon:
+                rows.append(bins)
+                row_scalers.append(scaler)
+                expected.append(values)
+        if not rows:
+            return
+        decoded = decode_rows(rows, row_scalers, cfg)
+        assert decoded.shape == (len(rows), horizon)
+        assert decoded.tobytes() == np.stack(expected).tobytes()
+
+    def test_one_row_is_deserialize(self):
+        cfg = CodecConfig(precision_k=2)
+        scaler = Scaler(offset=1.5, scale=0.25)
+        values, _ = deserialize("1 2 5, -3 0, 7", scaler, cfg, horizon=2)
+        assert values.tobytes() == decode_rows([[125, -30]], [scaler], cfg)[0].tobytes()
+        npt.assert_array_equal(values, [1.5 + 1.255 * 0.25, 1.5 - 0.295 * 0.25])
 
 
 class TestRunawayDigits:

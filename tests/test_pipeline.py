@@ -1,7 +1,7 @@
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -19,13 +19,18 @@ from nlts import (
     NltsError,
     NoiseSpec,
     OracleBackend,
+    ParseError,
     RecordingBackend,
     ReplayBackend,
     SYSTEM_PROMPT,
+    SamplePaths,
     ScriptedBackend,
     SplitSpec,
     TimeSeries,
+    Usage,
+    aggregate_samples,
     build_prompt,
+    deserialize,
     fit_scaler,
     inject_noise,
     run_nlts,
@@ -33,7 +38,9 @@ from nlts import (
     split_series,
     substream,
 )
-from nlts.pipeline import USER_PROMPT_TEMPLATE, completion_token_budget
+from nlts.codec import fit_scalers
+from nlts.noise import standardized_draw
+from nlts.pipeline import USER_PROMPT_TEMPLATE, completion_token_budget, inject_noise_rows
 
 from golden import replay_jobs
 
@@ -324,6 +331,69 @@ class TestRunNlts:
         result = run_nlts(job, oracle_for(hist, tgt))
         assert result.usage.requests == 5
         assert result.usage.prompt_tokens > 0
+
+
+class _TryScripted(ScriptedBackend):
+    """Line i + k for the k-th try of sample i, so a retry can change the reply."""
+
+    def reply(self, text, tag):
+        sample, attempt = tag[len("sample-"):].split("/try-")
+        return self.lines[(int(sample) + int(attempt)) % len(self.lines)]
+
+
+def _per_sample_reference(job, backend):
+    """run_nlts's paths, outcomes and usage, decoding each reply with
+    deserialize and adding usage one request at a time."""
+    history = job.history
+    params = replace(
+        job.params, max_tokens=max(job.params.max_tokens,
+                                   completion_token_budget(job.horizon, job.codec)))
+    draws = np.array([standardized_draw(job.noise, len(history), substream(job.seed, i))
+                      for i in range(job.samples)])
+    rows = inject_noise_rows(history, job.noise, draws)
+    scalers = fit_scalers(rows, job.codec)
+    paths, outcomes, usage = [], [], Usage()
+    for i in range(job.samples):
+        prompt = build_prompt(serialize(rows[i], scalers[i], job.codec), job.prompt_style,
+                              job.horizon, job.codec)
+        for attempt in range(job.retries_per_sample + 1):
+            texts, used = backend.complete(prompt, params, tag=f"sample-{i}/try-{attempt}")
+            usage = usage + used
+            try:
+                values, report = deserialize(texts[0], scalers[i], job.codec, job.horizon)
+            except ParseError as err:
+                outcome = (i, attempt + 1, False, err.report)
+                continue
+            outcome = (i, attempt + 1, report.parsed_steps >= job.horizon, report)
+            if outcome[2]:
+                paths.append(values)
+                break
+        outcomes.append(outcome)
+    return np.stack(paths), outcomes, usage
+
+
+class TestBatchedDecode:
+    @pytest.mark.parametrize("half_bin", [True, False])
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_matches_per_sample_reference(self, half_bin, retries):
+        series = make_series(n=60)
+        hist, tgt = split_series(series, SplitSpec.by_horizon(5))
+        codec = CodecConfig(half_bin_correction=half_bin)
+        good = serialize(tgt, fit_scaler(hist, codec), codec)
+        lines = [good, "no digits here", good[: len(good) // 2], "", "answer: " + good + ", 9 9",
+                 good, good.replace(", ", ",x,", 2), "7"]
+        job = ForecastJob(history=hist, horizon=5, samples=9, seed=4, codec=codec,
+                          noise=NoiseSpec("uniform", 0.02), retries_per_sample=retries)
+        result = run_nlts(job, _TryScripted(lines=lines))
+        paths, outcomes, usage = _per_sample_reference(job, _TryScripted(lines=lines))
+        assert result.samples.paths.tobytes() == paths.tobytes()
+        assert [(o.sample_index, o.attempts, o.valid, o.report) for o in result.outcomes] \
+            == outcomes
+        assert result.usage == usage
+        assert sum(o.valid for o in result.outcomes) == len(paths) < job.samples
+        assert any(o.attempts > 1 and o.valid for o in result.outcomes) == (retries > 0)
+        reference = aggregate_samples(SamplePaths(paths))
+        assert result.forecast.median.tobytes() == reference.median.tobytes()
 
 
 class TestGoldenCassette:
