@@ -63,15 +63,11 @@ from .errors import (
     DegenerateSeriesError,
     DigitOverflowError,
     InsufficientSamplesError,
-    LengthMismatchError,
     NltsError,
     NonFiniteError,
-    ParamError,
     ParseError,
     ProtocolError,
     RateLimitError,
-    SchemaError,
-    SplitError,
     TransportError,
 )
 from .noise import NOISE_KINDS, NoiseSpec, inject_noise, standardized_draw

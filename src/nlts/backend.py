@@ -25,7 +25,6 @@ from .codec import STEP_SEPARATOR
 from .errors import (
     AuthError,
     ConfigError,
-    ParamError,
     ProtocolError,
     RateLimitError,
     TransportError,
@@ -48,13 +47,13 @@ class GenerationParams:
 
     def __post_init__(self):
         if self.num_samples < 1:
-            raise ParamError(f"num_samples must be >= 1, got {self.num_samples}")
+            raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
         if not (self.temperature >= 0.0 and math.isfinite(self.temperature)):
-            raise ParamError(f"temperature must be finite and >= 0, got {self.temperature}")
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0.0 < self.top_p <= 1.0:
-            raise ParamError(f"top_p must be in (0, 1], got {self.top_p}")
+            raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_tokens < 1:
-            raise ParamError(f"max_tokens must be >= 1, got {self.max_tokens}")
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ class CostTable:
         for model, pair in dict(self.prices).items():
             prompt_price, completion_price = pair
             if not (0 <= prompt_price < math.inf and 0 <= completion_price < math.inf):
-                raise ParamError(f"negative or non-finite price for {model!r}")
+                raise ConfigError(f"negative or non-finite price for {model!r}")
             clean[model] = (float(prompt_price), float(completion_price))
         object.__setattr__(self, "prices", clean)
 
@@ -181,7 +180,7 @@ def load_cost_table(path: str | Path) -> CostTable:
     Raises ConfigError for an unreadable file, any other shape or a price that
     is not a number.
     """
-    raw = json.loads(_read_text(Path(path), "price table"))
+    raw = _read_json(Path(path), "price table")
     if not isinstance(raw, dict):
         raise ConfigError(f"price table must hold a JSON object, not {type(raw).__name__}")
     prices = {}
@@ -194,6 +193,20 @@ def load_cost_table(path: str | Path) -> CostTable:
                 f"prompt_per_1k and completion_per_1k"
             ) from exc
     return CostTable(prices)
+
+
+def load_usage(path: str | Path) -> tuple[Usage, object]:
+    """The Usage and the "model" value (None when absent) of a usage file: a
+    JSON object holding the counts at its top level or in a "usage" block.
+    Raises ConfigError for an unreadable file, any other shape or a bad count."""
+    path = Path(path)
+    raw = _read_json(path, "usage file")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"usage file must hold a JSON object, not {type(raw).__name__}")
+    try:
+        return Usage.from_dict(raw.get("usage", raw)), raw.get("model")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"usage file {path}: {exc}") from exc
 
 
 def estimate_cost(usage: Usage, model: str, table: CostTable | None = None) -> float | None:
@@ -387,6 +400,15 @@ def _read_text(path: Path, what: str) -> str:
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read {what} {path}: {reason}") from exc
+
+
+def _read_json(path: Path, what: str):
+    """The parsed JSON of an input file; failing to read or parse it is a ConfigError."""
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
 
 
 class ScriptedBackend(_MockBackend):

@@ -27,13 +27,7 @@ from .backend import (
 )
 from .codec import CodecConfig, fit_scaler, serialize
 from .core import SplitSpec, TimeSeries, split_series
-from .errors import (
-    ConfigError,
-    LengthMismatchError,
-    NltsError,
-    NonFiniteError,
-    SchemaError,
-)
+from .errors import ConfigError, NltsError, NonFiniteError
 from .noise import NOISE_KINDS, NoiseSpec
 from .pipeline import ForecastJob, check_sampling, run_nlts
 from .rng import substream
@@ -96,11 +90,11 @@ def compute_metrics(
     pred = np.asarray(prediction, dtype=float)
     true = np.asarray(truth, dtype=float)
     if pred.shape != true.shape or pred.ndim != 1:
-        raise LengthMismatchError(
+        raise ConfigError(
             f"prediction shape {pred.shape} does not match truth shape {true.shape}"
         )
     if pred.size == 0:
-        raise LengthMismatchError("cannot score an empty forecast")
+        raise ConfigError("cannot score an empty forecast")
     if not (np.isfinite(pred).all() and np.isfinite(true).all()):
         raise NonFiniteError("metrics need finite predictions and truth")
     errors = normalization.apply(pred) - normalization.apply(true)
@@ -131,7 +125,7 @@ _FALSY = {"0", "false", "False", "FALSE", ""}
 def load_dataset(path: str | Path, value_column: str = "value") -> LoadedDataset:
     """Load a CSV with one value column and an optional is_holdout flag column.
 
-    SchemaError messages name the offending physical row (header is row 1). A
+    ConfigError messages name the offending physical row (header is row 1). A
     holdout flag must mark a contiguous tail; anything else is a schema error.
     """
     path = Path(path)
@@ -140,23 +134,23 @@ def load_dataset(path: str | Path, value_column: str = "value") -> LoadedDataset
     try:
         text = path.read_bytes().decode("utf-8")
     except OSError as exc:
-        raise SchemaError(f"{path}: cannot read dataset: {exc.strerror}") from None
+        raise ConfigError(f"{path}: cannot read dataset: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path.name}: byte {exc.start} is not UTF-8 text") from None
+        raise ConfigError(f"{path.name}: byte {exc.start} is not UTF-8 text") from None
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None or value_column not in reader.fieldnames:
-        raise SchemaError(
+        raise ConfigError(
             f"{path.name}: missing {value_column!r} column in header {reader.fieldnames}"
         )
     has_holdout = "is_holdout" in reader.fieldnames
     for row_no, row in enumerate(reader, start=2):
         raw = row.get(value_column)
         if raw is None or not raw.strip():
-            raise SchemaError(f"{path.name}: row {row_no}: blank {value_column!r} value")
+            raise ConfigError(f"{path.name}: row {row_no}: blank {value_column!r} value")
         try:
             value = float(raw)
         except ValueError:
-            raise SchemaError(
+            raise ConfigError(
                 f"{path.name}: row {row_no}: {value_column!r} is not numeric: {raw!r}"
             ) from None
         if not math.isfinite(value):
@@ -169,14 +163,14 @@ def load_dataset(path: str | Path, value_column: str = "value") -> LoadedDataset
             elif flag in _FALSY:
                 holdout_flags.append(False)
             else:
-                raise SchemaError(f"{path.name}: row {row_no}: bad 'is_holdout' flag {flag!r}")
+                raise ConfigError(f"{path.name}: row {row_no}: bad 'is_holdout' flag {flag!r}")
     if not values:
-        raise SchemaError(f"{path.name}: no data rows")
+        raise ConfigError(f"{path.name}: no data rows")
     holdout = 0
     if holdout_flags:
         holdout = sum(holdout_flags)
         if holdout and not all(holdout_flags[-holdout:]):
-            raise SchemaError(f"{path.name}: 'is_holdout' must mark a contiguous tail of rows")
+            raise ConfigError(f"{path.name}: 'is_holdout' must mark a contiguous tail of rows")
     return LoadedDataset(
         series=TimeSeries(np.array(values), name=path.stem),
         holdout=holdout,

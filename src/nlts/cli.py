@@ -11,11 +11,11 @@ import click
 from .backend import (
     GenerationParams,
     RecordingBackend,
-    Usage,
-    _read_text,
+    _read_json,
     default_cost_table,
     estimate_cost,
     load_cost_table,
+    load_usage,
 )
 from .bench import (
     DEFAULT_NOISE_LEVELS,
@@ -61,7 +61,18 @@ def _emit(payload: dict, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-@click.group()
+class _Main(click.Group):
+    """The one place an NltsError from any command becomes
+    `Error: <Class>: <message>` and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NltsError as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Noise-injected zero-shot time-series forecasting."""
 
@@ -108,55 +119,51 @@ def forecast(
     max_tokens, retries, echo_tail, seed, record_path, replay_path, out,
 ):
     """Forecast the held-out tail of a CSV series."""
-    try:
-        ds = load_dataset(data, value_column=value_column)
-        split = None if split_text is None else _parse_split(split_text)
-        if split is not None and split.mode == "horizon" and ds.holdout not in (0, split.horizon):
-            raise ConfigError(
-                f"dataset marks {ds.holdout} holdout rows but --split asked for "
-                f"{split.horizon}"
-            )
-        history, target = split_dataset(ds, split)
-        codec = CodecConfig(
-            precision_k=precision,
-            signed=signed,
-            basic_mode=basic_mode,
-            half_bin_correction=half_bin,
+    ds = load_dataset(data, value_column=value_column)
+    split = None if split_text is None else _parse_split(split_text)
+    if split is not None and split.mode == "horizon" and ds.holdout not in (0, split.horizon):
+        raise ConfigError(
+            f"dataset marks {ds.holdout} holdout rows but --split asked for {split.horizon}"
         )
-        noise = NoiseSpec(kind=noise_kind if alpha > 0 else "none", alpha=alpha)
-        params = GenerationParams(
-            model=model, temperature=temperature, top_p=top_p, max_tokens=max_tokens
-        )
-        kind = "replay" if replay_path is not None else backend_kind
-        spec = BackendSpec(kind, tail=echo_tail if kind == "echo" else None, path=replay_path)
-        backend = make_backend(spec, history, target, codec)
-        if record_path:
-            backend = RecordingBackend(backend, record_path)
-        job = ForecastJob(
-            history=history,
-            horizon=len(target),
-            noise=noise,
-            codec=codec,
-            params=params,
-            prompt_style=style,
-            samples=samples,
-            seed=seed,
-            retries_per_sample=retries,
-        )
-        result = run_nlts(job, backend)
-        norm = Normalization.from_values(ds.series.values)
-        metrics = compute_metrics(result.forecast.median, target.values, norm)
-        payload = result.to_dict()
-        payload["evaluation"] = {
-            "mse": metrics.mse,
-            "mae": metrics.mae,
-            "normalization": metrics.normalization,
-        }
-        payload["dataset"] = {"path": str(data), "name": ds.name, "length": len(ds.series),
-                              "history": len(history), "horizon": len(target)}
-        _emit(payload, out)
-    except NltsError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+    history, target = split_dataset(ds, split)
+    codec = CodecConfig(
+        precision_k=precision,
+        signed=signed,
+        basic_mode=basic_mode,
+        half_bin_correction=half_bin,
+    )
+    noise = NoiseSpec(kind=noise_kind if alpha > 0 else "none", alpha=alpha)
+    params = GenerationParams(
+        model=model, temperature=temperature, top_p=top_p, max_tokens=max_tokens
+    )
+    kind = "replay" if replay_path is not None else backend_kind
+    spec = BackendSpec(kind, tail=echo_tail if kind == "echo" else None, path=replay_path)
+    backend = make_backend(spec, history, target, codec)
+    if record_path:
+        backend = RecordingBackend(backend, record_path)
+    job = ForecastJob(
+        history=history,
+        horizon=len(target),
+        noise=noise,
+        codec=codec,
+        params=params,
+        prompt_style=style,
+        samples=samples,
+        seed=seed,
+        retries_per_sample=retries,
+    )
+    result = run_nlts(job, backend)
+    norm = Normalization.from_values(ds.series.values)
+    metrics = compute_metrics(result.forecast.median, target.values, norm)
+    payload = result.to_dict()
+    payload["evaluation"] = {
+        "mse": metrics.mse,
+        "mae": metrics.mae,
+        "normalization": metrics.normalization,
+    }
+    payload["dataset"] = {"path": str(data), "name": ds.name, "length": len(ds.series),
+                          "history": len(history), "horizon": len(target)}
+    _emit(payload, out)
 
 
 @main.command()
@@ -170,20 +177,15 @@ def forecast(
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def synth(kernels, count, length, holdout, seed, out):
     """Generate a Gaussian-process benchmark suite as CSV files."""
-    try:
-        if kernels.strip().lower() == "all":
-            specs = [KernelSpec(kind=k) for k in KERNEL_KINDS]
-        else:
-            names = [k.strip() for k in kernels.split(",") if k.strip()]
-            if not names:
-                raise ConfigError("no kernels requested")
-            specs = [KernelSpec(kind=k) for k in names]
-        manifest = generate_benchmark(specs, count, length, holdout, seed, out)
-        click.echo(
-            f"wrote {len(manifest['files'])} series files and manifest.json to {out}"
-        )
-    except NltsError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+    if kernels.strip().lower() == "all":
+        specs = [KernelSpec(kind=k) for k in KERNEL_KINDS]
+    else:
+        names = [k.strip() for k in kernels.split(",") if k.strip()]
+        if not names:
+            raise ConfigError("no kernels requested")
+        specs = [KernelSpec(kind=k) for k in names]
+    manifest = generate_benchmark(specs, count, length, holdout, seed, out)
+    click.echo(f"wrote {len(manifest['files'])} series files and manifest.json to {out}")
 
 
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
@@ -198,16 +200,12 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def bench(config_path, out):
     """Sweep noise levels over datasets and write results.csv/json + summary.md."""
-    try:
-        raw = json.loads(_read_text(Path(config_path), "config"))
-        cfg = sweep_config_from_dict(raw)
-        report = run_sweep(cfg, out)
-        ok = sum(1 for c in report["cells"] if c["error"] is None)
-        click.echo(f"{ok}/{len(report['cells'])} cells succeeded; reports in {out}")
-        if ok < len(report["cells"]):
-            sys.exit(3)
-    except (NltsError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+    cfg = sweep_config_from_dict(_read_json(Path(config_path), "config"))
+    report = run_sweep(cfg, out)
+    ok = sum(1 for c in report["cells"] if c["error"] is None)
+    click.echo(f"{ok}/{len(report['cells'])} cells succeeded; reports in {out}")
+    if ok < len(report["cells"]):
+        sys.exit(3)
 
 
 @main.command("theory-check")
@@ -218,11 +216,8 @@ def bench(config_path, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def theory_check_cmd(dim, sigma, draws, seed, out):
     """Monte Carlo check of the second-order noise-perturbation identity."""
-    try:
-        report = theory_check(dim=dim, sigma=sigma, num_draws=draws, seed=seed)
-        _emit(report.to_dict(), out)
-    except NltsError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+    report = theory_check(dim=dim, sigma=sigma, num_draws=draws, seed=seed)
+    _emit(report.to_dict(), out)
 
 
 @main.command()
@@ -235,27 +230,21 @@ def theory_check_cmd(dim, sigma, draws, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cost(usage_path, model, table_path, out):
     """Price a usage record; unknown models report null, never zero."""
-    try:
-        raw = json.loads(_read_text(Path(usage_path), "usage file"))
-        if not isinstance(raw, dict):
-            raise ConfigError(f"usage file must hold a JSON object, not {type(raw).__name__}")
-        usage = Usage.from_dict(raw.get("usage", raw))
-        model_name = model or raw.get("model")
-        if not model_name or not isinstance(model_name, str):
-            raise ConfigError(f"the usage file or --model must name a model, got {model_name!r}")
-        table = load_cost_table(table_path) if table_path else default_cost_table()
-        amount = estimate_cost(usage, model_name, table)
-        payload = {
-            "model": model_name,
-            "prompt_tokens": usage.prompt_tokens,
-            "completion_tokens": usage.completion_tokens,
-            "cost_usd": amount,
-        }
-        if amount is None:
-            payload["note"] = "model not in the price table; cost unknown"
-        _emit(payload, out)
-    except (NltsError, json.JSONDecodeError, RecursionError, ValueError, TypeError) as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+    usage, named_model = load_usage(usage_path)
+    model_name = model or named_model
+    if not model_name or not isinstance(model_name, str):
+        raise ConfigError(f"the usage file or --model must name a model, got {model_name!r}")
+    table = load_cost_table(table_path) if table_path else default_cost_table()
+    amount = estimate_cost(usage, model_name, table)
+    payload = {
+        "model": model_name,
+        "prompt_tokens": usage.prompt_tokens,
+        "completion_tokens": usage.completion_tokens,
+        "cost_usd": amount,
+    }
+    if amount is None:
+        payload["note"] = "model not in the price table; cost unknown"
+    _emit(payload, out)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,10 @@ import numpy as np
 
 from .core import TimeSeries, _linear_quantile
 from .errors import (
+    ConfigError,
     DegenerateSeriesError,
     DigitOverflowError,
     NonFiniteError,
-    ParamError,
     ParseError,
 )
 
@@ -43,6 +43,8 @@ class CodecConfig:
         no sign token exists in this mode.
     scale_quantile / offset_beta: scaler fit, see fit_scaler.
     half_bin_correction: decode bin v to (v + 0.5) / 10^k instead of v / 10^k.
+    max_digits_per_value: the most digits a value may take when encoded or
+        parsed, at most 19.
     """
 
     precision_k: int = 3
@@ -55,16 +57,21 @@ class CodecConfig:
 
     def __post_init__(self):
         if not 0 <= self.precision_k <= 10:
-            raise ParamError(f"precision_k must be in [0, 10], got {self.precision_k}")
+            raise ConfigError(f"precision_k must be in [0, 10], got {self.precision_k}")
         if self.max_digits_per_value < max(1, self.precision_k + 1):
-            raise ParamError(
+            raise ConfigError(
                 f"max_digits_per_value {self.max_digits_per_value} cannot hold "
                 f"precision_k={self.precision_k} plus an integer digit"
             )
+        # 19 digits hold the widest bin _bins emits, which stays below 2**62
+        if self.max_digits_per_value > 19:
+            raise ConfigError(
+                f"codec.max_digits_per_value must be <= 19, got {self.max_digits_per_value}"
+            )
         if not 0.0 < self.scale_quantile <= 1.0:
-            raise ParamError(f"scale_quantile must be in (0, 1], got {self.scale_quantile}")
+            raise ConfigError(f"scale_quantile must be in (0, 1], got {self.scale_quantile}")
         if self.offset_beta < 0.0:
-            raise ParamError(f"offset_beta must be >= 0, got {self.offset_beta}")
+            raise ConfigError(f"offset_beta must be >= 0, got {self.offset_beta}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,9 @@ class Scaler:
 
     def __post_init__(self):
         if not (math.isfinite(self.offset) and math.isfinite(self.scale)):
-            raise ParamError("scaler parameters must be finite")
+            raise ConfigError("scaler parameters must be finite")
         if self.scale <= 0.0:
-            raise ParamError(f"scale must be > 0, got {self.scale}")
+            raise ConfigError(f"scale must be > 0, got {self.scale}")
 
     def forward(self, x):
         return (np.asarray(x, dtype=float) - self.offset) / self.scale
@@ -105,7 +112,7 @@ def fit_scalers(rows, config: CodecConfig = CodecConfig()) -> list[Scaler]:
     """
     vals = np.asarray(rows, dtype=float)
     if vals.ndim != 2:
-        raise ParamError(f"need an (m, n) array of histories, got shape {vals.shape}")
+        raise ConfigError(f"need an (m, n) array of histories, got shape {vals.shape}")
     if vals.shape[1] == 0:
         raise DegenerateSeriesError("cannot fit a scaler on an empty history")
     if not np.isfinite(vals).all():
@@ -199,7 +206,7 @@ def serialize_rows(rows, scalers, config: CodecConfig = CodecConfig()) -> list[s
     """
     vals = np.asarray(rows, dtype=float)
     if vals.ndim != 2 or len(vals) != len(scalers):
-        raise ParamError(
+        raise ConfigError(
             f"need an (m, n) array and m scalers, got {vals.shape} and {len(scalers)}"
         )
     offsets = np.array([[s.offset] for s in scalers])
@@ -336,7 +343,7 @@ def parse_bins(text: str, config: CodecConfig, horizon: int) -> tuple[list[int],
     when nothing parses; the report rides along on the exception.
     """
     if horizon < 1:
-        raise ParamError(f"horizon must be >= 1, got {horizon}")
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     bins = _whole_text_bins(text, horizon, config.max_digits_per_value)
     if bins is None:
         bins, discarded = _fragment_bins(text, horizon, config.max_digits_per_value)

@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     DegenerateSeriesError,
     NonFiniteError,
-    SplitError,
 )
 
 
@@ -140,7 +139,7 @@ def split_series(series: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, TimeS
         n_hist = t - spec.horizon
     n_target = t - n_hist
     if n_hist < 1 or n_target < 1:
-        raise SplitError(
+        raise ConfigError(
             f"cannot split length-{t} series into {n_hist} history + {n_target} target points"
         )
     history = series.with_values(series.values[:n_hist])

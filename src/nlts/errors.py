@@ -5,16 +5,8 @@ class NltsError(Exception):
     """Base class for all errors raised by nlts."""
 
 
-class SplitError(NltsError):
-    """Series too short for the requested history/target split."""
-
-
 class AggregationError(NltsError):
     """Sample paths are ragged, empty, or contain non-finite values."""
-
-
-class ParamError(NltsError):
-    """A parameter out of its range: a noise, codec, scaler, generation or price setting."""
 
 
 class DegenerateSeriesError(NltsError):
@@ -69,12 +61,7 @@ class CholeskyError(NltsError):
 
 
 class ConfigError(NltsError):
-    """Invalid or inconsistent configuration."""
-
-
-class SchemaError(NltsError):
-    """Input file does not match the expected schema."""
-
-
-class LengthMismatchError(NltsError):
-    """Prediction and truth have different lengths."""
+    """An input the caller supplied does not fit: a setting out of its range,
+    settings that contradict each other, a series too short for its split,
+    arrays of mismatched shapes, or an input file that cannot be read or
+    parsed or does not match its schema."""

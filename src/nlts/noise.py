@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries
-from .errors import DegenerateSeriesError, NonFiniteError, ParamError
+from .errors import ConfigError, DegenerateSeriesError, NonFiniteError
 
 # each family's fixed draw and the analytic (mean, std) that standardize it
 _FAMILIES = {
@@ -43,9 +43,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ParamError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
+            raise ConfigError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ParamError(f"alpha must be finite and >= 0, got {self.alpha}")
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     @property
     def adds_noise(self) -> bool:
@@ -57,7 +57,7 @@ def standardized_draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.n
     """n draws from the family, centered by the analytic mean, scaled to unit
     std; zeros for kind "none"."""
     if n < 0:
-        raise ParamError(f"draw count must be >= 0, got {n}")
+        raise ConfigError(f"draw count must be >= 0, got {n}")
     if spec.kind == "none":
         return np.zeros(n)
     draw, mean, std = _FAMILIES[spec.kind]
@@ -75,7 +75,7 @@ def inject_noise_rows(series: TimeSeries, spec: NoiseSpec, draws: np.ndarray) ->
     would.
     """
     if np.ndim(draws) != 2 or np.shape(draws)[1] != len(series):
-        raise ParamError(f"need an (m, {len(series)}) array of draws, got shape {np.shape(draws)}")
+        raise ConfigError(f"need an (m, {len(series)}) array of draws, got shape {np.shape(draws)}")
     sigma_x = float(series.values.std(ddof=0))
     if sigma_x == 0.0 and spec.adds_noise:
         raise DegenerateSeriesError(

@@ -24,7 +24,6 @@ from nlts import (
     GenerationParams,
     HttpBackend,
     OracleBackend,
-    ParamError,
     ProtocolError,
     RateLimitError,
     RecordingBackend,
@@ -45,13 +44,13 @@ PARAMS = GenerationParams(model="test-model", max_tokens=32)
 
 class TestGenerationParams:
     def test_validation(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             GenerationParams(num_samples=0)
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             GenerationParams(temperature=-1.0)
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             GenerationParams(top_p=0.0)
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             GenerationParams(max_tokens=0)
 
 
@@ -186,7 +185,7 @@ class TestCost:
     def test_negative_price_rejected(self, tmp_path):
         p = tmp_path / "prices.json"
         p.write_text(json.dumps({"m": {"prompt_per_1k": -1, "completion_per_1k": 0}}))
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             load_cost_table(p)
 
 

@@ -9,12 +9,10 @@ import pytest
 from nlts import (
     BackendSpec,
     ConfigError,
-    LengthMismatchError,
     NoiseSpec,
     NonFiniteError,
     Normalization,
     OracleBackend,
-    SchemaError,
     SweepConfig,
     TimeSeries,
     EchoTailBackend,
@@ -84,11 +82,11 @@ class TestComputeMetrics:
         assert rep.normalization == "minmax[0,10]"
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ConfigError):
             compute_metrics([1.0], [1.0, 2.0])
 
     def test_empty(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ConfigError):
             compute_metrics([], [])
 
     def test_non_finite(self):
@@ -108,19 +106,19 @@ class TestLoadDataset:
     def test_blank_value_names_row(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,value\n1,\n2,25\n")
-        with pytest.raises(SchemaError, match="row 2"):
+        with pytest.raises(ConfigError, match="row 2"):
             load_dataset(p)
 
     def test_non_numeric_names_row(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,value\n1,22\n2,abc\n")
-        with pytest.raises(SchemaError, match="row 3"):
+        with pytest.raises(ConfigError, match="row 3"):
             load_dataset(p)
 
     def test_missing_value_column(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,reading\n1,22\n")
-        with pytest.raises(SchemaError, match="value"):
+        with pytest.raises(ConfigError, match="value"):
             load_dataset(p)
 
     def test_non_finite_value(self, tmp_path):
@@ -132,7 +130,7 @@ class TestLoadDataset:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,value\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError):
             load_dataset(p)
 
     def test_holdout_column(self, tmp_path):
@@ -144,23 +142,23 @@ class TestLoadDataset:
     def test_holdout_must_be_tail(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,value,is_holdout\n0,1,1\n1,2,0\n2,3,1\n")
-        with pytest.raises(SchemaError, match="contiguous"):
+        with pytest.raises(ConfigError, match="contiguous"):
             load_dataset(p)
 
     def test_bad_holdout_flag(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,value,is_holdout\n0,1,maybe\n")
-        with pytest.raises(SchemaError, match="row 2"):
+        with pytest.raises(ConfigError, match="row 2"):
             load_dataset(p)
 
     def test_non_utf8_names_file(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_bytes(b"t,value\n1,22\n2,caf\xe9\n")
-        with pytest.raises(SchemaError, match=r"s\.csv: byte 18 is not UTF-8"):
+        with pytest.raises(ConfigError, match=r"s\.csv: byte 18 is not UTF-8"):
             load_dataset(p)
 
     def test_missing_file_names_it(self, tmp_path):
-        with pytest.raises(SchemaError, match=r"nope\.csv: cannot read dataset: No such file"):
+        with pytest.raises(ConfigError, match=r"nope\.csv: cannot read dataset: No such file"):
             load_dataset(tmp_path / "nope.csv")
 
     def test_custom_value_column(self, tmp_path):

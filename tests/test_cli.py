@@ -6,6 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 import nlts.bench
+import nlts.cli
+from nlts import errors
 from nlts.backend import GenerationParams
 from nlts.bench import BackendSpec, SweepConfig, run_sweep
 from nlts.codec import CodecConfig
@@ -202,7 +204,7 @@ class TestForecastCommand:
         data.write_bytes("t,value\n1,22\n2,café\n".encode("latin-1"))
         result = runner.invoke(main, ["forecast", "--data", str(data)])
         assert result.exit_code == 1
-        assert "Error: SchemaError: latin1.csv: byte 18 is not UTF-8 text" in result.output
+        assert "Error: ConfigError: latin1.csv: byte 18 is not UTF-8 text" in result.output
 
 
 class TestOneBackendSpec:
@@ -281,7 +283,8 @@ class TestSynthCommand:
         config.write_text("[" * 100_000)
         result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path)])
         assert result.exit_code == 1
-        assert result.output.startswith("Error: RecursionError: maximum recursion depth")
+        assert result.output.startswith(
+            f"Error: ConfigError: cannot parse config {config}: maximum recursion depth")
 
     def test_out_under_a_file_is_config_error(self, runner, tmp_path):
         afile = tmp_path / "afile"
@@ -356,6 +359,17 @@ class TestBenchCommand:
         assert result.exit_code == 1
         assert result.output.startswith(
             f"Error: ConfigError: cannot read config {config}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", ['{"datasets": [', "1" * 5000],
+                             ids=["truncated", "huge-int"])
+    def test_unparsable_config_is_config_error(self, runner, tmp_path, content):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: ConfigError: cannot parse config {config}: ")
+        assert "Traceback" not in result.output
         assert not (tmp_path / "o").exists()
 
     def test_bad_config_key(self, runner, tmp_path):
@@ -463,6 +477,8 @@ class TestBenchCommand:
         ({"datasets": [1]}, "datasets[0] must be a string, got 1"),
         ({"noise_levels": [0.0, float("inf")]},
          "noise_levels[1] must be a finite number, got inf"),
+        ({"codec": {"max_digits_per_value": 400}},
+         "codec.max_digits_per_value must be <= 19, got 400"),
     ], ids=["split-fraction", "split-horizon", "split-no-mode", "codec-base", "codec-unknown",
             "params-unknown", "datasets-string", "kinds-string", "levels-string",
             "split-bogus-mode", "split-unused-key", "split-fractional-horizon", "split-unknown",
@@ -471,7 +487,7 @@ class TestBenchCommand:
             "samples-string", "samples-fractional", "prompt-style", "retries-negative",
             "codec-signed-string", "codec-fractional-precision", "params-model-number",
             "params-stop-string", "levels-string-entry", "levels-nan", "seed-bool",
-            "datasets-number", "levels-infinity"])
+            "datasets-number", "levels-infinity", "codec-max-digits"])
     def test_bad_config_value_names_its_key(self, runner, tmp_path, extra, error):
         config = {"datasets": ["a.csv"], **extra}
         with pytest.raises(ConfigError) as excinfo:
@@ -565,7 +581,7 @@ class TestBenchCommand:
         config.write_text(json.dumps({"datasets": ["missing.csv"]}))
         result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
-        assert "Error: SchemaError: missing.csv: cannot read dataset: No such file" in result.output
+        assert "Error: ConfigError: missing.csv: cannot read dataset: No such file" in result.output
 
     def test_params_num_samples_fails_every_cell(self, runner, tmp_path):
         data = tmp_path / "airline.csv"
@@ -649,7 +665,7 @@ class TestCostCommand:
         usage.write_text(json.dumps({"model": "GPT-4", **usage_block}))
         result = runner.invoke(main, ["cost", "--usage", str(usage)])
         assert result.exit_code == 1
-        assert "Error: " in result.output
+        assert result.output.startswith(f"Error: ConfigError: usage file {usage}: ")
 
     @pytest.mark.parametrize("option, what", [("--usage", "usage file"), ("--table", "price table")])
     def test_non_utf8_file_is_config_error(self, runner, tmp_path, option, what):
@@ -681,9 +697,9 @@ class TestCostCommand:
         ('{"m": {"prompt_per_1k": null, "completion_per_1k": 1}}',
          "ConfigError: price entry for 'm'"),
         ('{"m": {"prompt_per_1k": NaN, "completion_per_1k": 1}}',
-         "ParamError: negative or non-finite price for 'm'"),
+         "ConfigError: negative or non-finite price for 'm'"),
         ('{"m": {"prompt_per_1k": Infinity, "completion_per_1k": 1}}',
-         "ParamError: negative or non-finite price for 'm'"),
+         "ConfigError: negative or non-finite price for 'm'"),
     ])
     def test_malformed_price_table_is_reported(self, runner, tmp_path, table, error):
         usage = tmp_path / "u.json"
@@ -704,18 +720,35 @@ class TestCostCommand:
         usage.write_text('{"model": "GPT-4", "prompt_tokens": %s, "completion_tokens": 1}' % count)
         result = runner.invoke(main, ["cost", "--usage", str(usage)])
         assert result.exit_code == 1
-        assert result.output == f"Error: ValueError: {error}\n"
+        assert result.output == f"Error: ConfigError: usage file {usage}: {error}\n"
 
     @pytest.mark.parametrize("option", ["--usage", "--table"])
     def test_deeply_nested_file_is_reported(self, runner, tmp_path, option):
+        result, path, what = self.invoke_with_file(runner, tmp_path, option, "[" * 100_000)
+        assert result.exit_code == 1
+        assert result.output.startswith(
+            f"Error: ConfigError: cannot parse {what} {path}: maximum recursion depth")
+
+    @pytest.mark.parametrize("content", ['{"m": {"prompt_per_1k"', "1" * 5000],
+                             ids=["truncated", "huge-int"])
+    @pytest.mark.parametrize("option", ["--usage", "--table"])
+    def test_unparsable_file_is_config_error(self, runner, tmp_path, option, content):
+        result, path, what = self.invoke_with_file(runner, tmp_path, option, content)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: ConfigError: cannot parse {what} {path}: ")
+        assert "Traceback" not in result.output
+
+    @staticmethod
+    def invoke_with_file(runner, tmp_path, option, content):
+        """Run nlts cost on valid usage and price files, with the file that
+        option names holding content instead."""
         files = {"--usage": tmp_path / "u.json", "--table": tmp_path / "t.json"}
         files["--usage"].write_text(json.dumps({"model": "m", "prompt_tokens": 1}))
         files["--table"].write_text(json.dumps({"m": {"prompt_per_1k": 1, "completion_per_1k": 1}}))
-        files[option].write_text("[" * 100_000)
+        files[option].write_text(content)
         result = runner.invoke(main, ["cost", "--usage", str(files["--usage"]),
                                       "--table", str(files["--table"])])
-        assert result.exit_code == 1
-        assert result.output.startswith("Error: RecursionError: maximum recursion depth")
+        return result, files[option], {"--usage": "usage file", "--table": "price table"}[option]
 
     def test_unknown_model_null(self, runner, tmp_path):
         usage = tmp_path / "u.json"
@@ -753,6 +786,37 @@ class TestCostCommand:
         usage.write_text(json.dumps({"prompt_tokens": 1}))
         result = runner.invoke(main, ["cost", "--usage", str(usage)])
         assert result.exit_code != 0
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("command, target, error", [
+        ("forecast", "run_nlts", "InsufficientSamplesError"),
+        ("synth", "generate_benchmark", "CholeskyError"),
+        ("bench", "run_sweep", "TransportError"),
+        ("theory-check", "theory_check", "NonFiniteError"),
+        ("cost", "estimate_cost", "AggregationError"),
+    ])
+    def test_every_command_reports_an_nlts_error_in_one_line(
+        self, runner, airline_csv, tmp_path, monkeypatch, command, target, error
+    ):
+        def fail(*args, **kwargs):
+            raise getattr(errors, error)("injected")
+
+        monkeypatch.setattr(nlts.cli, target, fail)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"datasets": [str(airline_csv)]}))
+        usage = tmp_path / "u.json"
+        usage.write_text(json.dumps({"model": "GPT-4", "prompt_tokens": 1}))
+        args = {
+            "forecast": ["--data", str(airline_csv)],
+            "synth": ["--out", str(tmp_path / "synth")],
+            "bench": ["--config", str(config), "--out", str(tmp_path / "o")],
+            "theory-check": ["--draws", "10000"],
+            "cost": ["--usage", str(usage)],
+        }[command]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {error}: injected\n"
 
 
 class TestGoldenOutputs:

@@ -9,10 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 from nlts import (
     CodecConfig,
+    ConfigError,
     DegenerateSeriesError,
     DigitOverflowError,
     NonFiniteError,
-    ParamError,
     ParseError,
     Scaler,
     TimeSeries,
@@ -43,19 +43,27 @@ class TestCodecConfig:
         assert cfg.half_bin_correction
 
     def test_rejects_bad_precision(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             CodecConfig(precision_k=-1)
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             CodecConfig(precision_k=11)
 
     def test_rejects_tight_digit_budget(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             CodecConfig(precision_k=5, max_digits_per_value=5)
 
+    def test_digit_budget_stops_at_the_widest_bin(self):
+        with pytest.raises(ConfigError, match=r"^codec\.max_digits_per_value must be <= 19, got 20$"):
+            CodecConfig(max_digits_per_value=20)
+        cfg = CodecConfig(precision_k=0, half_bin_correction=False, max_digits_per_value=19)
+        values, report = deserialize("9" * 19 + ", 1", Scaler(), cfg, 2)
+        assert values.tolist() == [float("9" * 19), 1.0]
+        assert report.parsed_steps == 2
+
     def test_rejects_bad_quantile(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             CodecConfig(scale_quantile=0.0)
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             CodecConfig(scale_quantile=1.2)
 
 
@@ -66,9 +74,9 @@ class TestScaler:
         npt.assert_allclose(sc.inverse(sc.forward(x)), x, rtol=1e-15)
 
     def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             Scaler(scale=0.0)
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             Scaler(scale=-1.0)
 
     @settings(max_examples=100, deadline=None)
@@ -230,7 +238,7 @@ class TestFitScalersMatchesReference:
             fit_scalers(rows, CodecConfig())
 
     def test_needs_two_dimensions(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             fit_scalers(np.ones(4), CodecConfig())
 
 
@@ -361,7 +369,7 @@ class TestDeserialize:
         assert rep.raw_text_length == len(text)
 
     def test_bad_horizon(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             deserialize("1", Scaler(), CodecConfig(), horizon=0)
 
 
@@ -721,9 +729,9 @@ class TestSerializeRowsMatchesPerRow:
     def test_shape_checks(self):
         assert serialize_rows(np.zeros((3, 0)), [Scaler()] * 3) == ["", "", ""]
         assert serialize_rows(np.zeros((0, 4)), []) == []
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             serialize_rows(np.zeros((2, 3)), [Scaler()])
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             serialize_rows(np.zeros(3), [Scaler()])
 
 

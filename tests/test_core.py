@@ -11,7 +11,6 @@ from nlts import (
     NonFiniteError,
     PointForecast,
     SamplePaths,
-    SplitError,
     SplitSpec,
     TimeSeries,
     aggregate_samples,
@@ -104,9 +103,9 @@ class TestSplitSeries:
 
     def test_too_short(self):
         s = TimeSeries(np.arange(3, dtype=float))
-        with pytest.raises(SplitError):
+        with pytest.raises(ConfigError):
             split_series(s, SplitSpec.by_horizon(3))
-        with pytest.raises(SplitError):
+        with pytest.raises(ConfigError):
             split_series(TimeSeries(np.array([1.0])), SplitSpec.by_fraction(0.5))
 
     def test_preserves_metadata(self):

@@ -5,10 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from nlts import (
+    ConfigError,
     DegenerateSeriesError,
     NoiseSpec,
     NonFiniteError,
-    ParamError,
     TimeSeries,
     inject_noise,
     standardized_draw,
@@ -26,7 +26,7 @@ class TestNoiseSpec:
         assert vars(NoiseSpec(kind="gamma")) == {"kind": "gamma", "alpha": 0.0}
 
     def test_unknown_kind(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             NoiseSpec(kind="cauchy")
 
     def test_unknown_param(self):
@@ -35,7 +35,7 @@ class TestNoiseSpec:
             NoiseSpec(kind="gaussian", params={"sigma": 3.0})
 
     def test_negative_alpha(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError):
             NoiseSpec(kind="gaussian", alpha=-0.1)
 
 
@@ -181,7 +181,7 @@ class TestInjectNoiseRows:
     @pytest.mark.parametrize("shape", [(5,), (2, 9), (1, 2, 10)])
     def test_draws_must_match_the_series(self, shape):
         history = TimeSeries(np.arange(10.0))
-        with pytest.raises(ParamError, match=r"\(m, 10\) array of draws"):
+        with pytest.raises(ConfigError, match=r"\(m, 10\) array of draws"):
             inject_noise_rows(history, NoiseSpec("gaussian", 0.1), np.zeros(shape))
 
     def test_constant_history_raises_the_inject_noise_message(self):
