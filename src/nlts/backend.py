@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .codec import STEP_SEPARATOR
+from .core import make_dir, read_json, read_text, write_text
 from .errors import (
     AuthError,
     ConfigError,
@@ -81,9 +82,9 @@ class Usage:
         """Usage from a JSON usage block. Missing token counts are 0 and a
         missing request count is `requests`; keys with no field are ignored.
         A count is an int, a whole float such as 12.0 or an integer string,
-        and is >= 0. Raises TypeError when the block is not a mapping or a
+        in [0, 2**53]. Raises TypeError when the block is not a mapping or a
         count is of another type, and ValueError when a count is fractional,
-        non-finite, negative or a string that is not an integer."""
+        non-finite, out of range or a string that is not an integer."""
         if not isinstance(d, dict):
             raise TypeError(f"usage block must be a mapping, got {type(d).__name__}")
         return cls(
@@ -116,6 +117,8 @@ def _count(d: dict, key: str, default: int) -> int:
         raise TypeError(f"usage {key} must be a number, got {type(value).__name__}")
     if value < 0:
         raise ValueError(f"usage {key} must be >= 0, got {value}")
+    if value > 2**53:  # the largest count a float holds exactly, so a price stays finite
+        raise ValueError(f"usage {key} must be <= 2**53, got {value}")
     return value
 
 
@@ -180,7 +183,7 @@ def load_cost_table(path: str | Path) -> CostTable:
     Raises ConfigError for an unreadable file, any other shape or a price that
     is not a number.
     """
-    raw = _read_json(Path(path), "price table")
+    raw = read_json(path, "price table")
     if not isinstance(raw, dict):
         raise ConfigError(f"price table must hold a JSON object, not {type(raw).__name__}")
     prices = {}
@@ -199,14 +202,13 @@ def load_usage(path: str | Path) -> tuple[Usage, object]:
     """The Usage and the "model" value (None when absent) of a usage file: a
     JSON object holding the counts at its top level or in a "usage" block.
     Raises ConfigError for an unreadable file, any other shape or a bad count."""
-    path = Path(path)
-    raw = _read_json(path, "usage file")
+    raw = read_json(path, "usage file")
     if not isinstance(raw, dict):
         raise ConfigError(f"usage file must hold a JSON object, not {type(raw).__name__}")
     try:
         return Usage.from_dict(raw.get("usage", raw)), raw.get("model")
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"usage file {path}: {exc}") from exc
+        raise ConfigError(f"usage file {Path(path)}: {exc}") from exc
 
 
 def estimate_cost(usage: Usage, model: str, table: CostTable | None = None) -> float | None:
@@ -393,24 +395,6 @@ class EchoTailBackend(_MockBackend):
         return {"backend": self.name, "tail": self.tail, "steps": self.steps}
 
 
-def _read_text(path: Path, what: str) -> str:
-    """The text of an input file; failing to read it is a ConfigError."""
-    try:
-        return path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"cannot read {what} {path}: {reason}") from exc
-
-
-def _read_json(path: Path, what: str):
-    """The parsed JSON of an input file; failing to read or parse it is a ConfigError."""
-    text = _read_text(path, what)
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
-
-
 class ScriptedBackend(_MockBackend):
     """Replays fixture lines; line choice follows the sample index in the tag.
 
@@ -424,7 +408,7 @@ class ScriptedBackend(_MockBackend):
         if lines is None:
             if path is None:
                 raise ConfigError("scripted backend needs lines or a fixture path")
-            lines = [l for l in _read_text(Path(path), "fixture").splitlines() if l.strip()]
+            lines = [l for l in read_text(path, "fixture").splitlines() if l.strip()]
         self.lines = list(lines)
         if not self.lines:
             raise ConfigError("scripted backend has no fixture lines")
@@ -697,11 +681,8 @@ class RecordingBackend(Backend):
         self.inner = inner
         self.path = Path(path)
         self._lock = threading.Lock()
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.touch(exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot write cassette {self.path}: {exc.strerror}") from exc
+        make_dir(self.path.parent, "cassette directory")
+        write_text(self.path, "", "cassette", mode="a")
 
     def complete(self, prompt, params, tag=""):
         texts, usage = self.inner.complete(prompt, params, tag=tag)
@@ -711,10 +692,8 @@ class RecordingBackend(Backend):
             "canonical_request": canonical,
             "response_body": {"texts": texts, "usage": usage.to_dict()},
         }
-        line = json.dumps(record, sort_keys=True)
         with self._lock:
-            with self.path.open("a") as fh:
-                fh.write(line + "\n")
+            write_text(self.path, json.dumps(record, sort_keys=True) + "\n", "cassette", mode="a")
         return texts, usage
 
     def map(self, fn, items):
@@ -744,7 +723,7 @@ class ReplayBackend(Backend):
         self._responses: dict[tuple | str, tuple] = {}
         # the last params object served and its body's JSON without a prompt
         self._body: tuple[GenerationParams | None, str] = (None, "")
-        for line_no, line in enumerate(_read_text(self.path, "cassette").splitlines(), start=1):
+        for line_no, line in enumerate(read_text(self.path, "cassette").splitlines(), start=1):
             if line.strip():
                 try:
                     self._load(line_no, line)

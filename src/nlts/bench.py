@@ -26,7 +26,7 @@ from .backend import (
     estimate_cost,
 )
 from .codec import CodecConfig, fit_scaler, serialize
-from .core import SplitSpec, TimeSeries, split_series
+from .core import SplitSpec, TimeSeries, make_dir, read_text, split_series, write_text
 from .errors import ConfigError, NltsError, NonFiniteError
 from .noise import NOISE_KINDS, NoiseSpec
 from .pipeline import ForecastJob, check_sampling, run_nlts
@@ -131,13 +131,7 @@ def load_dataset(path: str | Path, value_column: str = "value") -> LoadedDataset
     path = Path(path)
     values: list[float] = []
     holdout_flags: list[bool] = []
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read dataset: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path.name}: byte {exc.start} is not UTF-8 text") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_text(path, "dataset"), newline=""))
     if reader.fieldnames is None or value_column not in reader.fieldnames:
         raise ConfigError(
             f"{path.name}: missing {value_column!r} column in header {reader.fieldnames}"
@@ -343,10 +337,7 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
     under out_dir and returns the JSON report as a dict.
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+    make_dir(out, "report directory")
     cells: list[SweepCell] = []
     usage_total = Usage()
     described = None if backend is None else backend.describe()
@@ -455,24 +446,15 @@ def _fmt(x) -> str:
 
 
 def _write_sweep_outputs(out: Path, report: dict, cells: list[SweepCell]) -> None:
-    with (out / "results.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for c in cells:
-            writer.writerow(
-                [
-                    c.dataset,
-                    c.kind,
-                    c.label,
-                    _fmt(c.mse),
-                    _fmt(c.mae),
-                    _fmt(c.improvement_mse),
-                    _fmt(c.improvement_mae),
-                    _fmt(c.valid_samples),
-                    c.error or "",
-                ]
-            )
-    (out / "results.json").write_text(json.dumps(report, indent=2) + "\n")
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(SWEEP_CSV_COLUMNS)
+    for c in cells:
+        writer.writerow([c.dataset, c.kind, c.label, _fmt(c.mse), _fmt(c.mae),
+                         _fmt(c.improvement_mse), _fmt(c.improvement_mae),
+                         _fmt(c.valid_samples), c.error or ""])
+    write_text(out / "results.csv", table.getvalue(), "report")
+    write_text(out / "results.json", json.dumps(report, indent=2) + "\n", "report")
     lines = [
         "# Noise sweep",
         "",
@@ -496,7 +478,7 @@ def _write_sweep_outputs(out: Path, report: dict, cells: list[SweepCell]) -> Non
                 "-" if c.improvement_mae is None else f"{c.improvement_mae:+.2%}",
             )
         )
-    (out / "summary.md").write_text("\n".join(lines) + "\n")
+    write_text(out / "summary.md", "\n".join(lines) + "\n", "report")
 
 
 # --- second-order perturbation check -----------------------------------------

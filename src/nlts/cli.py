@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 import click
 
 from .backend import (
     GenerationParams,
     RecordingBackend,
-    _read_json,
     default_cost_table,
     estimate_cost,
     load_cost_table,
@@ -30,7 +28,7 @@ from .bench import (
     theory_check,
 )
 from .codec import CodecConfig
-from .core import SplitSpec, read_block
+from .core import SplitSpec, read_block, read_json, write_text
 from .errors import ConfigError, NltsError
 from .noise import NOISE_KINDS, NoiseSpec
 from .pipeline import PROMPT_STYLES, ForecastJob, run_nlts
@@ -53,10 +51,7 @@ def _parse_split(text: str) -> SplitSpec:
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise click.ClickException(f"cannot write {out}: {exc.strerror}") from None
+        write_text(out, text, "output")
     else:
         click.echo(text, nl=False)
 
@@ -200,7 +195,7 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def bench(config_path, out):
     """Sweep noise levels over datasets and write results.csv/json + summary.md."""
-    cfg = sweep_config_from_dict(_read_json(Path(config_path), "config"))
+    cfg = sweep_config_from_dict(read_json(config_path, "config"))
     report = run_sweep(cfg, out)
     ok = sum(1 for c in report["cells"] if c["error"] is None)
     click.echo(f"{ok}/{len(report['cells'])} cells succeeded; reports in {out}")

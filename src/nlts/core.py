@@ -1,10 +1,12 @@
-"""Domain types, history/target splitting, and sample-path aggregation."""
+"""Domain types, file IO, config reads, history/target splits, sample aggregation."""
 
 from __future__ import annotations
 
+import json
 import math
 import types
 from dataclasses import dataclass, field, is_dataclass
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -70,6 +72,49 @@ class SplitSpec:
     @classmethod
     def by_horizon(cls, horizon: int) -> "SplitSpec":
         return cls("horizon", horizon=horizon)
+
+
+# Every file nlts reads or writes goes through the four functions below. Text
+# is UTF-8 and newlines are kept as stored or given; a failure is a
+# ConfigError reading "cannot read|parse|write <what> <path>: <reason>".
+
+
+def read_text(path, what: str) -> str:
+    """The text of a file: its bytes decoded as UTF-8, newlines as stored."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, ValueError) as exc:
+        raise _file_error("read", what, path, exc) from exc
+
+
+def read_json(path, what: str):
+    """The parsed JSON of a file, read by read_text."""
+    try:
+        return json.loads(read_text(path, what))
+    except (ValueError, RecursionError) as exc:
+        raise _file_error("parse", what, path, exc) from exc
+
+
+def make_dir(path, what: str) -> None:
+    """Create the directory path and its parents, unless it exists."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise _file_error("write", what, path, exc) from exc
+
+
+def write_text(path, text: str, what: str, mode: str = "w") -> None:
+    """Write (mode "w") or append (mode "a") text as UTF-8, newlines as given."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:
+        raise _file_error("write", what, path, exc) from exc
+
+
+def _file_error(verb: str, what: str, path, exc: Exception) -> ConfigError:
+    reason = getattr(exc, "strerror", None) or exc
+    return ConfigError(f"cannot {verb} {what} {Path(path)}: {reason}")
 
 
 def read_block(cls, block, prefix: str = ""):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import make_dir, write_text
 from .errors import CholeskyError, ConfigError
 from .rng import derive_seed, rng_identity, substream
 
@@ -170,7 +171,7 @@ def write_series_csv(path: Path, heads: list[str], tails: list[str], raw: np.nda
     one grid."""
     rows = zip(heads, map(repr, _normalize(raw).tolist()), repeat(","),
                map(repr, raw.tolist()), tails)
-    path.write_text("t,value,value_raw,is_holdout\r\n" + "".join(map("".join, rows)), newline="")
+    write_text(path, "t,value,value_raw,is_holdout\r\n" + "".join(map("".join, rows)), "series")
 
 
 def generate_benchmark(
@@ -196,10 +197,7 @@ def generate_benchmark(
     if not 0 <= holdout < length:
         raise ConfigError(f"holdout must be in [0, length), got {holdout} for length {length}")
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+    make_dir(out, "suite directory")
     grid = np.linspace(0.0, 1.0, length)
     heads = [repr(t) + "," for t in grid.tolist()]
     tails = [",0\r\n"] * (length - holdout) + [",1\r\n"] * holdout
@@ -231,5 +229,5 @@ def generate_benchmark(
         "rng": rng_identity(),
         "files": files,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n", "manifest")
     return manifest

@@ -107,7 +107,8 @@ class TestUsage:
             Usage.from_dict(None)
 
     @pytest.mark.parametrize("count", [float("inf"), float("-inf"), float("nan"), -7, -1.0,
-                                       2.5, "-3", "2.5", "1e400"])
+                                       2.5, "-3", "2.5", "1e400", 2**53 + 1, 1e300,
+                                       pytest.param("1" + "0" * 400, id="10**400")])
     def test_from_dict_rejects_counts_that_are_not_whole_and_nonnegative(self, count):
         with pytest.raises(ValueError):
             Usage.from_dict({"prompt_tokens": count})
@@ -121,8 +122,8 @@ class TestUsage:
 
     def test_from_dict_reads_whole_floats_and_ignores_unknown_keys(self):
         usage = Usage.from_dict({"prompt_tokens": 12.0, "completion_tokens": 0,
-                                 "total_tokens": 12, "requests": 10.0**20})
-        assert usage == Usage(12, 0, 10**20)
+                                 "total_tokens": 12, "requests": 2.0**53})
+        assert usage == Usage(12, 0, 2**53)
         assert type(usage.prompt_tokens) is int
 
     def test_total_adds_componentwise(self):
@@ -291,6 +292,16 @@ class TestScriptedBackend:
         b = ScriptedBackend(path=p)
         assert b.lines == ["first", "second"]
 
+    def test_crlf_fixture_replies_like_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(b"1 2\n\n3 4\n")
+        crlf.write_bytes(b"1 2\r\n\r\n3 4\r\n")
+        tags = [f"sample-{i}/try-0" for i in range(3)]
+        replies = [[ScriptedBackend(path=p).complete("p", PARAMS, tag=t) for t in tags]
+                   for p in (lf, crlf)]
+        assert replies[0] == replies[1]
+        assert [texts for texts, _ in replies[0]] == [["1 2"], ["3 4"], ["1 2"]]
+
     def test_empty_fixture(self):
         with pytest.raises(ConfigError):
             ScriptedBackend(lines=[])
@@ -312,6 +323,16 @@ def test_unreadable_file_is_config_error(tmp_path, kind, make, what):
 
 
 class TestRecordReplay:
+    def test_crlf_cassette_replays_like_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        rec = RecordingBackend(OracleBackend("4 2, 4 3"), lf)
+        tags = ["sample-0/try-0", "sample-1/try-0"]
+        recorded = [rec.complete("1 1, 2 2, ", PARAMS, tag=t) for t in tags]
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        for path in (lf, crlf):
+            replay = ReplayBackend(path)
+            assert [replay.complete("1 1, 2 2, ", PARAMS, tag=t) for t in tags] == recorded
+
     def test_round_trip(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
         rec = RecordingBackend(OracleBackend("4 2, 4 3"), cassette)
@@ -383,7 +404,8 @@ class TestRecordReplay:
         with pytest.raises(ProtocolError, match="non-string texts"):
             ReplayBackend(cassette).complete("p", PARAMS, tag="a")
 
-    @pytest.mark.parametrize("count", ["1e400", "-7", "2.5"])
+    @pytest.mark.parametrize("count", ["1e400", "-7", "2.5",
+                                       pytest.param("1" + "0" * 400, id="10**400")])
     def test_bad_usage_count_fails_at_its_hit(self, tmp_path, count):
         cassette = tmp_path / "c.jsonl"
         rec = RecordingBackend(OracleBackend("1"), cassette)
@@ -1126,7 +1148,8 @@ class TestHttpBackend:
         _, usage = backend.complete("a b", PARAMS)
         assert usage == Usage(2, 3, 2)
 
-    @pytest.mark.parametrize("count", [b"1e400", b"-7", b"2.5"])
+    @pytest.mark.parametrize("count", [b"1e400", b"-7", b"2.5",
+                                       pytest.param(b"1" + b"0" * 400, id="10**400")])
     def test_usage_estimated_when_a_count_is_out_of_range(self, http_server, count):
         base, script = http_server
         script.script = [(200, b'{"choices": [{"text": "1 2 3"}], "usage": {"prompt_tokens": '

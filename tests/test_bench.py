@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import socket
 
 import numpy as np
@@ -154,12 +155,15 @@ class TestLoadDataset:
     def test_non_utf8_names_file(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_bytes(b"t,value\n1,22\n2,caf\xe9\n")
-        with pytest.raises(ConfigError, match=r"s\.csv: byte 18 is not UTF-8"):
+        error = rf"^cannot read dataset {re.escape(str(p))}: 'utf-8' codec can't decode byte 0xe9"
+        with pytest.raises(ConfigError, match=error):
             load_dataset(p)
 
     def test_missing_file_names_it(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"nope\.csv: cannot read dataset: No such file"):
-            load_dataset(tmp_path / "nope.csv")
+        path = tmp_path / "nope.csv"
+        with pytest.raises(ConfigError, match=rf"^cannot read dataset {re.escape(str(path))}: "
+                                              "No such file or directory$"):
+            load_dataset(path)
 
     def test_custom_value_column(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -226,6 +230,15 @@ class TestRunSweep:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == SWEEP_CSV_COLUMNS
         assert len(rows) == 1 + 2
+
+    @pytest.mark.parametrize("name", ["results.csv", "results.json", "summary.md"])
+    def test_unwritable_report_file_is_config_error(self, airline_csv, tmp_path, name):
+        out = tmp_path / "report"
+        (out / name).mkdir(parents=True)
+        cfg = SweepConfig(datasets=(str(airline_csv),), samples=2, noise_levels=(0.0,))
+        with pytest.raises(ConfigError, match=rf"^cannot write report "
+                                              rf"{re.escape(str(out / name))}: Is a directory$"):
+            run_sweep(cfg, out)
 
     def test_original_accuracy_with_oracle(self, airline_csv, tmp_path):
         cfg = SweepConfig(datasets=(str(airline_csv),), samples=3, seed=0,

@@ -132,7 +132,8 @@ class TestForecastCommand:
             "--record", str(cassette),
         ])
         assert result.exit_code == 1
-        assert result.output == f"Error: ConfigError: cannot write cassette {cassette}: File exists\n"
+        assert result.output == (
+            f"Error: ConfigError: cannot write cassette directory {airline_csv}: File exists\n")
 
     def test_defaults_are_the_dataclass_defaults(self):
         defaults = {p.name: p.default for p in main.commands["forecast"].params}
@@ -197,14 +198,16 @@ class TestForecastCommand:
             "forecast", "--data", str(airline_csv), "--samples", "2", "--out", str(out),
         ])
         assert result.exit_code == 1
-        assert f"Error: cannot write {out}: No such file or directory" in result.output
+        assert result.output == (
+            f"Error: ConfigError: cannot write output {out}: No such file or directory\n")
 
     def test_non_utf8_data_is_schema_error(self, runner, tmp_path):
         data = tmp_path / "latin1.csv"
         data.write_bytes("t,value\n1,22\n2,café\n".encode("latin-1"))
         result = runner.invoke(main, ["forecast", "--data", str(data)])
         assert result.exit_code == 1
-        assert "Error: ConfigError: latin1.csv: byte 18 is not UTF-8 text" in result.output
+        assert result.output.startswith(f"Error: ConfigError: cannot read dataset {data}: 'utf-8' "
+                                        "codec can't decode byte 0xe9 in position 18")
 
 
 class TestOneBackendSpec:
@@ -295,7 +298,19 @@ class TestSynthCommand:
             "--holdout", "2", "--out", str(out),
         ])
         assert result.exit_code == 1
-        assert result.output == f"Error: ConfigError: cannot write {out}: Not a directory\n"
+        assert result.output == (
+            f"Error: ConfigError: cannot write suite directory {out}: Not a directory\n")
+
+    def test_unwritable_series_file_is_config_error(self, runner, tmp_path):
+        series = tmp_path / "rbf_0000.csv"
+        series.mkdir()
+        result = runner.invoke(main, [
+            "synth", "--kernels", "rbf", "--count", "1", "--length", "10",
+            "--holdout", "2", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: ConfigError: cannot write series {series}: Is a directory\n")
 
     def test_bad_holdout(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -350,7 +365,21 @@ class TestBenchCommand:
         out = data / "sub"
         result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 1
-        assert result.output == f"Error: ConfigError: cannot write {out}: Not a directory\n"
+        assert result.output == (
+            f"Error: ConfigError: cannot write report directory {out}: Not a directory\n")
+
+    def test_unwritable_report_file_is_config_error(self, runner, tmp_path):
+        data = tmp_path / "airline.csv"
+        write_series_csv(data, make_airline_series(), holdout=12)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"datasets": [str(data)], "samples": 2}))
+        report = tmp_path / "o" / "results.json"
+        report.mkdir(parents=True)
+        out = report.parent
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: ConfigError: cannot write report {report}: Is a directory\n")
 
     def test_non_utf8_config_is_reported(self, runner, tmp_path):
         config = tmp_path / "config.json"
@@ -581,7 +610,8 @@ class TestBenchCommand:
         config.write_text(json.dumps({"datasets": ["missing.csv"]}))
         result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
-        assert "Error: ConfigError: missing.csv: cannot read dataset: No such file" in result.output
+        assert result.output == (
+            "Error: ConfigError: cannot read dataset missing.csv: No such file or directory\n")
 
     def test_params_num_samples_fails_every_cell(self, runner, tmp_path):
         data = tmp_path / "airline.csv"
@@ -714,6 +744,10 @@ class TestCostCommand:
         ("-1000", "usage prompt_tokens must be >= 0, got -1000"),
         ("1e400", "usage prompt_tokens must be a whole number, got inf"),
         ("2.5", "usage prompt_tokens must be a whole number, got 2.5"),
+        pytest.param(str(2**53 + 1), f"usage prompt_tokens must be <= 2**53, got {2**53 + 1}",
+                     id="2**53+1"),
+        pytest.param("1" + "0" * 400, "usage prompt_tokens must be <= 2**53, got 1" + "0" * 400,
+                     id="10**400"),
     ])
     def test_bad_token_count_is_reported(self, runner, tmp_path, count, error):
         usage = tmp_path / "u.json"

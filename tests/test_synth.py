@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -248,6 +249,15 @@ class TestGenerateBenchmark:
                                seed=0, out_dir=tmp_path)
         with pytest.raises(ConfigError):
             generate_benchmark([KernelSpec(kind="rbf")], count=1, length=10, holdout=-1,
+                               seed=0, out_dir=tmp_path)
+
+    @pytest.mark.parametrize("name", ["rbf_0001.csv", "manifest.json"])
+    def test_unwritable_file_is_config_error(self, tmp_path, name):
+        (tmp_path / name).mkdir()
+        what = "manifest" if name == "manifest.json" else "series"
+        path = re.escape(str(tmp_path / name))
+        with pytest.raises(ConfigError, match=rf"^cannot write {what} {path}: Is a directory$"):
+            generate_benchmark([KernelSpec(kind="rbf")], count=2, length=10, holdout=2,
                                seed=0, out_dir=tmp_path)
 
     def test_deterministic_across_calls(self, tmp_path):
