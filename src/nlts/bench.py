@@ -334,10 +334,14 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
     per dataset for the kinds built from its split. The report's
     config.backend is the spec's set keys without api_key, or the explicit
     backend's describe(). Writes results.csv, results.json and summary.md
-    under out_dir and returns the JSON report as a dict.
+    under out_dir, or fails before the first cell if one is a directory, and
+    returns the JSON report as a dict.
     """
     out = Path(out_dir)
     make_dir(out, "report directory")
+    for name in ("results.csv", "results.json", "summary.md"):
+        if (out / name).is_dir():
+            raise ConfigError(f"cannot write report {out / name}: Is a directory")
     cells: list[SweepCell] = []
     usage_total = Usage()
     described = None if backend is None else backend.describe()

@@ -2,7 +2,9 @@
 
 Every random draw in the package comes from a Generator built here, so a run is
 fully determined by (seed, index path) and samples can be generated in any order
-or in parallel without changing results.
+or in parallel without changing results. Forecast sample i draws its noise from
+substream(seed, i); GP kernel ki of a suite draws all its series as one block
+from substream(seed, ki).
 """
 
 from __future__ import annotations
@@ -20,12 +22,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def derive_seed(seed: int, *key: int) -> int:
-    """Stable 32-bit child seed for handing to a component that seeds itself."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1)[0])
 
 
 def rng_identity() -> dict:

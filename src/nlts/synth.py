@@ -1,12 +1,13 @@
 """Gaussian-process benchmark synthesis.
 
 Six kernel families evaluated in closed form on a uniform grid, factored with
-escalating jitter, and sampled via L @ z with one RNG substream per series.
-generate_benchmark writes normalized CSVs plus a manifest that pins every
-hyperparameter and seed. Each CSV has the header t,value,value_raw,is_holdout,
-\\r\\n row endings and floats as their shortest round-trip repr. The manifest
-holds no wall-clock stamp, so two runs with the same arguments write
-byte-identical CSVs and manifests.
+escalating jitter, and sampled as L @ z[i], where z is one standard-normal
+block per kernel drawn from substream(seed, ki). generate_benchmark writes
+normalized CSVs plus a manifest that pins every hyperparameter and stream key.
+Each CSV has the header t,value,value_raw,is_holdout, \\r\\n row endings and
+floats as their shortest round-trip repr. The manifest holds no wall-clock
+stamp, so two runs with the same arguments, on one numpy/BLAS build and
+thread count, write byte-identical CSVs and manifests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import make_dir, write_text
 from .errors import CholeskyError, ConfigError
-from .rng import derive_seed, rng_identity, substream
+from .rng import rng_identity, substream
 
 KERNEL_KINDS = (
     "exp_sine_squared",
@@ -143,18 +144,18 @@ def cholesky_with_jitter(k: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def sample_gp_matrix(spec: KernelSpec, grid, count: int, seed: int) -> np.ndarray:
-    """(count, len(grid)) array of GP draws; row i uses substream(seed, i)."""
+def sample_gp_matrix(spec: KernelSpec, grid, count: int, seed: int, *key: int) -> np.ndarray:
+    """(count, len(grid)) GP draws: row i is L @ z[i], z being the (count, len(grid))
+    standard-normal block of substream(seed, *key). Row i does not depend on count,
+    and its own product, unlike one z @ L.T, not on the BLAS thread count."""
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     t = np.asarray(grid, dtype=float)
-    k = kernel_matrix(spec, t)
-    chol, _ = cholesky_with_jitter(k)
-    out = np.empty((count, t.size))
+    chol, _ = cholesky_with_jitter(kernel_matrix(spec, t))
+    z = substream(seed, *key).standard_normal((count, t.size))
     for i in range(count):
-        z = substream(seed, i).standard_normal(t.size)
-        out[i] = chol @ z
-    return out
+        z[i] = chol @ z[i]
+    return z
 
 
 def _normalize(values: np.ndarray) -> np.ndarray:
@@ -185,8 +186,8 @@ def generate_benchmark(
     """Write `count` series per kernel to out_dir plus manifest.json.
 
     Grid is `length` points uniform on [0, 1]; the last `holdout` rows of each
-    file are flagged is_holdout=1. Kernel ki draws from a child seed derived as
-    (seed, ki), and series i within it from substream(child, i).
+    file are flagged is_holdout=1. Series i of kernel ki is row i of
+    sample_gp_matrix(spec, grid, count, seed, ki); its manifest entry's key is [ki].
     """
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
@@ -203,9 +204,8 @@ def generate_benchmark(
     tails = [",0\r\n"] * (length - holdout) + [",1\r\n"] * holdout
     files = []
     for ki, spec in enumerate(kernels):
-        kernel_seed = derive_seed(seed, ki)
         resolved = spec.resolved(grid).to_dict()
-        values = sample_gp_matrix(spec, grid, count, kernel_seed)
+        values = sample_gp_matrix(spec, grid, count, seed, ki)
         for i in range(count):
             name = f"{spec.kind}_{i:04d}.csv"
             write_series_csv(out / name, heads, tails, values[i])
@@ -213,14 +213,14 @@ def generate_benchmark(
                 {
                     "file": name,
                     "kernel": dict(resolved),
-                    "seed": kernel_seed,
+                    "key": [ki],
                     "series_index": i,
                     "length": length,
                     "holdout": holdout,
                 }
             )
     manifest = {
-        "schema": "nlts.synth/1",
+        "schema": "nlts.synth/2",
         "seed": seed,
         "count": count,
         "length": length,

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import socket
 import sys
 import threading
 import time
@@ -23,6 +24,7 @@ from nlts import (
     ForecastJob,
     GenerationParams,
     HttpBackend,
+    NltsError,
     OracleBackend,
     ProtocolError,
     RateLimitError,
@@ -1245,3 +1247,97 @@ class TestTransport:
         monkeypatch.setenv("HTTP_PROXY", proxy)
         with pytest.raises(ConfigError, match="proxy"):
             self.make("http://upstream.invalid")
+
+
+@pytest.fixture
+def raw_server(monkeypatch):
+    """A loopback socket server that reads each request whole, answers with
+    fixed raw bytes and closes the connection, so that a reply can break HTTP
+    in ways http.server cannot: raw_server(reply) -> (base URL, the requests'
+    first lines)."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    replies, requests, stop = [], [], threading.Event()
+
+    def answer(conn):
+        data = b""
+        while b"\r\n\r\n" not in data:
+            data += conn.recv(65536)
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(re.search(rb"(?i)\r\ncontent-length: *(\d+)", head).group(1))
+        while len(body) < length:
+            body += conn.recv(65536)
+        requests.append(head.split(b"\r\n")[0].decode())
+        conn.sendall(replies[0])
+        conn.shutdown(socket.SHUT_WR)
+
+    def loop():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                answer(conn)
+
+    thread = threading.Thread(target=loop, daemon=True)
+    thread.start()
+
+    def start(reply):
+        replies.append(reply)
+        return f"http://127.0.0.1:{listener.getsockname()[1]}", requests
+
+    yield start
+    stop.set()
+    thread.join(timeout=5)
+    listener.close()
+
+
+def _raw_reply(body, *headers, status=b"HTTP/1.1 200 OK"):
+    """A status line, headers and body. The body's Content-Length is added
+    unless the headers frame the body themselves."""
+    if not any(h.lower().startswith((b"content-length", b"transfer-encoding")) for h in headers):
+        headers += (b"Content-Length: %d" % len(body),)
+    return b"\r\n".join((status, *headers, b"", body))
+
+
+_CHOICES = b'{"choices": [{"text": "1 2"}], "usage": {"prompt_tokens": 3, "completion_tokens": 2}}'
+
+
+class TestMalformedHttpReplies:
+    """Each malformed reply is a typed NltsError: a transport fault is retried
+    and then raises TransportError, a body that is not the expected JSON raises
+    ProtocolError at once, and none escapes as http.client's or json's own
+    exception."""
+
+    def make(self, base):
+        return HttpBackend(BackendConfig(base_url=base, max_retries=1, backoff_base=0.001,
+                                         backoff_cap=0.004, timeout=1))
+
+    @pytest.mark.parametrize("reply, error, match, attempts", [
+        (b"garbage\r\n\r\n", TransportError, "BadStatusLine", 2),
+        (_raw_reply(_CHOICES[:20], b"Content-Length: 100"), TransportError, "IncompleteRead", 2),
+        (_raw_reply(b"zz\r\n" + _CHOICES + b"\r\n0\r\n\r\n", b"Transfer-Encoding: chunked"),
+         TransportError, "IncompleteRead", 2),
+        (_raw_reply(b'{"choices": [{"text": "\xff"}]}'), ProtocolError, "invalid JSON", 1),
+        (_raw_reply(b'{"choices": {"text": "1 2"}}'), ProtocolError, "missing choices", 1),
+    ], ids=["bad-status-line", "short-body", "bad-chunk-size", "non-utf8-body", "choices-object"])
+    def test_typed_failure(self, raw_server, reply, error, match, attempts):
+        base, requests = raw_server(reply)
+        with pytest.raises(NltsError) as caught:
+            self.make(base).complete("p", PARAMS)
+        assert caught.type is error
+        assert match in str(caught.value)
+        assert requests == ["POST /v1/completions HTTP/1.1"] * attempts
+
+    def test_non_numeric_content_length_reads_to_close(self, raw_server):
+        reply = _raw_reply(_CHOICES, b"Content-Length: lots", b"Connection: close")
+        base, requests = raw_server(reply)
+        texts, usage = self.make(base).complete("p", PARAMS)
+        assert texts == ["1 2"]
+        assert usage == Usage(3, 2, 1)
+        assert len(requests) == 1

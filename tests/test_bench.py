@@ -233,12 +233,23 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("name", ["results.csv", "results.json", "summary.md"])
     def test_unwritable_report_file_is_config_error(self, airline_csv, tmp_path, name):
+        """The check runs before the first cell: no request is sent, and no
+        other report file is written."""
         out = tmp_path / "report"
         (out / name).mkdir(parents=True)
         cfg = SweepConfig(datasets=(str(airline_csv),), samples=2, noise_levels=(0.0,))
+        requests = []
+
+        class Counting(EchoTailBackend):
+            def complete(self, prompt, params, tag=""):
+                requests.append(tag)
+                return super().complete(prompt, params, tag)
+
         with pytest.raises(ConfigError, match=rf"^cannot write report "
                                               rf"{re.escape(str(out / name))}: Is a directory$"):
-            run_sweep(cfg, out)
+            run_sweep(cfg, out, backend=Counting(4, 24))
+        assert requests == []
+        assert [p.name for p in out.iterdir()] == [name]
 
     def test_original_accuracy_with_oracle(self, airline_csv, tmp_path):
         cfg = SweepConfig(datasets=(str(airline_csv),), samples=3, seed=0,

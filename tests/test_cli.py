@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nlts.backend
 import nlts.bench
 import nlts.cli
 from nlts import errors
@@ -368,7 +369,7 @@ class TestBenchCommand:
         assert result.output == (
             f"Error: ConfigError: cannot write report directory {out}: Not a directory\n")
 
-    def test_unwritable_report_file_is_config_error(self, runner, tmp_path):
+    def test_unwritable_report_file_is_config_error(self, runner, tmp_path, monkeypatch):
         data = tmp_path / "airline.csv"
         write_series_csv(data, make_airline_series(), holdout=12)
         config = tmp_path / "config.json"
@@ -376,10 +377,20 @@ class TestBenchCommand:
         report = tmp_path / "o" / "results.json"
         report.mkdir(parents=True)
         out = report.parent
+        requests = []
+        complete = nlts.backend.OracleBackend.complete
+
+        def counting(self, prompt, params, tag=""):
+            requests.append(tag)
+            return complete(self, prompt, params, tag)
+
+        monkeypatch.setattr(nlts.backend.OracleBackend, "complete", counting)
         result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 1
         assert result.output == (
             f"Error: ConfigError: cannot write report {report}: Is a directory\n")
+        assert requests == []
+        assert [p.name for p in out.iterdir()] == ["results.json"]
 
     def test_non_utf8_config_is_reported(self, runner, tmp_path):
         config = tmp_path / "config.json"

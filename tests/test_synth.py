@@ -21,8 +21,8 @@ from nlts import (
     load_dataset,
     sample_gp_matrix,
     split_series,
+    substream,
 )
-from nlts.rng import derive_seed
 from nlts.synth import KERNEL_KINDS, write_series_csv
 
 
@@ -173,6 +173,15 @@ class TestSampleGP:
         prefix = sample_gp_matrix(spec, grid, 2, seed=3)
         npt.assert_array_equal(full[:2], prefix)
 
+    def test_rows_are_products_of_one_keyed_block(self):
+        spec = KernelSpec(kind="matern")
+        grid = np.linspace(0, 1, 12)
+        chol, _ = cholesky_with_jitter(kernel_matrix(spec, grid))
+        z = substream(4, 2).standard_normal((3, grid.size))
+        out = sample_gp_matrix(spec, grid, 3, 4, 2)
+        for i in range(3):
+            assert out[i].tobytes() == (chol @ z[i]).tobytes()
+
     def test_zero_count(self):
         out = sample_gp_matrix(KernelSpec(kind="rbf"), np.linspace(0, 1, 4), 0, seed=0)
         assert out.shape == (0, 4)
@@ -207,10 +216,11 @@ class TestGenerateBenchmark:
         assert "rbf_0000.csv" in csvs and "linear_0001.csv" in csvs
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk == manifest
-        assert manifest["schema"] == "nlts.synth/1"
+        assert manifest["schema"] == "nlts.synth/2"
         assert len(manifest["files"]) == 12
         entry = manifest["files"][0]
-        assert set(entry) == {"file", "kernel", "seed", "series_index", "length", "holdout"}
+        assert set(entry) == {"file", "kernel", "key", "series_index", "length", "holdout"}
+        assert [e["key"] for e in manifest["files"]] == [[ki] for ki in range(6) for _ in range(2)]
 
     def test_round_trip_through_loader(self, tmp_path):
         generate_benchmark([KernelSpec(kind="matern")], count=3, length=50, holdout=12,
@@ -234,7 +244,7 @@ class TestGenerateBenchmark:
                            seed=9, out_dir=tmp_path)
         ds_raw = load_dataset(tmp_path / "rbf_0000.csv", value_column="value_raw")
         spec = KernelSpec(kind="rbf")
-        expected = sample_gp_matrix(spec, np.linspace(0, 1, 20), 1, derive_seed(9, 0))[0]
+        expected = sample_gp_matrix(spec, np.linspace(0, 1, 20), 1, 9, 0)[0]
         npt.assert_allclose(ds_raw.series.values, expected, rtol=0, atol=1e-15)
 
     def test_count_zero(self, tmp_path):
@@ -336,7 +346,7 @@ class TestCsvBytes:
         grid = np.linspace(0.0, 1.0, length)
         expected = {"manifest.json"}
         for ki, spec in enumerate(specs):
-            values = sample_gp_matrix(spec, grid, 2, derive_seed(7, ki))
+            values = sample_gp_matrix(spec, grid, 2, 7, ki)
             for i in range(2):
                 name = f"{spec.kind}_{i:04d}.csv"
                 expected.add(name)
