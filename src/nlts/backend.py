@@ -1,7 +1,9 @@
 """Generation backends.
 
 One wire contract: complete(prompt, params, tag) returns a list of continuation
-texts plus Usage. A str prompt goes to the completions endpoint and a message
+texts plus Usage, and complete_many(calls) returns the results of a batch of
+such calls in call order; the live backend overlaps a batch's requests on the
+calling thread. A str prompt goes to the completions endpoint and a message
 list to the chat endpoint; request_body is the one place that makes that
 choice. Implementations cover an OpenAI-compatible HTTP endpoint, deterministic
 offline mocks, and a JSONL record/replay cassette layer keyed by a canonical
@@ -11,6 +13,7 @@ request hash.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -309,9 +312,12 @@ class Backend:
     the request for cassettes: the endpoint, the request_body and the tag
     together determine the request hash.
 
-    map(fn, items) returns [fn(x) for x in items] in order, run on the calling
-    thread: in-process backends have no I/O to overlap. HttpBackend overlaps
-    it on its workers. fn must not call map on the same backend.
+    complete_many(calls) takes a list of (prompt, params, tag) triples and
+    returns their (texts, usage) pairs in call order. The default calls
+    complete once per call, in order, on the calling thread: in-process
+    backends have no I/O to overlap. HttpBackend keeps several requests in
+    flight at once. When a call fails, no call that has not started is sent,
+    and the error of the lowest-index failed call is raised.
     """
 
     name = "backend"
@@ -321,8 +327,10 @@ class Backend:
     ) -> tuple[list[str], Usage]:
         raise NotImplementedError
 
-    def map(self, fn, items) -> list:
-        return list(map(fn, items))
+    def complete_many(
+        self, calls: Sequence[tuple[Prompt, GenerationParams, str]]
+    ) -> list[tuple[list[str], Usage]]:
+        return [self.complete(prompt, params, tag=tag) for prompt, params, tag in calls]
 
     def describe(self) -> dict:
         return {"backend": self.name}
@@ -451,21 +459,33 @@ class BackendConfig:
 class HttpBackend(Backend):
     """OpenAI-compatible client: POST {base}/v1/completions and /v1/chat/completions.
 
-    Requests go out on standard-library keep-alive connections. map runs on
-    max_in_flight workers that live as long as the backend. Taking one of the
-    pool's max_in_flight slots, an idle connection or empty until it opens
-    one, blocks while all are busy: the one in-flight bound, on any thread.
-    A reused connection that the server closed while it idled is reopened
-    before the request, without costing an attempt. A transport failure, a
-    429 or a 5xx is retried up to max_retries times. The first retry goes at
-    once; retry k (k >= 2) waits backoff_base * 2**(k-1) plus up to
-    backoff_base of jitter, capped at backoff_cap, so these delays never
+    Requests go out on standard-library keep-alive connections. The pool has
+    max_in_flight slots, each an idle connection or empty until it opens one,
+    and a request holds its slot while it is in flight: the one in-flight
+    bound, also across threads that share the backend. complete_many keeps up
+    to max_in_flight of its calls in flight on the calling thread. http.client
+    writes each request and parses each reply, and one selectors loop waits
+    for the next reply, retry or timeout; complete is complete_many of one
+    call. Opening a connection (connect, proxy CONNECT, TLS handshake),
+    writing a request and reading a reply once its connection is readable
+    block the loop. A TLS connection is first read one byte without blocking,
+    since a TLS 1.3 server's session tickets make a new connection readable
+    before its reply. A reused connection that the server closed while it
+    idled is reopened before the request, without costing an attempt.
+
+    A transport failure (a reply not begun within timeout of its send
+    included), a 429 or a 5xx is retried up to max_retries times. The first
+    retry goes at once; retry k (k >= 2) waits backoff_base * 2**(k-1) plus up
+    to backoff_base of jitter, capped at backoff_cap, so these delays never
     decrease. A Retry-After header in whole seconds or as an HTTP date sets the
     delay instead, capped at backoff_cap; one that parses as neither, such as
     "0.5", or is not in the future keeps the backoff. Every attempt hands its
-    slot back before it sleeps. 401/403 raise AuthError at once, and a 3xx is
-    not followed: it raises ProtocolError. Usage.requests counts HTTP
-    attempts, not logical calls.
+    slot back before its delay, so a waiting call holds no slot. 401/403
+    raise AuthError at once, and a 3xx is not followed: it raises
+    ProtocolError. Usage.requests counts HTTP attempts, not logical calls.
+    Once a call has failed for good, nothing more is sent, neither a call
+    that has not started nor a retry; the requests in flight are read to
+    their end, and the lowest-index failed call's error is raised.
 
     HTTP_PROXY, HTTPS_PROXY, ALL_PROXY and NO_PROXY (either case) are read
     once, at construction, through urllib.request.getproxies() and
@@ -493,7 +513,6 @@ class HttpBackend(Backend):
         self.base_url = base.rstrip("/")
         self._config = config
         import base64
-        import concurrent.futures
         import http.client
         import queue
         import urllib.request
@@ -552,30 +571,130 @@ class HttpBackend(Backend):
         for _ in range(config.max_in_flight):
             self._slots.put(None)
         self._transport_errors = (OSError, http.client.HTTPException)
-        self._workers = concurrent.futures.ThreadPoolExecutor(config.max_in_flight)
 
     def describe(self):
         return {"backend": self.name, "base_url": self.base_url}
 
-    def map(self, fn, items):
-        return list(self._workers.map(fn, items))
+    def complete(self, prompt, params, tag=""):
+        return self.complete_many([(prompt, params, tag)])[0]
 
-    def _attempt(self, target: str, data: bytes) -> tuple[int, str | None, bytes]:
-        """One POST on a pooled connection: status, Retry-After and body. The
-        slot goes back, with the connection closed on any failure, before this
-        returns or raises."""
-        conn = self._slots.get() or self._connection()
-        try:
+    def complete_many(self, calls):
+        import heapq
+        import selectors
+        from queue import Empty
+
+        cfg = self._config
+        requests = []  # per call: (prompt, endpoint, request target, body bytes)
+        for prompt, params, _ in calls:
+            endpoint, body = request_body(prompt, params)
+            if endpoint == "chat":
+                _last_user_content(prompt)  # validates shape before anything is sent
+            body = json.dumps(body, separators=(",", ":"), ensure_ascii=False).encode()
+            requests.append((prompt, endpoint, self._path + self._ROUTES[endpoint][0], body))
+        results, errors, attempts = [None] * len(requests), {}, [0] * len(requests)
+        due = list(range(len(requests)))  # a heap: calls to send, lowest index first
+        waiting = []  # a heap of (due time, call): calls waiting out a delay, holding no slot
+        in_flight = {}  # call -> (connection, deadline)
+        selector = selectors.DefaultSelector()
+
+        def settle(i, outcome):
+            """Schedules call i's retry after its attempt's outcome, an
+            exception or (status, Retry-After, body), or records its result or
+            error."""
+            failed = isinstance(outcome, BaseException)
+            if attempts[i] <= cfg.max_retries and (
+                    failed or outcome[0] == 429 or 500 <= outcome[0] < 600):
+                delay = self._delay(attempts[i], None if failed else outcome[1])
+                if delay > 0:
+                    heapq.heappush(waiting, (time.monotonic() + delay, i))
+                else:
+                    heapq.heappush(due, i)
+                return
+            try:
+                results[i] = self._reply(*requests[i][:2], attempts[i], outcome)
+            except (AuthError, ProtocolError, RateLimitError, TransportError) as exc:
+                errors[i] = exc
+
+        def step(i, conn, part, *args):
+            """Runs part(i, conn, *args) of call i's attempt. Unless the request
+            is then in flight, the slot goes back, with the connection closed
+            on any failure, and the call is settled."""
+            try:
+                outcome = part(i, conn, *args)
+            except self._transport_errors as exc:
+                conn.close()
+                outcome = exc
+            except BaseException:
+                conn.close()
+                self._slots.put(conn)
+                raise
+            if outcome is not None:
+                self._slots.put(conn)
+                settle(i, outcome)
+
+        def send(i, conn):
             if conn.sock is not None and _readable(conn.sock):
                 conn.close()  # the server closed it while it idled: open a fresh one
-            conn.request("POST", target, data, self._headers)
-            resp = conn.getresponse()
+            conn.request("POST", *requests[i][2:], self._headers)
+            selector.register(conn.sock, selectors.EVENT_READ, i)
+            in_flight[i] = conn, time.monotonic() + cfg.timeout
+
+        def receive(i, conn, head):
+            if head:  # hand the reply's first byte, read by _tls_head, back to http.client
+                conn.response_class = _primed(type(conn).response_class, head)
+            try:
+                resp = conn.getresponse()
+            finally:
+                vars(conn).pop("response_class", None)
             return resp.status, resp.getheader("Retry-After"), resp.read()
-        except BaseException:
-            conn.close()
-            raise
+
+        def time_out(i, conn):
+            raise TimeoutError("timed out")
+
+        def landed(i):
+            conn, _ = in_flight.pop(i)
+            selector.unregister(conn.sock)
+            return conn
+
+        try:
+            while in_flight or (not errors and (due or waiting)):
+                while due and not errors:  # once a call has failed, nothing more is sent
+                    try:
+                        conn = self._slots.get(block=not in_flight) or self._connection()
+                    except Empty:
+                        break
+                    i = heapq.heappop(due)
+                    attempts[i] += 1
+                    step(i, conn, send)
+                timers = [deadline for _, deadline in in_flight.values()]
+                if waiting and not errors:
+                    timers.append(waiting[0][0])
+                if not timers:
+                    break  # nothing in flight or waiting: every call is settled
+                wake = min(timers)
+                events = []
+                if in_flight:
+                    events = selector.select(max(0.0, wake - time.monotonic()))
+                else:
+                    time.sleep(max(0.0, wake - time.monotonic()))
+                for key, _ in events:
+                    head = _tls_head(key.fileobj)
+                    if head is not None:  # else the reply is still to come
+                        step(key.data, landed(key.data), receive, head)
+                # a wait that ran out makes its timer due, whatever the clock reads
+                now = time.monotonic() if events else max(time.monotonic(), wake)
+                for i in [i for i, (_, deadline) in in_flight.items() if deadline <= now]:
+                    step(i, landed(i), time_out)
+                while waiting and waiting[0][0] <= now:
+                    heapq.heappush(due, heapq.heappop(waiting)[1])
         finally:
-            self._slots.put(conn)
+            for conn, _ in in_flight.values():  # left only when an exception escapes
+                conn.close()
+                self._slots.put(conn)
+            selector.close()
+        if errors:
+            raise errors[min(errors)]
+        return results
 
     def _delay(self, failures: int, retry_after: str | None = None) -> float:
         """Seconds to wait after `failures` failed attempts in a row."""
@@ -585,30 +704,13 @@ class HttpBackend(Backend):
             seconds = cfg.backoff_base * 2 ** (failures - 1) + random.random() * cfg.backoff_base
         return min(seconds, cfg.backoff_cap)
 
-    def complete(self, prompt, params, tag=""):
-        endpoint, body = request_body(prompt, params)
-        if endpoint == "chat":
-            _last_user_content(prompt)  # validates shape
-        path, choice_text = self._ROUTES[endpoint]
-        target = self._path + path
-        data = json.dumps(body, separators=(",", ":"), ensure_ascii=False).encode()
-        attempts = 0
-        while True:
-            attempts += 1
-            retries_left = attempts <= self._config.max_retries
-            try:
-                status, retry_after, payload = self._attempt(target, data)
-            except self._transport_errors as exc:
-                if not retries_left:
-                    raise TransportError(
-                        f"request failed after {attempts} attempts: {exc!r}") from exc
-                delay = self._delay(attempts)
-            else:
-                if not (retries_left and (status == 429 or 500 <= status < 600)):
-                    break
-                delay = self._delay(attempts, retry_after)
-            if delay > 0:
-                time.sleep(delay)
+    def _reply(self, prompt, endpoint: str, attempts: int, outcome) -> tuple[list[str], Usage]:
+        """A call's texts and usage from its last attempt's outcome, an
+        exception or (status, Retry-After, body); raises the call's error."""
+        if isinstance(outcome, BaseException):
+            raise TransportError(
+                f"request failed after {attempts} attempts: {outcome!r}") from outcome
+        status, _, payload = outcome
         if status in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {status})")
         if status != 200:
@@ -618,7 +720,7 @@ class HttpBackend(Backend):
             raise error(f"HTTP {status} after {attempts} attempts: {excerpt}")
         try:
             data = json.loads(payload)
-            texts = [choice_text(choice) for choice in data["choices"]]
+            texts = [self._ROUTES[endpoint][1](choice) for choice in data["choices"]]
         except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"endpoint returned invalid JSON: {exc}") from exc
         except (KeyError, TypeError) as exc:
@@ -632,6 +734,61 @@ class HttpBackend(Backend):
         except (TypeError, ValueError):
             usage = _estimate_usage(prompt, texts)
         return texts, replace(usage, requests=attempts)
+
+
+def _tls_head(sock) -> bytes | None:
+    """For a TLS socket that turned readable with no decrypted byte waiting,
+    the reply's first byte, read without blocking, or None when only records
+    that carry no reply data had arrived, such as a TLS 1.3 server's session
+    tickets after the handshake. b"" for any other socket, and when the read
+    fails, so that reading the reply meets the failure."""
+    if not hasattr(sock, "pending") or sock.pending():
+        return b""
+    import ssl
+
+    timeout = sock.gettimeout()
+    sock.setblocking(False)
+    try:
+        return sock.recv(1)
+    except ssl.SSLWantReadError:
+        return None
+    except OSError:
+        return b""
+    finally:
+        sock.settimeout(timeout)
+
+
+def _primed(response_class, head: bytes):
+    """response_class whose reply stream starts with head, bytes read from its
+    socket before http.client read it."""
+
+    def response(sock, *args, **kwargs):
+        resp = response_class(sock, *args, **kwargs)
+        resp.fp = io.BufferedReader(_Prefixed(head, resp.fp))
+        return resp
+
+    return response
+
+
+class _Prefixed(io.RawIOBase):
+    """A raw stream that yields head, then reads on from a buffered stream."""
+
+    def __init__(self, head: bytes, rest):
+        self.head, self.rest = head, rest
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        if not self.head:
+            return self.rest.readinto1(b)
+        n = min(len(b), len(self.head))
+        b[:n], self.head = self.head[:n], self.head[n:]
+        return n
+
+    def close(self):
+        self.rest.close()
+        super().close()
 
 
 def _readable(sock) -> bool:
@@ -671,8 +828,10 @@ class RecordingBackend(Backend):
 
     Line schema: {"request_hash", "canonical_request", "response_body"},
     where response_body is {"texts": [...], "usage": {...}} and request_hash =
-    sha256 of the canonical request JSON. A line holds no wall-clock stamp, so
-    recording the same requests twice writes the same bytes.
+    sha256 of the canonical request JSON. A line holds no wall-clock stamp,
+    and a complete_many batch's lines are appended in call order with one
+    write, so recording the same requests twice writes the same bytes, in
+    whatever order the inner backend's replies arrived.
     """
 
     name = "record"
@@ -685,19 +844,21 @@ class RecordingBackend(Backend):
         write_text(self.path, "", "cassette", mode="a")
 
     def complete(self, prompt, params, tag=""):
-        texts, usage = self.inner.complete(prompt, params, tag=tag)
-        canonical = canonical_request(*request_body(prompt, params), tag)
-        record = {
-            "request_hash": request_hash(canonical),
-            "canonical_request": canonical,
-            "response_body": {"texts": texts, "usage": usage.to_dict()},
-        }
-        with self._lock:
-            write_text(self.path, json.dumps(record, sort_keys=True) + "\n", "cassette", mode="a")
-        return texts, usage
+        return self.complete_many([(prompt, params, tag)])[0]
 
-    def map(self, fn, items):
-        return self.inner.map(fn, items)
+    def complete_many(self, calls):
+        replies = self.inner.complete_many(calls)
+        lines = []
+        for (prompt, params, tag), (texts, usage) in zip(calls, replies):
+            canonical = canonical_request(*request_body(prompt, params), tag)
+            lines.append(json.dumps({
+                "request_hash": request_hash(canonical),
+                "canonical_request": canonical,
+                "response_body": {"texts": texts, "usage": usage.to_dict()},
+            }, sort_keys=True) + "\n")
+        with self._lock:
+            write_text(self.path, "".join(lines), "cassette", mode="a")
+        return replies
 
     def describe(self):
         return {"backend": self.name, "inner": self.inner.describe(), "cassette": str(self.path)}

@@ -186,10 +186,11 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
     (valid, horizon) array. Fewer than ceil(samples / 2) valid samples aborts
     with InsufficientSamplesError.
 
-    Every prompt is built on the calling thread before the first request; the
-    samples then run through backend.map. A failing sample raises the first
-    such error in index order, samples not yet started are cancelled, and on
-    HttpBackend up to max_in_flight - 1 running ones finish in the background.
+    Every prompt is built on the calling thread before the first request. The
+    requests then go out in attempt rounds: round k sends try k of every
+    sample that has no valid parse yet, under the tag "sample-i/try-k", as
+    one backend.complete_many batch. A batch that fails raises the error of
+    its lowest-index failed sample, and the run sends nothing more.
     """
     history = job.history
     budget = completion_token_budget(job.horizon, job.codec)
@@ -207,25 +208,30 @@ def run_nlts(job: ForecastJob, backend: Backend) -> ForecastResult:
         scalers = [fit_scaler(history, job.codec)] * job.samples
         prompts = [encode(serialize(history, scalers[0], job.codec))] * job.samples
 
-    def run_sample(i: int) -> tuple[list[int] | None, SampleOutcome, list[Usage]]:
-        usages = []
-        report: ParseReport | None = None
-        for attempt in range(job.retries_per_sample + 1):
-            texts, usage = backend.complete(prompts[i], effective, tag=f"sample-{i}/try-{attempt}")
+    bins: list[list[int] | None] = [None] * job.samples
+    reports: list[ParseReport | None] = [None] * job.samples
+    tries, usages, pending = [0] * job.samples, [], range(job.samples)
+    for attempt in range(job.retries_per_sample + 1):
+        if not pending:
+            break
+        replies = backend.complete_many(
+            [(prompts[i], effective, f"sample-{i}/try-{attempt}") for i in pending])
+        for i, (texts, usage) in zip(pending, replies, strict=True):
+            tries[i] = attempt + 1
             usages.append(usage)
             if not texts:
                 continue
             try:
-                bins, report = parse_bins(texts[0], job.codec, job.horizon)
+                row, reports[i] = parse_bins(texts[0], job.codec, job.horizon)
             except ParseError as exc:
-                report = exc.report
+                reports[i] = exc.report
                 continue
-            if report.parsed_steps >= job.horizon:
-                return bins, SampleOutcome(i, attempt + 1, True, report), usages
-        return None, SampleOutcome(i, attempt + 1, False, report), usages
-
-    bins, outcomes, usages = zip(*backend.map(run_sample, range(job.samples)))
-    usage_total = Usage.total(u for sample in usages for u in sample)
+            if reports[i].parsed_steps >= job.horizon:
+                bins[i] = row
+        pending = [i for i in pending if bins[i] is None]
+    outcomes = tuple(SampleOutcome(i, tries[i], bins[i] is not None, reports[i])
+                     for i in range(job.samples))
+    usage_total = Usage.total(usages)
     valid = [i for i, row in enumerate(bins) if row is not None]
     needed = math.ceil(job.samples / 2)
     if len(valid) < needed:

@@ -1,10 +1,12 @@
 import base64
 import email.utils
+import http.client
 import json
 import math
 import os
 import re
 import socket
+import ssl
 import sys
 import threading
 import time
@@ -669,10 +671,11 @@ class _Script(BaseHTTPRequestHandler):
     """Serves a scripted list of responses, in order; the last one repeats.
 
     An entry is (status, body), (status, body, headers) or (status, body,
-    headers, delay). A bytes body goes out as it is, anything else as JSON. A
-    reply waits its entry's delay, else `delay` seconds. `peak` is the most
+    headers, delay), or a function of the request's parsed JSON that returns
+    one. A bytes body goes out as it is, anything else as JSON. A reply waits
+    its entry's delay, else `delay` seconds. `peak` is the most
     requests the handler has held at once. Each call keeps the raw request
-    body and its parsed JSON.
+    body, its parsed JSON and when it arrived.
     """
 
     script = []
@@ -684,7 +687,7 @@ class _Script(BaseHTTPRequestHandler):
     def record(self, raw=b""):
         """Appends this request to `calls`; returns how many there are."""
         self.calls.append({"method": self.command, "path": self.path, "raw": raw,
-                           "body": json.loads(raw or b"{}"),
+                           "body": json.loads(raw or b"{}"), "at": time.monotonic(),
                            "auth": self.headers.get("Authorization"),
                            "proxy_auth": self.headers.get("Proxy-Authorization")})
         return len(self.calls)
@@ -700,7 +703,8 @@ class _Script(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         cls = type(self)
         with self.lock:
-            status, payload, *extra = self.script[min(self.record(raw), len(self.script)) - 1]
+            entry = self.script[min(self.record(raw), len(self.script)) - 1]
+            status, payload, *extra = entry(self.calls[-1]["body"]) if callable(entry) else entry
             cls.active += 1
             cls.peak = max(cls.peak, cls.active)
         headers = extra[0] if extra else {}
@@ -743,10 +747,15 @@ class _Server(ThreadingHTTPServer):
         pass  # a client that timed out has closed its end
 
 
+# a self-signed certificate for 127.0.0.1 and its key, for loopback TLS only
+TLS_PEM = os.path.join(os.path.dirname(__file__), "tls", "loopback.pem")
+
+
 @pytest.fixture
 def serve(monkeypatch):
-    """Starts a loopback _Server for a handler class: serve(handler) -> (base URL, server).
-    _Script's state starts empty."""
+    """Starts a loopback _Server for a handler class: serve(handler) -> (base
+    URL, server), over TLS with TLS_PEM for serve(handler, tls=True). _Script's
+    state starts empty."""
     for name in list(os.environ):  # every proxy setting, so each test is hermetic
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
@@ -756,14 +765,18 @@ def serve(monkeypatch):
     _Script.active = _Script.peak = 0
     running = []
 
-    def start(handler):
+    def start(handler, tls=False):
         server = _Server(("127.0.0.1", 0), handler)
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_PEM)
+            server.socket = context.wrap_socket(server.socket, server_side=True)
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         thread.start()
         running.append((server, thread))
-        return f"http://127.0.0.1:{server.server_port}", server
+        return f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}", server
 
     yield start
     for server, thread in running:
@@ -779,18 +792,26 @@ def http_server(serve):
 
 @pytest.fixture
 def sleeps(monkeypatch):
-    """The delays HttpBackend sleeps between attempts, recorded instead of slept."""
+    """The delays HttpBackend sleeps between attempts, recorded instead of
+    slept. Its monotonic clock stands still, so each delay is recorded as
+    computed; a reply's timeout still fires when the selector's wait for it
+    runs out."""
     import nlts.backend
 
     slept = []
-    monkeypatch.setattr(nlts.backend, "time",
-                        types.SimpleNamespace(sleep=slept.append, time=time.time))
+    monkeypatch.setattr(nlts.backend, "time", types.SimpleNamespace(
+        sleep=slept.append, time=time.time, monotonic=lambda: 0.0))
     return slept
 
 
 def _job(samples):
     """A noise-free forecast whose every sample parses _ok_completion's reply."""
     return ForecastJob(history=TimeSeries(np.arange(1.0, 21.0)), horizon=2, samples=samples)
+
+
+def _echo(body):
+    """A script entry whose reply text is the request's prompt."""
+    return 200, {"choices": [{"text": body["prompt"]}]}
 
 
 def _ok_completion(text="1 2, 3 4"):
@@ -896,49 +917,48 @@ class TestHttpBackend:
         with pytest.raises(ProtocolError):
             backend.complete("p", PARAMS)
 
-    def test_in_flight_from_config(self, tmp_path):
-        # no request is sent: construction and map open no connection
-        live = HttpBackend(BackendConfig(base_url="http://127.0.0.1:9", max_in_flight=3))
-        wave = threading.Barrier(3, timeout=10)
-        lock = threading.Lock()
-        active = [0, 0]  # calls running now, most at once
+    def test_in_flight_from_config(self, http_server, tmp_path):
+        base, script = http_server
+        script.script = [_echo]
+        script.delay = 0.05
+        live = self.make(base, max_in_flight=3)
+        calls = [(f"{i}", PARAMS, f"t{i}") for i in range(7)]
+        assert [texts for texts, _ in live.complete_many(calls)] == [[f"{i}"] for i in range(7)]
+        assert script.peak == 3
+        # a recording wrapper sends its batch through the inner backend's complete_many
+        script.peak = 0
+        recorded = RecordingBackend(live, tmp_path / "c.jsonl").complete_many(calls)
+        assert [texts for texts, _ in recorded] == [[f"{i}"] for i in range(7)]
+        assert script.peak == 3
+        # in-process backends answer in call order on the calling thread
+        threads = []
 
-        def call(i):
-            with lock:
-                active[0] += 1
-                active[1] = max(active)
-            wave.wait()  # returns only once three calls run at once
-            with lock:
-                active[0] -= 1
-            return i, threading.current_thread()
+        class Inline(OracleBackend):
+            def complete(self, prompt, params, tag=""):
+                threads.append(threading.current_thread())
+                return [tag], Usage(requests=1)
 
-        results = live.map(call, range(6))
-        assert [i for i, _ in results] == list(range(6))
-        assert active[1] == 3
-        workers = {t for _, t in results}
-        assert len(workers) == 3 and threading.current_thread() not in workers
-        # a recording wrapper maps on the inner backend's pool, which outlives a map
-        recorded = RecordingBackend(live, tmp_path / "c.jsonl").map(call, range(3))
-        assert {t for _, t in recorded} == workers
-        inline = OracleBackend("1").map(lambda i: threading.get_ident(), range(3))
-        assert inline == [threading.get_ident()] * 3
+        assert Inline("1").complete_many(calls) == [([f"t{i}"], Usage(requests=1))
+                                                    for i in range(7)]
+        assert threads == [threading.current_thread()] * 7
 
-    def test_forecasts_share_the_backends_workers(self, http_server):
+    def test_forecasts_make_every_request_on_the_calling_thread(self, http_server, monkeypatch):
         base, script = http_server
         script.script = [_ok_completion()]
         script.delay = 0.05
         backend = self.make(base, max_in_flight=2)
-        threads = set()  # Thread objects, whose idents a new thread could reuse
-        complete = backend.complete
+        threads = []  # the thread of each request written and each reply read
+        for name in ("request", "getresponse"):
+            method = getattr(http.client.HTTPConnection, name)
 
-        def on_thread(*args, **kwargs):
-            threads.add(threading.current_thread())
-            return complete(*args, **kwargs)
+            def on_thread(*args, method=method, **kwargs):
+                threads.append(threading.current_thread())
+                return method(*args, **kwargs)
 
-        backend.complete = on_thread
+            monkeypatch.setattr(http.client.HTTPConnection, name, on_thread)
         for _ in range(2):
             assert run_nlts(_job(samples=4), backend).valid_samples == 4
-        assert len(threads) <= 2 and threading.current_thread() not in threads
+        assert threads == [threading.current_thread()] * 16
         assert len(script.calls) == 8 and script.peak == 2
 
     def test_failed_sample_cancels_samples_not_started(self, http_server):
@@ -947,9 +967,8 @@ class TestHttpBackend:
         backend = self.make(base, max_in_flight=1)
         with pytest.raises(AuthError):
             run_nlts(_job(samples=4), backend)
-        backend.map(lambda i: i, [0])  # queued behind every sample, run or cancelled
-        # sample 0 got the 401; at most sample 1 had started on the one worker
-        assert 1 <= len(script.calls) <= 2
+        # sample 0 got the 401 while it held the one slot: no other sample was sent
+        assert len(script.calls) == 1
 
     @pytest.mark.parametrize("key", ["sk-1\nx", "sk-1\rx", "sk-1\r\n", "sk-\u2603"])
     @pytest.mark.parametrize("from_env", [False, True])
@@ -1187,6 +1206,121 @@ class TestHttpBackend:
         texts, usage = backend.complete("a b", PARAMS)
         assert usage.prompt_tokens == 2
         assert usage.completion_tokens == 3
+
+
+class TestCompleteMany:
+    """HttpBackend.complete_many multiplexes a batch's requests on the calling
+    thread: at most max_in_flight at once, results in call order."""
+
+    def make(self, base, **kw):
+        return HttpBackend(BackendConfig(base_url=base, backoff_base=0.001, backoff_cap=0.004,
+                                         **kw))
+
+    def test_in_flight_bound_and_call_order(self, http_server):
+        base, script = http_server
+        # the first request is the slowest, so replies land out of call order
+        script.script = [lambda body: (*_echo(body), {}, 0.15), _echo]
+        script.delay = 0.05
+        calls = [(f"{i}", PARAMS, "") for i in range(6)]
+        results = self.make(base, max_in_flight=2).complete_many(calls)
+        assert results == [([f"{i}"], Usage(1, 1, 1)) for i in range(6)]
+        assert script.peak == 2
+
+    def test_no_thread_is_started(self, raw_server):
+        # the server closes each connection after its reply, and says so
+        base, requests = raw_server(_raw_reply(_CHOICES, b"Connection: close"))
+        before = threading.enumerate()
+        backend = self.make(base, max_in_flight=3)
+        results = backend.complete_many([("p", PARAMS, f"t{i}") for i in range(5)])
+        assert results == [(["1 2"], Usage(3, 2, 1))] * 5
+        assert threading.enumerate() == before
+        assert len(requests) == 5
+
+    def test_waiting_call_leaves_its_slot_to_the_next(self, http_server):
+        base, script = http_server
+        script.script = [(429, {}, {"Retry-After": "1"}), _echo]
+        backend = HttpBackend(BackendConfig(base_url=base, max_in_flight=1, backoff_base=0.001,
+                                            backoff_cap=1.0))
+        start = time.monotonic()
+        results = backend.complete_many([("a", PARAMS, ""), ("b", PARAMS, "")])
+        assert time.monotonic() - start >= 1.0
+        assert results == [(["a"], Usage(1, 1, 2)), (["b"], Usage(1, 1, 1))]
+        # call 1 was sent, and with one slot also answered, while call 0 waited
+        assert [c["body"]["prompt"] for c in script.calls] == ["a", "b", "a"]
+
+    def test_fatal_error_sends_no_later_call(self, http_server):
+        base, script = http_server
+        script.script = [(401, {"error": "bad key"}), _echo]
+        backend = self.make(base, max_in_flight=1)
+        with pytest.raises(AuthError):
+            backend.complete_many([(f"{i}", PARAMS, "") for i in range(3)])
+        assert len(script.calls) == 1
+        # the backend stays usable
+        assert backend.complete("x", PARAMS)[0] == ["x"]
+
+    def test_lowest_index_error_is_raised(self, http_server):
+        base, script = http_server
+        # call 0 fails last, with a 404; call 1 fails first, with a 401
+        script.script = [lambda body: (404, {}, {}, 0.2) if body["prompt"] == "0"
+                         else (401, {}, {}, 0.0)]
+        backend = self.make(base, max_in_flight=2)
+        with pytest.raises(ProtocolError, match="HTTP 404"):
+            backend.complete_many([(f"{i}", PARAMS, "") for i in range(4)])
+        assert sorted(c["body"]["prompt"] for c in script.calls) == ["0", "1"]
+
+    def test_slow_reply_retries_only_its_call(self, http_server):
+        base, script = http_server
+
+        def reply(body):
+            first = [c["body"]["prompt"] for c in script.calls].count(body["prompt"]) == 1
+            return (*_echo(body), {}, 1.0 if body["prompt"] == "slow" and first else 0.0)
+
+        script.script = [reply]
+        backend = self.make(base, max_in_flight=2, timeout=0.3)
+        results = backend.complete_many([("slow", PARAMS, ""), ("fast", PARAMS, "")])
+        assert results == [(["slow"], Usage(1, 1, 2)), (["fast"], Usage(1, 1, 1))]
+        assert sorted(c["body"]["prompt"] for c in script.calls) == ["fast", "slow", "slow"]
+
+    def test_tls_session_tickets_do_not_block_the_loop(self, serve, monkeypatch):
+        """A fresh TLS 1.3 connection turns readable when the server's session
+        tickets arrive, before its reply: the loop keeps waiting instead of
+        blocking in that reply's read."""
+        monkeypatch.setenv("SSL_CERT_FILE", TLS_PEM)  # the client trusts the loopback certificate
+        base, _ = serve(_Script, tls=True)
+        _Script.script = [lambda body: (*_echo(body), {}, 1.0 if body["prompt"] == "slow" else 0.2)]
+        calls = [("slow", PARAMS, "")] + [(f"f{i}", PARAMS, "") for i in range(3)]
+        results = self.make(base, max_in_flight=2).complete_many(calls)
+        assert [texts for texts, _ in results] == [["slow"], ["f0"], ["f1"], ["f2"]]
+        sent = {c["body"]["prompt"]: c["at"] for c in _Script.calls}
+        # f2 goes out once f1's reply is read, about 0.4 s in, not after the slow reply
+        assert sent["f2"] - sent["slow"] < 0.8
+
+    def test_recorded_batch_is_one_write_in_call_order(self, http_server, tmp_path, monkeypatch):
+        import nlts.backend
+
+        base, script = http_server
+        writes = []
+        write_text = nlts.backend.write_text
+
+        def counting(path, text, *args, **kwargs):
+            writes.append(text)
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(nlts.backend, "write_text", counting)
+        cassettes = []
+        for delays in ([0.08, 0.0, 0.05, 0.01, 0.07, 0.02, 0.0, 0.03],
+                       [0.0, 0.08, 0.01, 0.05, 0.0, 0.07, 0.03, 0.02]):
+            script.script = [(*_ok_completion(), {}, d) for d in delays]
+            script.calls = []
+            path = tmp_path / f"cassette-{len(cassettes)}.jsonl"
+            recorder = RecordingBackend(self.make(base, max_in_flight=4), path)
+            writes.clear()
+            assert run_nlts(_job(samples=8), recorder).valid_samples == 8
+            assert len(writes) == 1  # one write for the batch of 8
+            cassettes.append(path.read_bytes())
+        assert cassettes[0] == cassettes[1]
+        tags = [json.loads(line)["canonical_request"]["tag"] for line in cassettes[0].splitlines()]
+        assert tags == [f"sample-{i}/try-0" for i in range(8)]
 
 
 class TestTransport:

@@ -1,6 +1,7 @@
+import hashlib
 import json
+import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from nlts import (
     SamplePaths,
     ScriptedBackend,
     SplitSpec,
+    SweepConfig,
     TimeSeries,
     Usage,
     aggregate_samples,
@@ -34,14 +36,16 @@ from nlts import (
     fit_scaler,
     inject_noise,
     run_nlts,
+    run_sweep,
     serialize,
     split_series,
     substream,
 )
-from nlts.codec import fit_scalers
+from nlts.codec import STEP_SEPARATOR, fit_scalers
 from nlts.noise import standardized_draw
 from nlts.pipeline import USER_PROMPT_TEMPLATE, completion_token_budget, inject_noise_rows
 
+from conftest import make_airline_series, write_series_csv
 from golden import replay_jobs
 
 CODEC = CodecConfig()
@@ -126,6 +130,45 @@ class TestForecastJobValidation:
             ForecastJob(history=make_series(), horizon=2, samples=2, params=params)
 
 
+class _TagAndPrompt(EchoTailBackend):
+    """Replies depend on the tag and the prompt: about three in eight are prose,
+    and the rest echo the prompt's tail, rotated by a digest of both."""
+
+    def reply(self, text, tag):
+        digest = hashlib.sha256(f"{tag}\n{text}".encode()).digest()
+        if digest[0] < 96:
+            return "no digits in this reply"
+        steps = super().reply(text, tag).split(STEP_SEPARATOR)
+        k = digest[1] % len(steps)
+        return STEP_SEPARATOR.join(steps[k:] + steps[:k])
+
+
+class _ShuffledThreads(_TagAndPrompt):
+    """Answers a batch's calls one at a time, each on a new thread, in a
+    seeded shuffled order, and returns the replies in call order."""
+
+    def __init__(self, seed, **kw):
+        super().__init__(**kw)
+        self.shuffle = random.Random(seed).shuffle
+        self.threads = set()
+
+    def complete_many(self, calls):
+        replies = [None] * len(calls)
+
+        def answer(i):
+            self.threads.add(threading.current_thread())
+            prompt, params, tag = calls[i]
+            replies[i] = self.complete(prompt, params, tag=tag)
+
+        order = list(range(len(calls)))
+        self.shuffle(order)
+        for i in order:
+            thread = threading.Thread(target=answer, args=(i,))
+            thread.start()
+            thread.join()
+        return replies
+
+
 class TestRunNlts:
     def test_oracle_alpha_zero_recovers_target(self):
         series = make_series()
@@ -154,34 +197,43 @@ class TestRunNlts:
         assert result.valid_samples == 10
         assert np.all(result.forecast.variance > 0)
 
-    def test_results_independent_of_worker_count(self):
+    def test_results_independent_of_worker_count(self, tmp_path):
+        """A backend that answers each batch on threads in a shuffled order
+        gives byte-identical results to the in-order loop, and every sample
+        path is the reply to its own sample's request."""
         series = make_series()
-        hist, tgt = split_series(series, SplitSpec.by_horizon(8))
+        hist, _ = split_series(series, SplitSpec.by_horizon(8))
         job = ForecastJob(
             history=hist, horizon=8, samples=8, seed=5,
-            noise=NoiseSpec(kind="laplace", alpha=0.01),
+            noise=NoiseSpec(kind="laplace", alpha=0.01), retries_per_sample=1,
         )
-        wide = oracle_for(hist, tgt)
-        threads = set()
-        wave = threading.Barrier(4, timeout=10)
+        shuffled = _ShuffledThreads(seed=11, tail=4, steps=8)
+        in_order = _TagAndPrompt(tail=4, steps=8)
+        result = run_nlts(job, shuffled)
+        assert len(shuffled.threads) == result.usage.requests
+        assert threading.current_thread() not in shuffled.threads
+        expected = run_nlts(job, in_order)
+        assert json.dumps(result.to_dict()) == json.dumps(expected.to_dict())
 
-        def complete(*args, **kwargs):
-            threads.add(threading.current_thread())
-            wave.wait()  # four requests in flight at once, finishing in any order
-            return type(wide).complete(wide, *args, **kwargs)
+        valid = [o for o in result.outcomes if o.valid]
+        assert 4 <= len(valid) < 8 and any(o.attempts > 1 and o.valid for o in valid)
+        for path, outcome in zip(result.samples.paths, valid, strict=True):
+            i = outcome.sample_index
+            noisy = inject_noise(hist, job.noise, substream(job.seed, i))
+            scaler = fit_scaler(noisy, CODEC)
+            prompt = build_prompt(serialize(noisy, scaler, CODEC), "raw", 8, CODEC)
+            text = in_order.reply(prompt, f"sample-{i}/try-{outcome.attempts - 1}")
+            npt.assert_array_equal(path, deserialize(text, scaler, CODEC, 8)[0])
 
-        def pooled_map(fn, items):
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                return list(pool.map(fn, items))
-
-        wide.complete = complete
-        wide.map = pooled_map
-        narrow = oracle_for(hist, tgt)
-        r_wide = run_nlts(job, wide)
-        assert len(threads) == 4 and threading.current_thread() not in threads
-        r_narrow = run_nlts(job, narrow)
-        npt.assert_array_equal(r_wide.samples.paths, r_narrow.samples.paths)
-        npt.assert_array_equal(r_wide.forecast.median, r_narrow.forecast.median)
+        data = tmp_path / "series.csv"
+        write_series_csv(data, make_airline_series(72))
+        cfg = SweepConfig(datasets=(str(data),), noise_levels=(0.0, 0.01, 0.05),
+                          kinds=("gaussian", "uniform"), samples=6, seed=3,
+                          split=SplitSpec.by_horizon(8))
+        run_sweep(cfg, tmp_path / "shuffled", backend=_ShuffledThreads(seed=12, tail=4, steps=8))
+        run_sweep(cfg, tmp_path / "in_order", backend=_TagAndPrompt(tail=4, steps=8))
+        report = (tmp_path / "shuffled" / "results.json").read_bytes()
+        assert report == (tmp_path / "in_order" / "results.json").read_bytes()
 
     def test_deterministic_rerun(self):
         series = make_series()
