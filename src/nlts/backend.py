@@ -3,17 +3,18 @@
 One wire contract: complete(prompt, params, tag) returns a list of continuation
 texts plus Usage, and complete_many(calls) returns the results of a batch of
 such calls in call order; the live backend overlaps a batch's requests on the
-calling thread. A str prompt goes to the completions endpoint and a message
-list to the chat endpoint; request_body is the one place that makes that
-choice. Implementations cover an OpenAI-compatible HTTP endpoint, deterministic
-offline mocks, and a JSONL record/replay cassette layer keyed by a canonical
-request hash.
+calling thread, opening connections with http.client and reading replies in
+its loop without blocking, through nlts.http_reply. A str prompt goes to the
+completions endpoint and a message list to the chat endpoint; request_body is
+the one place that makes that choice. Implementations cover an
+OpenAI-compatible HTTP endpoint, deterministic offline mocks, and a JSONL
+record/replay cassette layer keyed by a canonical request hash. close()
+releases what a backend holds open.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -318,6 +319,8 @@ class Backend:
     backends have no I/O to overlap. HttpBackend keeps several requests in
     flight at once. When a call fails, no call that has not started is sent,
     and the error of the lowest-index failed call is raised.
+
+    close() releases what the backend holds open; the default holds nothing.
     """
 
     name = "backend"
@@ -334,6 +337,9 @@ class Backend:
 
     def describe(self) -> dict:
         return {"backend": self.name}
+
+    def close(self) -> None:
+        pass
 
 
 def _last_user_content(messages: Sequence[dict[str, str]]) -> str:
@@ -459,21 +465,24 @@ class BackendConfig:
 class HttpBackend(Backend):
     """OpenAI-compatible client: POST {base}/v1/completions and /v1/chat/completions.
 
-    Requests go out on standard-library keep-alive connections. The pool has
-    max_in_flight slots, each an idle connection or empty until it opens one,
-    and a request holds its slot while it is in flight: the one in-flight
-    bound, also across threads that share the backend. complete_many keeps up
-    to max_in_flight of its calls in flight on the calling thread. http.client
-    writes each request and parses each reply, and one selectors loop waits
-    for the next reply, retry or timeout; complete is complete_many of one
-    call. Opening a connection (connect, proxy CONNECT, TLS handshake),
-    writing a request and reading a reply once its connection is readable
-    block the loop. A TLS connection is first read one byte without blocking,
-    since a TLS 1.3 server's session tickets make a new connection readable
-    before its reply. A reused connection that the server closed while it
-    idled is reopened before the request, without costing an attempt.
+    Requests go out on keep-alive connections. The pool has max_in_flight
+    slots, each an idle connection or empty until it opens one, and a request
+    holds its slot while it is in flight: the one in-flight bound, also
+    across threads that share the backend. complete_many keeps up to
+    max_in_flight of its calls in flight on the calling thread; complete is
+    complete_many of one call. http.client only opens connections (connect,
+    proxy CONNECT, TLS handshake), which blocks the loop. Each request is
+    written with one sendall of its prebuilt head and its body, and one
+    selectors loop reads the replies without blocking, through
+    http_reply.Reply, while it waits for the next reply, retry or timeout. A
+    TLS connection made readable by records that carry no reply data, such as
+    a TLS 1.3 server's session tickets, leaves its request in flight. A
+    reused connection that the server closed while it idled costs no
+    attempt: a readability check before the request reopens it, and when the
+    close shows only after the request, as the connection's end before any
+    byte of the reply, the request is resent once on a new connection.
 
-    A transport failure (a reply not begun within timeout of its send
+    A transport failure (a reply not whole within timeout of its send
     included), a 429 or a 5xx is retried up to max_retries times. The first
     retry goes at once; retry k (k >= 2) waits backoff_base * 2**(k-1) plus up
     to backoff_base of jitter, capped at backoff_cap, so these delays never
@@ -494,7 +503,7 @@ class HttpBackend(Backend):
     it with CONNECT. Its user:password@ is sent as proxy basic auth, and any
     other proxy URL raises ConfigError. TLS verifies against the system trust
     store (SSL_CERT_FILE, SSL_CERT_DIR), not certifi's bundle, and ~/.netrc is
-    not read.
+    not read. close() closes the idle connections.
     """
 
     name = "live"
@@ -515,16 +524,17 @@ class HttpBackend(Backend):
         import base64
         import http.client
         import queue
+        import ssl
         import urllib.request
         from urllib.parse import unquote, urlsplit
 
         api_key = config.api_key or os.environ.get(ENV_API_KEY)
-        self._headers = {"Content-Type": "application/json", "User-Agent": "nlts"}
+        headers = {"Content-Type": "application/json", "User-Agent": "nlts"}
         if api_key:
             if any(c in "\r\n" or c > "\xff" for c in api_key):  # never echo the key
                 raise ConfigError(f"api_key (or {ENV_API_KEY}) holds a line break or a "
                                   "character outside Latin-1, which no HTTP header can carry")
-            self._headers["Authorization"] = f"Bearer {api_key}"
+            headers["Authorization"] = f"Bearer {api_key}"
         try:
             target = urlsplit(self.base_url)
             host, port = target.hostname, target.port
@@ -543,11 +553,13 @@ class HttpBackend(Backend):
             raise ConfigError(f"proxy for {self.base_url} must be an http:// URL")
         kw = {"timeout": config.timeout}
         if target.scheme == "https":
-            import ssl
-
             kw["context"] = ssl.create_default_context()  # one for every connection
         connect = http.client.HTTPSConnection if "context" in kw else http.client.HTTPConnection
-        self._path = target.path  # a request's target is this plus the route's path
+        path = target.path  # a request's target is this plus the route's path
+        # the Host field http.client would send: the upstream's, also through a proxy
+        upstream = f"[{host}]" if ":" in host else host
+        if port not in (None, connect.default_port):
+            upstream += f":{port}"
         tunnel = None
         if proxy:
             userinfo = unquote(proxy.netloc.rpartition("@")[0]).encode()
@@ -556,9 +568,20 @@ class HttpBackend(Backend):
             if "context" in kw:  # CONNECT host:port, then TLS through the tunnel
                 tunnel = (host, port, auth)
             else:  # a plain-HTTP proxy takes the absolute URL
-                self._path = self.base_url
-                self._headers.update(auth)
+                path, upstream = self.base_url, target.netloc
+                headers.update(auth)
             host, port = proxy.hostname, proxy_port
+        if not (path.isascii() and path.isprintable()) or " " in path:
+            raise ConfigError(f"base_url path must be printable ASCII without spaces, "
+                              f"got {self.base_url}")
+        fields = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        # per endpoint, a request's head up to its Content-Length value and after it
+        self._heads = {endpoint: (
+            f"POST {path}{route} HTTP/1.1\r\nHost: ".encode()
+            + upstream.encode("ascii" if upstream.isascii() else "idna")
+            + b"\r\nAccept-Encoding: identity\r\nContent-Length: ",
+            f"\r\n{fields}\r\n".encode("latin-1"),
+        ) for endpoint, (route, _) in self._ROUTES.items()}
 
         def connection():
             conn = connect(host, port, **kw)
@@ -571,9 +594,17 @@ class HttpBackend(Backend):
         for _ in range(config.max_in_flight):
             self._slots.put(None)
         self._transport_errors = (OSError, http.client.HTTPException)
+        self._no_data_yet = (BlockingIOError, ssl.SSLWantReadError)
 
     def describe(self):
         return {"backend": self.name, "base_url": self.base_url}
+
+    def close(self):
+        """Closes the pool's idle connections; a later request opens a new one."""
+        with self._slots.mutex:
+            for conn in self._slots.queue:
+                if conn is not None:
+                    conn.close()
 
     def complete(self, prompt, params, tag=""):
         return self.complete_many([(prompt, params, tag)])[0]
@@ -583,18 +614,22 @@ class HttpBackend(Backend):
         import selectors
         from queue import Empty
 
+        from .http_reply import Reply
+
         cfg = self._config
-        requests = []  # per call: (prompt, endpoint, request target, body bytes)
+        requests = []  # per call: (prompt, endpoint, the request's bytes)
         for prompt, params, _ in calls:
             endpoint, body = request_body(prompt, params)
             if endpoint == "chat":
                 _last_user_content(prompt)  # validates shape before anything is sent
             body = json.dumps(body, separators=(",", ":"), ensure_ascii=False).encode()
-            requests.append((prompt, endpoint, self._path + self._ROUTES[endpoint][0], body))
+            head, rest = self._heads[endpoint]
+            requests.append((prompt, endpoint, b"%s%d%s%s" % (head, len(body), rest, body)))
         results, errors, attempts = [None] * len(requests), {}, [0] * len(requests)
         due = list(range(len(requests)))  # a heap: calls to send, lowest index first
         waiting = []  # a heap of (due time, call): calls waiting out a delay, holding no slot
-        in_flight = {}  # call -> (connection, deadline)
+        # call -> (connection, deadline, its Reply, whether the connection was reused)
+        in_flight = {}
         selector = selectors.DefaultSelector()
 
         def settle(i, outcome):
@@ -615,46 +650,66 @@ class HttpBackend(Backend):
             except (AuthError, ProtocolError, RateLimitError, TransportError) as exc:
                 errors[i] = exc
 
-        def step(i, conn, part, *args):
-            """Runs part(i, conn, *args) of call i's attempt. Unless the request
-            is then in flight, the slot goes back, with the connection closed
-            on any failure, and the call is settled."""
-            try:
-                outcome = part(i, conn, *args)
-            except self._transport_errors as exc:
-                conn.close()
-                outcome = exc
-            except BaseException:
-                conn.close()
-                self._slots.put(conn)
-                raise
-            if outcome is not None:
-                self._slots.put(conn)
-                settle(i, outcome)
+        def step(i, conn, part):
+            """Runs part(i, conn) of call i's attempt, which returns None while
+            the request is in flight. Once the attempt is over, the slot goes
+            back, with the connection closed on a failure or when the reply
+            ends its use, and the call is settled. A reused connection that
+            fails before any byte of its reply, as one the server closed
+            while it idled does, is reopened and the request resent once."""
+            while True:
+                try:
+                    outcome = part(i, conn)
+                except self._transport_errors as exc:
+                    outcome = exc
+                except BaseException:
+                    if i in in_flight:
+                        land(i)
+                    conn.close()
+                    self._slots.put(conn)
+                    raise
+                if outcome is None:
+                    return
+                _, _, reply, reused = land(i) if i in in_flight else (None, None, None, False)
+                failed = isinstance(outcome, BaseException)
+                if failed or not reply.keep_alive:
+                    conn.close()
+                if not (reused and isinstance(outcome, ConnectionError) and not reply.started):
+                    break
+                part = send  # on a new connection, so at most once per attempt
+            self._slots.put(conn)
+            settle(i, outcome)
 
         def send(i, conn):
-            if conn.sock is not None and _readable(conn.sock):
+            reused = conn.sock is not None
+            if reused and _readable(conn.sock):
                 conn.close()  # the server closed it while it idled: open a fresh one
-            conn.request("POST", *requests[i][2:], self._headers)
+                reused = False
+            if not reused:
+                conn.connect()
+            conn.sock.settimeout(cfg.timeout)
+            conn.sock.sendall(requests[i][2])
+            conn.sock.setblocking(False)  # the loop reads the reply as it comes
             selector.register(conn.sock, selectors.EVENT_READ, i)
-            in_flight[i] = conn, time.monotonic() + cfg.timeout
+            in_flight[i] = conn, time.monotonic() + cfg.timeout, Reply(), reused
 
-        def receive(i, conn, head):
-            if head:  # hand the reply's first byte, read by _tls_head, back to http.client
-                conn.response_class = _primed(type(conn).response_class, head)
-            try:
-                resp = conn.getresponse()
-            finally:
-                vars(conn).pop("response_class", None)
-            return resp.status, resp.getheader("Retry-After"), resp.read()
+        def receive(i, conn):
+            reply = in_flight[i][2]
+            while True:
+                try:
+                    data = conn.sock.recv(65536)
+                except self._no_data_yet:
+                    return None
+                if reply.feed(data):
+                    return reply.status, reply.retry_after, reply.body
 
         def time_out(i, conn):
             raise TimeoutError("timed out")
 
-        def landed(i):
-            conn, _ = in_flight.pop(i)
-            selector.unregister(conn.sock)
-            return conn
+        def land(i):
+            flight = in_flight.pop(i)
+            selector.unregister(flight[0].sock)
+            return flight
 
         try:
             while in_flight or (not errors and (due or waiting)):
@@ -666,7 +721,7 @@ class HttpBackend(Backend):
                     i = heapq.heappop(due)
                     attempts[i] += 1
                     step(i, conn, send)
-                timers = [deadline for _, deadline in in_flight.values()]
+                timers = [deadline for _, deadline, _, _ in in_flight.values()]
                 if waiting and not errors:
                     timers.append(waiting[0][0])
                 if not timers:
@@ -678,17 +733,15 @@ class HttpBackend(Backend):
                 else:
                     time.sleep(max(0.0, wake - time.monotonic()))
                 for key, _ in events:
-                    head = _tls_head(key.fileobj)
-                    if head is not None:  # else the reply is still to come
-                        step(key.data, landed(key.data), receive, head)
+                    step(key.data, in_flight[key.data][0], receive)
                 # a wait that ran out makes its timer due, whatever the clock reads
                 now = time.monotonic() if events else max(time.monotonic(), wake)
-                for i in [i for i, (_, deadline) in in_flight.items() if deadline <= now]:
-                    step(i, landed(i), time_out)
+                for i in [i for i, flight in in_flight.items() if flight[1] <= now]:
+                    step(i, in_flight[i][0], time_out)
                 while waiting and waiting[0][0] <= now:
                     heapq.heappush(due, heapq.heappop(waiting)[1])
         finally:
-            for conn, _ in in_flight.values():  # left only when an exception escapes
+            for conn, *_ in in_flight.values():  # left only when an exception escapes
                 conn.close()
                 self._slots.put(conn)
             selector.close()
@@ -736,61 +789,6 @@ class HttpBackend(Backend):
         return texts, replace(usage, requests=attempts)
 
 
-def _tls_head(sock) -> bytes | None:
-    """For a TLS socket that turned readable with no decrypted byte waiting,
-    the reply's first byte, read without blocking, or None when only records
-    that carry no reply data had arrived, such as a TLS 1.3 server's session
-    tickets after the handshake. b"" for any other socket, and when the read
-    fails, so that reading the reply meets the failure."""
-    if not hasattr(sock, "pending") or sock.pending():
-        return b""
-    import ssl
-
-    timeout = sock.gettimeout()
-    sock.setblocking(False)
-    try:
-        return sock.recv(1)
-    except ssl.SSLWantReadError:
-        return None
-    except OSError:
-        return b""
-    finally:
-        sock.settimeout(timeout)
-
-
-def _primed(response_class, head: bytes):
-    """response_class whose reply stream starts with head, bytes read from its
-    socket before http.client read it."""
-
-    def response(sock, *args, **kwargs):
-        resp = response_class(sock, *args, **kwargs)
-        resp.fp = io.BufferedReader(_Prefixed(head, resp.fp))
-        return resp
-
-    return response
-
-
-class _Prefixed(io.RawIOBase):
-    """A raw stream that yields head, then reads on from a buffered stream."""
-
-    def __init__(self, head: bytes, rest):
-        self.head, self.rest = head, rest
-
-    def readable(self):
-        return True
-
-    def readinto(self, b):
-        if not self.head:
-            return self.rest.readinto1(b)
-        n = min(len(b), len(self.head))
-        b[:n], self.head = self.head[:n], self.head[n:]
-        return n
-
-    def close(self):
-        self.rest.close()
-        super().close()
-
-
 def _readable(sock) -> bool:
     """Whether an idle keep-alive socket has something to read: the server's
     close, or bytes no request asked for. Either way it cannot be reused."""
@@ -831,7 +829,8 @@ class RecordingBackend(Backend):
     sha256 of the canonical request JSON. A line holds no wall-clock stamp,
     and a complete_many batch's lines are appended in call order with one
     write, so recording the same requests twice writes the same bytes, in
-    whatever order the inner backend's replies arrived.
+    whatever order the inner backend's replies arrived. close() closes the
+    inner backend.
     """
 
     name = "record"
@@ -862,6 +861,9 @@ class RecordingBackend(Backend):
 
     def describe(self):
         return {"backend": self.name, "inner": self.inner.describe(), "cassette": str(self.path)}
+
+    def close(self):
+        self.inner.close()
 
 
 class ReplayBackend(Backend):

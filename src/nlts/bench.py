@@ -331,7 +331,8 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
     and shared across kinds; improvements are relative to it. Per-cell failures
     are recorded in the report, not fatal. Without an explicit backend, the
     config's BackendSpec goes through make_backend: once per sweep, or once
-    per dataset for the kinds built from its split. The report's
+    per dataset for the kinds built from its split, and closed when the
+    sweep ends; an explicit backend is left open. The report's
     config.backend is the spec's set keys without api_key, or the explicit
     backend's describe(). Writes results.csv, results.json and summary.md
     under out_dir, or fails before the first cell if one is a directory, and
@@ -345,65 +346,73 @@ def run_sweep(cfg: SweepConfig, out_dir: str | Path, backend: Backend | None = N
     cells: list[SweepCell] = []
     usage_total = Usage()
     described = None if backend is None else backend.describe()
+    built = []  # the backends made here, closed when the sweep ends
     if backend is None and cfg.backend.kind not in _PER_DATASET_KINDS:
         backend = make_backend(cfg.backend)
+        built.append(backend)
+    try:
+        for dataset_path in cfg.datasets:
+            ds = load_dataset(dataset_path)
+            history, target = split_dataset(ds, cfg.split)
+            if cfg.normalization == "minmax":
+                norm = Normalization.from_values(ds.series.values)
+            else:
+                norm = Normalization()
+            if backend is None:
+                cell_backend = make_backend(cfg.backend, history, target, cfg.codec)
+                built.append(cell_backend)
+            else:
+                cell_backend = backend
 
-    for dataset_path in cfg.datasets:
-        ds = load_dataset(dataset_path)
-        history, target = split_dataset(ds, cfg.split)
-        if cfg.normalization == "minmax":
-            norm = Normalization.from_values(ds.series.values)
-        else:
-            norm = Normalization()
-        if backend is None:
-            cell_backend = make_backend(cfg.backend, history, target, cfg.codec)
-        else:
-            cell_backend = backend
-
-        def run_cell(
-            kind: str, level: float, base_mse: float | None = None, base_mae: float | None = None
-        ) -> SweepCell:
-            """One (kind, level) cell scored against the Original row's errors;
-            an NltsError becomes the cell's error."""
-            nonlocal usage_total
-            cell = dict(dataset=ds.name, kind=kind, level=level, label=level_label(level))
-            try:
-                noise = NoiseSpec(kind="none") if level == 0.0 else NoiseSpec(kind=kind, alpha=level)
-                job = ForecastJob(
-                    history=history,
-                    horizon=len(target),
-                    noise=noise,
-                    codec=cfg.codec,
-                    params=cfg.params,
-                    prompt_style=cfg.prompt_style,
-                    samples=cfg.samples,
-                    seed=cfg.seed,
-                    retries_per_sample=cfg.retries_per_sample,
-                )
-                result = run_nlts(job, cell_backend)
-                usage_total = usage_total + result.usage
-                report = compute_metrics(result.forecast.median, target.values, norm)
-            except NltsError as exc:
+            def run_cell(
+                kind: str, level: float,
+                base_mse: float | None = None, base_mae: float | None = None,
+            ) -> SweepCell:
+                """One (kind, level) cell scored against the Original row's errors;
+                an NltsError becomes the cell's error."""
+                nonlocal usage_total
+                cell = dict(dataset=ds.name, kind=kind, level=level, label=level_label(level))
+                try:
+                    noise = (NoiseSpec(kind="none") if level == 0.0
+                             else NoiseSpec(kind=kind, alpha=level))
+                    job = ForecastJob(
+                        history=history,
+                        horizon=len(target),
+                        noise=noise,
+                        codec=cfg.codec,
+                        params=cfg.params,
+                        prompt_style=cfg.prompt_style,
+                        samples=cfg.samples,
+                        seed=cfg.seed,
+                        retries_per_sample=cfg.retries_per_sample,
+                    )
+                    result = run_nlts(job, cell_backend)
+                    usage_total = usage_total + result.usage
+                    report = compute_metrics(result.forecast.median, target.values, norm)
+                except NltsError as exc:
+                    return SweepCell(
+                        **cell, mse=None, mae=None, improvement_mse=None, improvement_mae=None,
+                        valid_samples=None, error=f"{type(exc).__name__}: {exc}",
+                    )
                 return SweepCell(
-                    **cell, mse=None, mae=None, improvement_mse=None, improvement_mae=None,
-                    valid_samples=None, error=f"{type(exc).__name__}: {exc}",
+                    **cell,
+                    mse=report.mse,
+                    mae=report.mae,
+                    improvement_mse=_improvement(base_mse, report.mse),
+                    improvement_mae=_improvement(base_mae, report.mae),
+                    valid_samples=result.valid_samples,
+                    error=None,
                 )
-            return SweepCell(
-                **cell,
-                mse=report.mse,
-                mae=report.mae,
-                improvement_mse=_improvement(base_mse, report.mse),
-                improvement_mae=_improvement(base_mae, report.mae),
-                valid_samples=result.valid_samples,
-                error=None,
-            )
 
-        original = run_cell("none", 0.0)
-        cells.append(original)
-        for kind in cfg.kinds:
-            for level in cfg.noise_levels:
-                if level != 0.0:  # one shared Original row per dataset
-                    cells.append(run_cell(kind, level, original.mse, original.mae))
+            original = run_cell("none", 0.0)
+            cells.append(original)
+            for kind in cfg.kinds:
+                for level in cfg.noise_levels:
+                    if level != 0.0:  # one shared Original row per dataset
+                        cells.append(run_cell(kind, level, original.mse, original.mae))
+    finally:
+        for made in built:
+            made.close()
 
     cost = estimate_cost(usage_total, cfg.params.model, default_cost_table())
     report_dict = {

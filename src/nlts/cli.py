@@ -147,7 +147,10 @@ def forecast(
         seed=seed,
         retries_per_sample=retries,
     )
-    result = run_nlts(job, backend)
+    try:
+        result = run_nlts(job, backend)
+    finally:
+        backend.close()
     norm = Normalization.from_values(ds.series.values)
     metrics = compute_metrics(result.forecast.median, target.values, norm)
     payload = result.to_dict()

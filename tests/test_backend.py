@@ -1,6 +1,8 @@
 import base64
 import email.utils
+import gc
 import http.client
+import io
 import json
 import math
 import os
@@ -11,16 +13,18 @@ import sys
 import threading
 import time
 import types
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nlts import (
     AuthError,
     BackendConfig,
+    BackendError,
     ConfigError,
     EchoTailBackend,
     ForecastJob,
@@ -42,6 +46,7 @@ from nlts import (
     run_nlts,
 )
 from nlts.backend import canonical_request, lookup_key, request_body, request_hash
+from nlts.http_reply import MAXHEADERS, MAXLINE, Reply
 
 PARAMS = GenerationParams(model="test-model", max_tokens=32)
 
@@ -735,6 +740,31 @@ class _CloseWhenIdle(_Script):
         self.close_connection = True
 
 
+class _StallAfterHead(_Script):
+    """Echoes each prompt, but its first reply to "stall" sends the head and
+    then stalls for 1 s before the body."""
+
+    def do_POST(self):
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.lock:
+            self.record(raw)
+            prompt = self.calls[-1]["body"]["prompt"]
+            stall = [c["body"]["prompt"] for c in self.calls].count(prompt) == 1
+        data = json.dumps({"choices": [{"text": prompt}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        if prompt == "stall" and stall:
+            time.sleep(1.0)
+        self.wfile.write(data)
+
+
+class _KeepAlive(_Script):
+    """Replies in HTTP/1.1 and keeps each connection open for the next request."""
+
+    protocol_version = "HTTP/1.1"
+
+
 class _Server(ThreadingHTTPServer):
     closed = 0  # connections closed by the server
 
@@ -947,15 +977,22 @@ class TestHttpBackend:
         script.script = [_ok_completion()]
         script.delay = 0.05
         backend = self.make(base, max_in_flight=2)
-        threads = []  # the thread of each request written and each reply read
-        for name in ("request", "getresponse"):
-            method = getattr(http.client.HTTPConnection, name)
+        threads = []  # the thread of each request written and of each reply's first read
+        sendall, recv = socket.socket.sendall, socket.socket.recv
 
-            def on_thread(*args, method=method, **kwargs):
+        def sending(sock, data, *args):
+            if data.startswith(b"POST "):  # the server's threads write only replies
                 threads.append(threading.current_thread())
-                return method(*args, **kwargs)
+            return sendall(sock, data, *args)
 
-            monkeypatch.setattr(http.client.HTTPConnection, name, on_thread)
+        def receiving(sock, *args):
+            data = recv(sock, *args)
+            if data.startswith(b"HTTP/"):
+                threads.append(threading.current_thread())
+            return data
+
+        monkeypatch.setattr(socket.socket, "sendall", sending)
+        monkeypatch.setattr(socket.socket, "recv", receiving)
         for _ in range(2):
             assert run_nlts(_job(samples=4), backend).valid_samples == 4
         assert threads == [threading.current_thread()] * 16
@@ -979,6 +1016,11 @@ class TestHttpBackend:
         with pytest.raises(ConfigError, match="api_key") as info:
             HttpBackend(cfg)
         assert "sk-" not in str(info.value)
+
+    @pytest.mark.parametrize("path", ["/a b", "/café", "/a\x7f"])
+    def test_unsendable_base_url_path_is_config_error(self, path):
+        with pytest.raises(ConfigError, match="base_url path"):
+            HttpBackend(BackendConfig(base_url="http://127.0.0.1:9" + path))
 
     def test_missing_base_url(self, monkeypatch):
         monkeypatch.delenv("NLTS_API_BASE", raising=False)
@@ -1322,6 +1364,34 @@ class TestCompleteMany:
         tags = [json.loads(line)["canonical_request"]["tag"] for line in cassettes[0].splitlines()]
         assert tags == [f"sample-{i}/try-0" for i in range(8)]
 
+    @pytest.mark.parametrize("check_before_reuse", [True, False])
+    def test_idle_close_race_costs_no_attempt(self, raw_server, monkeypatch, check_before_reuse):
+        """The server closes each connection right after its reply, without
+        saying so. A request sent on such a connection before the close
+        shows meets the connection's end before any reply byte: it is resent
+        on a new connection, and that costs no attempt. Without the check
+        before reuse, every reuse meets it."""
+        import nlts.backend
+
+        if not check_before_reuse:
+            monkeypatch.setattr(nlts.backend, "_readable", lambda sock: False)
+        base, requests = raw_server(_raw_reply(_CHOICES))
+        backend = self.make(base, max_in_flight=3)
+        results = backend.complete_many([("p", PARAMS, f"t{i}") for i in range(5)])
+        assert [usage.requests for _, usage in results] == [1] * 5
+        assert len(requests) == 5
+
+    def test_reply_stalled_after_its_head_is_one_failed_attempt(self, serve):
+        base, _ = serve(_StallAfterHead)
+        backend = self.make(base, max_in_flight=2, timeout=0.3, max_retries=1)
+        start = time.monotonic()
+        results = backend.complete_many([(p, PARAMS, "") for p in ("stall", "a", "b", "c")])
+        assert time.monotonic() - start < 0.9  # the retry went at the timeout, not after the stall
+        assert results == [(["stall"], Usage(1, 1, 2))] + [([p], Usage(1, 1, 1)) for p in "abc"]
+        # the other calls were sent and answered while the stalled reply waited out its timeout
+        prompts = [c["body"]["prompt"] for c in _Script.calls]
+        assert sorted(prompts[:4]) == ["a", "b", "c", "stall"] and prompts[4] == "stall"
+
 
 class TestTransport:
     """Proxy selection from the environment, and redirects."""
@@ -1375,6 +1445,33 @@ class TestTransport:
         assert script.calls[0]["path"] == "upstream.invalid:443"
         assert script.calls[0]["proxy_auth"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
 
+    @pytest.mark.parametrize("route", ["direct", "proxy", "tunnel"])
+    def test_request_head_has_http_clients_fields(self, head_server, monkeypatch, route):
+        """The head carries the fields http.client sent, in its order, with the
+        upstream's Host also through a plain-HTTP proxy and through a tunnel."""
+        port, heads = head_server(tunnel=route == "tunnel")
+        proxy = f"http://127.0.0.1:{port}"
+        if route == "direct":
+            base, target, host = proxy + "/api", "/api/v1/completions", f"127.0.0.1:{port}"
+        elif route == "proxy":
+            monkeypatch.setenv("HTTP_PROXY", proxy)
+            base, host = "http://upstream.invalid:8080/api", "upstream.invalid:8080"
+            target = base + "/v1/completions"
+        else:  # the default port goes without saying
+            monkeypatch.setenv("HTTPS_PROXY", proxy)
+            monkeypatch.setenv("SSL_CERT_FILE", TLS_PEM)
+            base, target, host = "https://127.0.0.1", "/v1/completions", "127.0.0.1"
+        backend = HttpBackend(BackendConfig(base_url=base, api_key="sk-test", max_retries=0))
+        assert backend.complete("p", PARAMS)[0] == ["1 2"]
+        body = json.dumps(request_body("p", PARAMS)[1], separators=(",", ":")).encode()
+        request_line, *fields = heads[-1].decode().split("\r\n")
+        assert request_line == f"POST {target} HTTP/1.1"
+        assert fields == [f"Host: {host}", "Accept-Encoding: identity",
+                          f"Content-Length: {len(body)}", "Content-Type: application/json",
+                          "User-Agent: nlts", "Authorization: Bearer sk-test"]
+        if route == "tunnel":
+            assert heads[0].startswith(b"CONNECT 127.0.0.1:443 HTTP/")
+
     @pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080", "http://[bad",
                                        "https://127.0.0.1:3128"])
     def test_unusable_proxy_is_config_error(self, http_server, monkeypatch, proxy):
@@ -1388,7 +1485,7 @@ def raw_server(monkeypatch):
     """A loopback socket server that reads each request whole, answers with
     fixed raw bytes and closes the connection, so that a reply can break HTTP
     in ways http.server cannot: raw_server(reply) -> (base URL, the requests'
-    first lines)."""
+    first lines). A later raw_server(reply) changes the reply."""
     for name in list(os.environ):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
@@ -1405,7 +1502,7 @@ def raw_server(monkeypatch):
         while len(body) < length:
             body += conn.recv(65536)
         requests.append(head.split(b"\r\n")[0].decode())
-        conn.sendall(replies[0])
+        conn.sendall(replies[-1])
         conn.shutdown(socket.SHUT_WR)
 
     def loop():
@@ -1416,7 +1513,10 @@ def raw_server(monkeypatch):
                 continue
             with conn:
                 conn.settimeout(5)
-                answer(conn)
+                try:
+                    answer(conn)
+                except OSError:
+                    pass  # the client gave up on this reply and closed its end
 
     thread = threading.Thread(target=loop, daemon=True)
     thread.start()
@@ -1428,6 +1528,56 @@ def raw_server(monkeypatch):
     yield start
     stop.set()
     thread.join(timeout=5)
+    listener.close()
+
+
+@pytest.fixture
+def head_server(monkeypatch):
+    """A loopback server for one request that keeps each head it reads:
+    head_server(tunnel) -> (its port, the heads). As a tunnelling proxy it
+    first takes a CONNECT, then speaks TLS with TLS_PEM. It answers with
+    _CHOICES."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    listener = socket.create_server(("127.0.0.1", 0))
+    heads, threads = [], []
+
+    def read_head(conn):
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = conn.recv(65536)
+            if not chunk:
+                raise ConnectionError("the client closed before its head ended")
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        heads.append(head)
+        return head, body
+
+    def answer(tunnel):
+        conn, _ = listener.accept()
+        conn.settimeout(5)
+        if tunnel:
+            read_head(conn)
+            conn.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_PEM)
+            conn = context.wrap_socket(conn, server_side=True)
+        with conn:
+            head, body = read_head(conn)
+            length = int(re.search(rb"(?i)\r\ncontent-length: *(\d+)", head).group(1))
+            while len(body) < length:
+                body += conn.recv(65536)
+            conn.sendall(_raw_reply(_CHOICES, b"Connection: close"))
+
+    def start(tunnel=False):
+        threads.append(threading.Thread(target=answer, args=(tunnel,), daemon=True))
+        threads[-1].start()
+        return listener.getsockname()[1], heads
+
+    yield start
+    for thread in threads:
+        thread.join(timeout=5)
     listener.close()
 
 
@@ -1475,3 +1625,283 @@ class TestMalformedHttpReplies:
         assert texts == ["1 2"]
         assert usage == Usage(3, 2, 1)
         assert len(requests) == 1
+
+    @pytest.mark.parametrize("reply, match", [
+        (b"HTTP/1.1 200 " + b"x" * MAXLINE + b"\r\n\r\n", "LineTooLong"),
+        (_raw_reply(_CHOICES, b"X-Long: " + b"x" * MAXLINE), "LineTooLong"),
+        (_raw_reply(_CHOICES, *[b"X-Field-%d: 1" % i for i in range(MAXHEADERS)]),
+         "got more than 100 headers"),
+    ], ids=["status-line", "header-line", "headers"])
+    def test_oversized_head_is_transport_error(self, raw_server, reply, match):
+        base, requests = raw_server(reply)
+        with pytest.raises(TransportError, match=match):
+            self.make(base).complete("p", PARAMS)
+        assert requests == ["POST /v1/completions HTTP/1.1"] * 2
+
+
+def _read(*pieces):
+    """A Reply fed pieces, then the connection's end if it is not yet whole."""
+    reply = Reply()
+    for piece in pieces:
+        if reply.feed(piece):
+            return reply
+    assert reply.feed(b"")
+    return reply
+
+
+class TestReply:
+    """The incremental reader of one HTTP/1.1 reply."""
+
+    def test_content_length(self):
+        reply = Reply()
+        assert reply.feed(b"HTTP/1.1 429 Too Many\r\nContent-Length: 5\r\nRetry-After: 3\r\n\r\nhello")
+        assert (reply.status, reply.retry_after, reply.body) == (429, "3", b"hello")
+        assert reply.keep_alive
+
+    def test_chunked_with_extensions_and_trailers(self):
+        reply = Reply()
+        assert reply.feed(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+                          b"Content-Length: 1\r\n\r\n5;name=value\r\nhello\r\n6\r\n world\r\n"
+                          b"0;last\r\nX-Trailer: 1\r\nX-Other: 2\r\n\r\n")
+        assert (reply.status, reply.body, reply.keep_alive) == (200, b"hello world", True)
+
+    def test_chunked_ends_at_the_close_after_its_last_chunk(self):
+        reply = _read(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n")
+        assert (reply.body, reply.keep_alive) == (b"ok", False)
+
+    @pytest.mark.parametrize("fields", [b"", b"Content-Length: lots\r\n", b"Content-Length: -1\r\n"])
+    def test_no_usable_length_reads_to_close(self, fields):
+        reply = Reply()
+        assert not reply.feed(b"HTTP/1.1 200 OK\r\n" + fields + b"\r\nhel")
+        assert not reply.feed(b"lo")
+        assert reply.feed(b"")
+        assert (reply.body, reply.keep_alive) == (b"hello", False)
+
+    def test_interim_replies_are_skipped(self):
+        reply = _read(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
+                      b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+        assert (reply.status, reply.body) == (200, b"ok")
+
+    @pytest.mark.parametrize("status", [204, 304])
+    def test_no_body_for_204_and_304(self, status):
+        reply = Reply()
+        assert reply.feed(b"HTTP/1.1 %d X\r\nContent-Length: 5\r\n\r\n" % status)
+        assert (reply.status, reply.body, reply.keep_alive) == (status, b"", True)
+
+    @pytest.mark.parametrize("head, keep_alive", [
+        (b"HTTP/1.1 200 OK\r\n", True),
+        (b"HTTP/1.1 200 OK\r\nConnection: Close\r\n", False),
+        (b"HTTP/1.0 200 OK\r\n", False),
+        (b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\n", True),
+    ], ids=["1.1", "1.1-close", "1.0", "1.0-keep-alive"])
+    def test_connection_reuse(self, head, keep_alive):
+        reply = Reply()
+        assert reply.feed(head + b"Content-Length: 2\r\n\r\nok")
+        assert (reply.body, reply.keep_alive) == (b"ok", keep_alive)
+
+    def test_bytes_past_the_reply_end_its_connection(self):
+        reply = Reply()
+        assert reply.feed(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokHTTP/1.1")
+        assert (reply.body, reply.keep_alive) == (b"ok", False)
+
+    def test_bare_line_feeds_and_folded_fields(self):
+        reply = _read(b"HTTP/1.1 503 Busy\nRetry-After: 7\n  folded\nContent-Length: 1\n\nx")
+        assert (reply.status, reply.retry_after, reply.body) == (503, "7", b"x")
+
+    @pytest.mark.parametrize("pieces, error", [
+        ([], http.client.RemoteDisconnected),
+        ([b"garbage\r\n\r\n"], http.client.BadStatusLine),
+        ([b"HTTP/1.1 2OO OK\r\n\r\n"], http.client.BadStatusLine),
+        ([b"HTTP/2 200\r\n\r\n"], http.client.UnknownProtocol),
+        ([b"HTTP/1.1 200 OK\r\nContent-"], http.client.IncompleteRead),
+        ([b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nshort"], http.client.IncompleteRead),
+        ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"],
+         http.client.IncompleteRead),
+        ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhel"],
+         http.client.IncompleteRead),
+        ([b"HTTP/1.1 200 " + b"x" * MAXLINE], http.client.LineTooLong),
+        ([b"HTTP/1.1 200 OK\r\nX: " + b"x" * MAXLINE + b"\r\n\r\n"], http.client.LineTooLong),
+        ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"0" * MAXLINE],
+         http.client.LineTooLong),
+        ([b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * MAXHEADERS], http.client.HTTPException),
+        ([b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * MAXHEADERS + b"\r\n"], http.client.HTTPException),
+    ], ids=["nothing", "garbage", "bad-status", "http2", "cut-head", "short-body",
+            "bad-chunk-size", "cut-chunk", "long-status", "long-field", "long-chunk-size",
+            "headers-cut", "headers"])
+    def test_failures_are_http_clients(self, pieces, error):
+        with pytest.raises(error):
+            _read(*pieces)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_pieces_read_as_the_whole(self, data):
+        """A valid reply fed whole and fed in any pieces reads the same, and
+        as http.client reads it."""
+        wire = data.draw(_valid_replies())
+        cuts = sorted(data.draw(st.lists(st.integers(1, max(1, len(wire) - 1)), max_size=8)))
+        pieces = [wire[a:b] for a, b in zip([0, *cuts], [*cuts, len(wire)]) if a < b]
+        whole, split = _read(wire), _read(*pieces)
+        seen = (whole.status, whole.retry_after, whole.body, whole.keep_alive)
+        assert (split.status, split.retry_after, split.body, split.keep_alive) == seen
+
+        class Stream:
+            def makefile(self, mode):
+                return io.BytesIO(wire)
+
+        stdlib = http.client.HTTPResponse(Stream())
+        stdlib.begin()
+        assert seen[:3] == (stdlib.status, stdlib.getheader("Retry-After"), stdlib.read())
+
+
+_TOKENS = st.text("abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=8)
+
+
+@st.composite
+def _valid_replies(draw):
+    """A well-formed reply to a POST: an optional 100 Continue, then a status
+    line, header fields and a body framed by length, chunks or the close."""
+    wire = b"HTTP/1.1 100 Continue\r\n\r\n" if draw(st.booleans()) else b""
+    version = draw(st.sampled_from([b"HTTP/1.1", b"HTTP/1.0"]))
+    wire += b"%s %d %s\r\n" % (version, draw(st.sampled_from([200, 201, 404, 429, 500, 503])),
+                               draw(_TOKENS).encode())
+    fields = [b"X-%s: %s" % (draw(_TOKENS).encode(), draw(_TOKENS).encode())
+              for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        fields.append(b"Retry-After: " + draw(st.sampled_from(
+            [b"0", b"3", b"120", b"soon", b"Mon, 01 Jan 2001 00:00:00 GMT"])))
+    body = draw(st.binary(max_size=300))
+    framing = draw(st.sampled_from(["length", "chunked", "close"]))
+    if framing == "length":
+        fields.append(b"Content-Length: %d" % len(body))
+    elif framing == "chunked":
+        fields.append(b"Transfer-Encoding: chunked")
+        cuts = sorted(draw(st.lists(st.integers(0, len(body)), max_size=4)))
+        chunks = [body[a:b] for a, b in zip([0, *cuts], [*cuts, len(body)]) if a < b]
+        body = b"".join(b"%x%s\r\n%s\r\n" % (len(c), draw(st.sampled_from([b"", b";x=1"])), c)
+                        for c in chunks) + b"0\r\n"
+        body += b"".join(b"X-T%d: 1\r\n" % i for i in range(draw(st.integers(0, 2)))) + b"\r\n"
+    else:
+        fields.append(b"Connection: close")
+    draw(st.randoms()).shuffle(fields)
+    return wire + b"".join(f + b"\r\n" for f in fields) + b"\r\n" + body
+
+
+# JSON fragments for the body of a reply: wrong types, huge numbers, deep nesting
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["choices", "text", "message", "content", "usage", "prompt_tokens",
+                         "completion_tokens", "requests"]), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _raw_replies(draw):
+    """Whole replies as a server could send them, well-formed or not."""
+    status = draw(st.sampled_from([
+        b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 204 No Content", b"HTTP/1.1 401 No",
+        b"HTTP/1.1 404 Nope", b"HTTP/1.1 429 Slow", b"HTTP/1.1 503 Busy", b"HTTP/1.1 999 X",
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK", b"HTTP/2 200", b"garbage",
+    ]) | st.binary(max_size=20).filter(lambda line: b"\n" not in line))
+    texts = draw(st.one_of(st.lists(st.text(max_size=8), min_size=1, max_size=2),
+                           st.lists(_JSON, max_size=2)))
+    document = {"choices": draw(st.one_of(st.just([{"text": t} for t in texts]), _JSON)),
+                "usage": draw(_JSON)}
+    body = draw(st.sampled_from([
+        json.dumps(document).encode(),
+        b"[" * 5000,
+        b'{"choices": [{"text": "1 2"}], "usage": {"prompt_tokens": 1' + b"0" * 500 + b"}}",
+        b'{"choices": [{"text": "1 2"}], "usage": {"completion_tokens": -1e400}}',
+    ]))
+    if draw(st.booleans()):
+        body = body[:draw(st.integers(0, len(body)))]  # truncated
+    fields = []
+    length = draw(st.sampled_from([None, "exact", "short", "long", "junk"]))
+    if length is not None:
+        fields.append(b"Content-Length: " + {
+            "exact": b"%d" % len(body), "short": b"%d" % max(0, len(body) - 3),
+            "long": b"%d" % (len(body) + 3), "junk": b"-lots"}[length])
+    encoding = draw(st.sampled_from([None, b"chunked", b"gzip"]))
+    if encoding is not None:
+        fields.append(b"Transfer-Encoding: " + encoding)
+        if encoding == b"chunked" and draw(st.booleans()):
+            body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    if draw(st.booleans()):
+        fields.append(b"Retry-After: " + draw(st.sampled_from([b"0", b"1", b"0.5", b"soon"])))
+    if draw(st.booleans()):
+        fields.append(b"Connection: close")
+    return b"\r\n".join([status, *fields, b"", body])
+
+
+class TestRawReplyFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(reply=_raw_replies())
+    def test_any_reply_is_a_result_or_a_backend_error(self, raw_server, reply):
+        """Whatever bytes the server sends, complete returns texts and
+        non-negative int counts or raises a BackendError, in bounded time."""
+        base, _ = raw_server(reply)
+        cfg = BackendConfig(base_url=base, max_retries=1, backoff_base=0.001,
+                            backoff_cap=0.002, timeout=0.5)
+        backend = HttpBackend(cfg)
+        start = time.monotonic()
+        try:
+            texts, usage = backend.complete("p", PARAMS)
+        except BackendError:
+            pass
+        else:
+            assert isinstance(texts, list) and all(isinstance(t, str) for t in texts)
+            counts = (usage.prompt_tokens, usage.completion_tokens, usage.requests)
+            assert all(type(c) is int and c >= 0 for c in counts)
+        finally:
+            backend.close()
+        limit = cfg.timeout * (cfg.max_retries + 1) + cfg.max_retries * cfg.backoff_cap
+        assert time.monotonic() - start <= limit
+
+
+class TestClose:
+    def test_close_releases_idle_connections(self, serve, tmp_path):
+        base, server = serve(_KeepAlive)
+        _Script.script = [_echo]
+        live = HttpBackend(BackendConfig(base_url=base, max_in_flight=2))
+        recorder = RecordingBackend(live, tmp_path / "c.jsonl")
+        recorder.complete_many([("a", PARAMS, ""), ("b", PARAMS, "")])
+        time.sleep(0.1)
+        assert server.closed == 0  # both connections idle in the pool
+        recorder.close()  # a recording wrapper closes its inner backend
+        deadline = time.monotonic() + 5
+        while server.closed < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)  # until the server has seen both ends close
+        assert server.closed == 2
+        assert live.complete("c", PARAMS)[0] == ["c"]  # the backend stays usable
+        live.close()
+        OracleBackend("1").close()  # in-process backends hold nothing to close
+
+    def test_live_forecast_and_sweep_leave_no_socket_open(self, http_server, tmp_path,
+                                                         monkeypatch):
+        from click.testing import CliRunner
+
+        from conftest import write_series_csv
+        from nlts.bench import BackendSpec, SweepConfig, run_sweep
+        from nlts.cli import main
+
+        base, script = http_server
+        script.script = [_ok_completion()]
+        data = tmp_path / "series.csv"
+        write_series_csv(data, np.arange(1.0, 21.0), holdout=2)
+        monkeypatch.setenv("NLTS_API_BASE", base)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            forecast = CliRunner().invoke(main, [
+                "forecast", "--data", str(data), "--samples", "4", "--backend", "live",
+                "--record", str(tmp_path / "c.jsonl")])
+            assert forecast.exit_code == 0, forecast.output
+            cfg = SweepConfig(datasets=(str(data),), samples=4, noise_levels=(0.0,),
+                              backend=BackendSpec("live", base_url=base))
+            assert run_sweep(cfg, tmp_path / "sweep")["cells"][0]["error"] is None
+            gc.collect()
+        assert [hook.exc_value for hook in unraisable] == []
+        assert len(script.calls) == 8
