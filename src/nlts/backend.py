@@ -1,12 +1,10 @@
 """Generation backends.
 
 One wire contract: complete(prompt, params, tag) returns a list of continuation
-texts plus Usage, and complete_many(calls) returns the results of a batch of
-such calls in call order; the live backend overlaps a batch's requests on the
-calling thread, opening connections with http.client and reading replies in
-its loop without blocking, through nlts.http_reply. A str prompt goes to the
-completions endpoint and a message list to the chat endpoint; request_body is
-the one place that makes that choice. Implementations cover an
+texts plus Usage, and complete_many(calls) a batch's results in call order; the
+live backend overlaps a batch's requests on the calling thread. A str prompt
+goes to the completions endpoint and a message list to the chat endpoint;
+request_body is the one place that makes that choice. Implementations cover an
 OpenAI-compatible HTTP endpoint, deterministic offline mocks, and a JSONL
 record/replay cassette layer keyed by a canonical request hash. close()
 releases what a backend holds open.
@@ -21,7 +19,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -72,11 +70,7 @@ class Usage:
     def __add__(self, other: "Usage") -> "Usage":
         if not isinstance(other, Usage):
             return NotImplemented
-        return Usage(
-            prompt_tokens=self.prompt_tokens + other.prompt_tokens,
-            completion_tokens=self.completion_tokens + other.completion_tokens,
-            requests=self.requests + other.requests,
-        )
+        return Usage.total((self, other))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -129,14 +123,11 @@ def _count(d: dict, key: str, default: int) -> int:
 Prompt = str | Sequence[dict[str, str]]
 
 
-def _estimate_usage(prompt: Prompt, texts: Sequence[str]) -> Usage:
-    """One request's usage in whitespace tokens; a chat counts its message contents."""
+def _estimate_usage(prompt: Prompt, texts: Sequence[str], requests: int = 1) -> Usage:
+    """A call's usage in whitespace tokens; a chat counts its message contents."""
     contents = [prompt] if isinstance(prompt, str) else [m.get("content", "") for m in prompt]
-    return Usage(
-        prompt_tokens=sum(len(c.split()) for c in contents),
-        completion_tokens=sum(len(t.split()) for t in texts),
-        requests=1,
-    )
+    return Usage(prompt_tokens=sum(len(c.split()) for c in contents),
+                 completion_tokens=sum(len(t.split()) for t in texts), requests=requests)
 
 
 # --- cost accounting ---------------------------------------------------------
@@ -260,9 +251,11 @@ def canonical_request(endpoint: str, body: dict, tag: str) -> dict:
     return {"endpoint": endpoint, "body": body, "tag": tag}
 
 
-# json.dumps(value, sort_keys=True, separators=(",", ":")) without building
-# an encoder per call
+# json.dumps(value, sort_keys=True, separators=(",", ":")) and, for request
+# bodies on the wire, json.dumps(value, separators=(",", ":"), ensure_ascii=False),
+# without building an encoder per call
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_wire_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 def request_hash(canonical: dict) -> str:
@@ -465,22 +458,26 @@ class BackendConfig:
 class HttpBackend(Backend):
     """OpenAI-compatible client: POST {base}/v1/completions and /v1/chat/completions.
 
-    Requests go out on keep-alive connections. The pool has max_in_flight
-    slots, each an idle connection or empty until it opens one, and a request
-    holds its slot while it is in flight: the one in-flight bound, also
-    across threads that share the backend. complete_many keeps up to
-    max_in_flight of its calls in flight on the calling thread; complete is
-    complete_many of one call. http.client only opens connections (connect,
-    proxy CONNECT, TLS handshake), which blocks the loop. Each request is
-    written with one sendall of its prebuilt head and its body, and one
-    selectors loop reads the replies without blocking, through
-    http_reply.Reply, while it waits for the next reply, retry or timeout. A
-    TLS connection made readable by records that carry no reply data, such as
-    a TLS 1.3 server's session tickets, leaves its request in flight. A
-    reused connection that the server closed while it idled costs no
-    attempt: a readability check before the request reopens it, and when the
-    close shows only after the request, as the connection's end before any
-    byte of the reply, the request is resent once on a new connection.
+    Requests go out on keep-alive connections from a pool of max_in_flight
+    slots, each idle or empty. complete_many (complete is a batch of one)
+    keeps up to max_in_flight calls in flight on the calling thread and
+    holds the slots it checked out: the one in-flight bound, also across
+    threads sharing the backend. A batch keeps a slot while it has calls
+    due, and replaces an idle connection readable at checkout (closed by the
+    server, or sent what no request asked for). A connection is made
+    non-blocking when it opens and registered with the batch's selector
+    once. A reply that leaves its connection open hands it the batch's next
+    due call, lowest index first; the slot goes back when nothing is due,
+    after a failure or at the batch's end, so a waiting call holds none.
+
+    http.client only opens connections (connect, proxy CONNECT, TLS
+    handshake), which blocks the loop. A request is one non-blocking send of
+    its prebuilt head and body; only what that send leaves is written
+    blocking, under timeout. One selectors loop reads the replies through
+    http_reply.Reply while it waits for the next reply, retry or timeout;
+    TLS records with no reply data, such as session tickets, leave a request
+    in flight. A reused connection that ends before any byte of the reply
+    costs no attempt: the request is resent once on a new connection.
 
     A transport failure (a reply not whole within timeout of its send
     included), a 429 or a 5xx is retried up to max_retries times. The first
@@ -488,10 +485,9 @@ class HttpBackend(Backend):
     to backoff_base of jitter, capped at backoff_cap, so these delays never
     decrease. A Retry-After header in whole seconds or as an HTTP date sets the
     delay instead, capped at backoff_cap; one that parses as neither, such as
-    "0.5", or is not in the future keeps the backoff. Every attempt hands its
-    slot back before its delay, so a waiting call holds no slot. 401/403
-    raise AuthError at once, and a 3xx is not followed: it raises
-    ProtocolError. Usage.requests counts HTTP attempts, not logical calls.
+    "0.5", or is not in the future keeps the backoff. 401/403 raise AuthError
+    at once, and a 3xx is not followed: it raises ProtocolError.
+    Usage.requests counts HTTP attempts, not logical calls.
     Once a call has failed for good, nothing more is sent, neither a call
     that has not started nor a retry; the requests in flight are read to
     their end, and the lowest-index failed call's error is raised.
@@ -595,6 +591,7 @@ class HttpBackend(Backend):
             self._slots.put(None)
         self._transport_errors = (OSError, http.client.HTTPException)
         self._no_data_yet = (BlockingIOError, ssl.SSLWantReadError)
+        self._no_room = (BlockingIOError, ssl.SSLWantReadError, ssl.SSLWantWriteError)
 
     def describe(self):
         return {"backend": self.name, "base_url": self.base_url}
@@ -622,20 +619,18 @@ class HttpBackend(Backend):
             endpoint, body = request_body(prompt, params)
             if endpoint == "chat":
                 _last_user_content(prompt)  # validates shape before anything is sent
-            body = json.dumps(body, separators=(",", ":"), ensure_ascii=False).encode()
+            body = _wire_json(body).encode()
             head, rest = self._heads[endpoint]
             requests.append((prompt, endpoint, b"%s%d%s%s" % (head, len(body), rest, body)))
         results, errors, attempts = [None] * len(requests), {}, [0] * len(requests)
         due = list(range(len(requests)))  # a heap: calls to send, lowest index first
         waiting = []  # a heap of (due time, call): calls waiting out a delay, holding no slot
-        # call -> (connection, deadline, its Reply, whether the connection was reused)
-        in_flight = {}
+        flights = {}  # connection held -> [its call, the reply's deadline, Reply, reused]
         selector = selectors.DefaultSelector()
 
         def settle(i, outcome):
-            """Schedules call i's retry after its attempt's outcome, an
-            exception or (status, Retry-After, body), or records its result or
-            error."""
+            """Schedules call i's retry after its attempt's outcome, an exception
+            or (status, Retry-After, body), or records its result or error."""
             failed = isinstance(outcome, BaseException)
             if attempts[i] <= cfg.max_retries and (
                     failed or outcome[0] == 429 or 500 <= outcome[0] < 600):
@@ -652,49 +647,55 @@ class HttpBackend(Backend):
 
         def step(i, conn, part):
             """Runs part(i, conn) of call i's attempt, which returns None while
-            the request is in flight. Once the attempt is over, the slot goes
-            back, with the connection closed on a failure or when the reply
-            ends its use, and the call is settled. A reused connection that
-            fails before any byte of its reply, as one the server closed
-            while it idled does, is reopened and the request resent once."""
+            the request is in flight. Once it is over, conn is closed if the
+            attempt failed or the reply ends its use, the call is settled, and
+            conn carries the next due call, or goes back to the pool after a
+            failure or with nothing due. A reused connection that fails before
+            any byte of its reply is reopened and the request resent once."""
             while True:
                 try:
                     outcome = part(i, conn)
                 except self._transport_errors as exc:
                     outcome = exc
-                except BaseException:
-                    if i in in_flight:
-                        land(i)
-                    conn.close()
-                    self._slots.put(conn)
-                    raise
                 if outcome is None:
                     return
-                _, _, reply, reused = land(i) if i in in_flight else (None, None, None, False)
+                _, _, reply, reused = flights[conn]
                 failed = isinstance(outcome, BaseException)
                 if failed or not reply.keep_alive:
+                    if conn.sock is not None and conn.sock in selector.get_map():  # connected
+                        selector.unregister(conn.sock)
                     conn.close()
                 if not (reused and isinstance(outcome, ConnectionError) and not reply.started):
-                    break
-                part = send  # on a new connection, so at most once per attempt
+                    settle(i, outcome)
+                    if failed or errors or not due:  # once a call has failed, nothing more is sent
+                        break
+                    i = heapq.heappop(due)
+                    attempts[i] += 1
+                part = send  # a resend goes on a new connection, so at most once per attempt
+            if conn.sock is not None:
+                selector.unregister(conn.sock)
+            del flights[conn]
             self._slots.put(conn)
-            settle(i, outcome)
 
         def send(i, conn):
-            reused = conn.sock is not None
-            if reused and _readable(conn.sock):
-                conn.close()  # the server closed it while it idled: open a fresh one
-                reused = False
-            if not reused:
+            flights[conn] = flight = [i, math.inf, Reply(), conn.sock is not None]
+            if conn.sock is None:
                 conn.connect()
-            conn.sock.settimeout(cfg.timeout)
-            conn.sock.sendall(requests[i][2])
-            conn.sock.setblocking(False)  # the loop reads the reply as it comes
-            selector.register(conn.sock, selectors.EVENT_READ, i)
-            in_flight[i] = conn, time.monotonic() + cfg.timeout, Reply(), reused
+                conn.sock.setblocking(False)  # the loop reads the replies as they come
+                selector.register(conn.sock, selectors.EVENT_READ, conn)
+            data = requests[i][2]
+            try:
+                sent = conn.sock.send(data)
+            except self._no_room:
+                sent = 0  # nothing written: TLS takes the same bytes again
+            if sent < len(data):  # the rest blocks the loop, under the timeout
+                conn.sock.settimeout(cfg.timeout)
+                conn.sock.sendall(data[sent:])
+                conn.sock.setblocking(False)
+            flight[1] = time.monotonic() + cfg.timeout
 
         def receive(i, conn):
-            reply = in_flight[i][2]
+            reply = flights[conn][2]
             while True:
                 try:
                     data = conn.sock.recv(65536)
@@ -706,42 +707,42 @@ class HttpBackend(Backend):
         def time_out(i, conn):
             raise TimeoutError("timed out")
 
-        def land(i):
-            flight = in_flight.pop(i)
-            selector.unregister(flight[0].sock)
-            return flight
-
         try:
-            while in_flight or (not errors and (due or waiting)):
-                while due and not errors:  # once a call has failed, nothing more is sent
+            while flights or (not errors and (due or waiting)):
+                while due and not errors and len(flights) < cfg.max_in_flight:
                     try:
-                        conn = self._slots.get(block=not in_flight) or self._connection()
+                        conn = self._slots.get(block=not flights) or self._connection()
                     except Empty:
                         break
+                    if conn.sock is not None:  # idle since an earlier batch
+                        if _readable(conn.sock):
+                            conn.close()  # closed by the server, or out of step: open a new one
+                        else:
+                            selector.register(conn.sock, selectors.EVENT_READ, conn)
                     i = heapq.heappop(due)
                     attempts[i] += 1
                     step(i, conn, send)
-                timers = [deadline for _, deadline, _, _ in in_flight.values()]
+                timers = [flight[1] for flight in flights.values()]
                 if waiting and not errors:
                     timers.append(waiting[0][0])
                 if not timers:
                     break  # nothing in flight or waiting: every call is settled
                 wake = min(timers)
                 events = []
-                if in_flight:
+                if flights:
                     events = selector.select(max(0.0, wake - time.monotonic()))
                 else:
                     time.sleep(max(0.0, wake - time.monotonic()))
                 for key, _ in events:
-                    step(key.data, in_flight[key.data][0], receive)
+                    step(flights[key.data][0], key.data, receive)
                 # a wait that ran out makes its timer due, whatever the clock reads
                 now = time.monotonic() if events else max(time.monotonic(), wake)
-                for i in [i for i, flight in in_flight.items() if flight[1] <= now]:
-                    step(i, in_flight[i][0], time_out)
+                for conn in [c for c, flight in flights.items() if flight[1] <= now]:
+                    step(flights[conn][0], conn, time_out)
                 while waiting and waiting[0][0] <= now:
                     heapq.heappush(due, heapq.heappop(waiting)[1])
         finally:
-            for conn, *_ in in_flight.values():  # left only when an exception escapes
+            for conn in flights:  # left only when an exception escapes
                 conn.close()
                 self._slots.put(conn)
             selector.close()
@@ -782,11 +783,11 @@ class HttpBackend(Backend):
             raise ProtocolError(f"{endpoint} response has an empty choices list")
         if not all(isinstance(t, str) for t in texts):
             raise ProtocolError(f"{endpoint} response has a choice whose text is not a string")
-        try:
-            usage = Usage.from_dict(data.get("usage"))
+        try:  # a usage block that is not a mapping, None included, raises TypeError
+            usage = Usage.from_dict({**data.get("usage"), "requests": attempts})
         except (TypeError, ValueError):
-            usage = _estimate_usage(prompt, texts)
-        return texts, replace(usage, requests=attempts)
+            usage = _estimate_usage(prompt, texts, attempts)
+        return texts, usage
 
 
 def _readable(sock) -> bool:

@@ -131,15 +131,16 @@ def load_dataset(path: str | Path, value_column: str = "value") -> LoadedDataset
     path = Path(path)
     values: list[float] = []
     holdout_flags: list[bool] = []
-    reader = csv.DictReader(io.StringIO(read_text(path, "dataset"), newline=""))
-    if reader.fieldnames is None or value_column not in reader.fieldnames:
-        raise ConfigError(
-            f"{path.name}: missing {value_column!r} column in header {reader.fieldnames}"
-        )
-    has_holdout = "is_holdout" in reader.fieldnames
-    for row_no, row in enumerate(reader, start=2):
-        raw = row.get(value_column)
-        if raw is None or not raw.strip():
+    rows = csv.reader(io.StringIO(read_text(path, "dataset"), newline=""))
+    header = next(rows, None)
+    # column name -> index; a name given twice is its last column, as csv.DictReader reads it
+    columns = {name: i for i, name in enumerate(header or ())}
+    if value_column not in columns:
+        raise ConfigError(f"{path.name}: missing {value_column!r} column in header {header}")
+    column, flag_column = columns[value_column], columns.get("is_holdout")
+    for row_no, row in enumerate(filter(None, rows), start=2):  # blank lines are skipped
+        raw = row[column] if column < len(row) else ""
+        if not raw.strip():
             raise ConfigError(f"{path.name}: row {row_no}: blank {value_column!r} value")
         try:
             value = float(raw)
@@ -150,8 +151,8 @@ def load_dataset(path: str | Path, value_column: str = "value") -> LoadedDataset
         if not math.isfinite(value):
             raise NonFiniteError(f"{path.name}: row {row_no}: non-finite value {raw!r}")
         values.append(value)
-        if has_holdout:
-            flag = (row.get("is_holdout") or "").strip()
+        if flag_column is not None:
+            flag = (row[flag_column] if flag_column < len(row) else "").strip()
             if flag in _TRUTHY:
                 holdout_flags.append(True)
             elif flag in _FALSY:
@@ -315,7 +316,7 @@ class SweepCell:
     error: str | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a scalar: asdict's deep copy only costs
 
 
 def _improvement(original: float | None, noisy: float | None) -> float | None:

@@ -22,6 +22,9 @@ from http.client import (
 MAXLINE = 65536
 MAXHEADERS = 100
 _HEAD_END = re.compile(rb"\n\r?\n")  # a line's end, then a blank line
+# a header line of a field that frames the body or says what becomes of the connection
+_FIELD = re.compile(rb"^(connection|content-length|keep-alive|retry-after|transfer-encoding):(.*)",
+                    re.IGNORECASE | re.MULTILINE)
 
 
 class Reply:
@@ -68,28 +71,25 @@ class Reply:
                 raise (IncompleteRead(self.data) if self.started else
                        RemoteDisconnected("Remote end closed connection without response"))
             return False
-        lines = self.data[:end.start()].split(b"\n")
-        self.data = self.data[end.end():]
-        if len(lines) > MAXHEADERS:
+        head, self.data = self.data[:end.start()], self.data[end.end():]
+        if head.count(b"\n") >= MAXHEADERS:
             raise HTTPException(f"got more than {MAXHEADERS} headers")
-        if end.start() >= MAXLINE:
-            for n, line in enumerate(lines):
+        if len(head) >= MAXLINE:
+            for n, line in enumerate(head.split(b"\n")):
                 if len(line) >= MAXLINE:
                     raise LineTooLong("header line" if n else "status line")
-        words = lines[0].split(None, 2)
+        status_line, _, head = head.partition(b"\n")
+        words = status_line.split(None, 2)
         if not (len(words) > 1 and words[0].startswith(b"HTTP/") and words[1].isdigit()
                 and 100 <= int(words[1]) <= 999):
-            raise BadStatusLine(lines[0].decode("latin-1"))
+            raise BadStatusLine(status_line.decode("latin-1"))
         version, status = words[0], int(words[1])
         if not version.startswith(b"HTTP/1.") and version != b"HTTP/0.9":
             raise UnknownProtocol(version.decode("latin-1"))
         if status < 200:
             return True  # an interim reply: the reply itself follows
-        fields = {}
-        for line in lines[1:]:
-            name, colon, value = line.partition(b":")
-            if colon and line[:1] not in b" \t":  # a folded line's text is dropped
-                fields.setdefault(name.lower(), value.strip())
+        # a field named twice counts at its first line, a folded line at none
+        fields = {name.lower(): value.strip() for name, value in reversed(_FIELD.findall(head))}
         self.status = status
         retry_after = fields.get(b"retry-after")
         self.retry_after = None if retry_after is None else retry_after.decode("latin-1")
@@ -109,10 +109,8 @@ class Reply:
             self._left = -1
         if self._left < 0:  # no usable length: the body runs to the connection's end
             self.keep_alive = False
-            self._stage = Reply._to_close
-        else:
-            self._stage = Reply._fixed
-        return True
+        self._stage = Reply._fixed if self._left >= 0 else Reply._to_close
+        return self._stage(self, eof)  # most often the whole body came with the head
 
     def _fixed(self, eof):
         if len(self.data) < self._left:

@@ -1,7 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nlts.pipeline
+
+HERE = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    """A socket or file left open fails the test under tests/ that it shows
+    in: ResourceWarning is an error, and so is an exception raised where
+    nothing can catch it, such as that warning from a collected socket."""
+    for item in items:
+        if item.path.is_relative_to(HERE):
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::pytest.PytestUnraisableExceptionWarning"))
 
 # Map acceptance tests to their criterion number for the one-line-per-criterion
 # summary printed after the run.

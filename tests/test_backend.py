@@ -693,6 +693,7 @@ class _Script(BaseHTTPRequestHandler):
         """Appends this request to `calls`; returns how many there are."""
         self.calls.append({"method": self.command, "path": self.path, "raw": raw,
                            "body": json.loads(raw or b"{}"), "at": time.monotonic(),
+                           "port": self.client_address[1],
                            "auth": self.headers.get("Authorization"),
                            "proxy_auth": self.headers.get("Proxy-Authorization")})
         return len(self.calls)
@@ -765,6 +766,65 @@ class _KeepAlive(_Script):
     protocol_version = "HTTP/1.1"
 
 
+class _BodySize(_KeepAlive):
+    """Replies to each request with the length of the body it read and the
+    request's Content-Length: "<read> of <Content-Length>"."""
+
+    def do_POST(self):
+        declared = int(self.headers["Content-Length"])
+        raw = self.rfile.read(declared)
+        with self.lock:
+            self.record(raw)
+        self.wfile.write(_raw_reply(json.dumps(
+            {"choices": [{"text": f"{len(raw)} of {declared}"}]}).encode()))
+
+
+def _echo_reply(handler, chunked=False):
+    """Reads the handler's request and returns a raw reply that echoes its
+    prompt; its body is framed by Content-Length, or in two chunks."""
+    raw = handler.rfile.read(int(handler.headers["Content-Length"]))
+    with handler.lock:
+        handler.record(raw)
+        prompt = handler.calls[-1]["body"]["prompt"]
+    body = json.dumps({"choices": [{"text": prompt}],
+                       "usage": {"prompt_tokens": 3, "completion_tokens": 2}}).encode()
+    if not chunked:
+        return _raw_reply(body)
+    body = b"".join(b"%x\r\n%s\r\n" % (len(part), part) for part in (body[:9], body[9:], b""))
+    return _raw_reply(body, b"Transfer-Encoding: chunked")
+
+
+class _Trickle(_KeepAlive):
+    """Echoes each prompt in a reply written `piece` bytes at a time, or in
+    one write when `piece` is None, framed as `chunked` says."""
+
+    piece = None
+    chunked = False
+
+    def do_POST(self):
+        reply = _echo_reply(self, chunked=self.chunked)
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # each piece apart
+        piece = self.piece or len(reply)
+        for start in range(0, len(reply), piece):
+            self.wfile.write(reply[start:start + piece])
+            time.sleep(0.0005)
+
+
+class _TimeoutWhenIdle(_KeepAlive):
+    """Echoes each prompt. After the first reply it waits, then writes "408
+    Request Timeout" on that connection and leaves it open, as a server whose
+    idle timer ran out may; `timed_out` is set once it has."""
+
+    timed_out = threading.Event()
+
+    def do_POST(self):
+        self.wfile.write(_echo_reply(self))
+        if len(self.calls) == 1:
+            time.sleep(0.1)  # the client has read the reply and pooled the connection
+            self.wfile.write(b"HTTP/1.1 408 Request Timeout\r\n\r\n")
+            self.timed_out.set()
+
+
 class _Server(ThreadingHTTPServer):
     closed = 0  # connections closed by the server
 
@@ -818,6 +878,24 @@ def serve(monkeypatch):
 @pytest.fixture
 def http_server(serve):
     return serve(_Script)[0], _Script
+
+
+@pytest.fixture(autouse=True)
+def close_backends(monkeypatch):
+    """Closes every HttpBackend a test built once the test is over, as a
+    caller done with a backend does: the idle connections in its pool would
+    stay open until the collector found them, and warn then."""
+    built = []
+    init = HttpBackend.__init__
+
+    def building(backend, *args, **kwargs):
+        init(backend, *args, **kwargs)
+        built.append(backend)
+
+    monkeypatch.setattr(HttpBackend, "__init__", building)
+    yield
+    for backend in built:
+        backend.close()
 
 
 @pytest.fixture
@@ -978,12 +1056,15 @@ class TestHttpBackend:
         script.delay = 0.05
         backend = self.make(base, max_in_flight=2)
         threads = []  # the thread of each request written and of each reply's first read
-        sendall, recv = socket.socket.sendall, socket.socket.recv
 
-        def sending(sock, data, *args):
-            if data.startswith(b"POST "):  # the server's threads write only replies
-                threads.append(threading.current_thread())
-            return sendall(sock, data, *args)
+        def recording(write):
+            def writing(sock, data, *args):
+                if data.startswith(b"POST "):  # the server's threads write only replies
+                    threads.append(threading.current_thread())
+                return write(sock, data, *args)
+            return writing
+
+        recv = socket.socket.recv
 
         def receiving(sock, *args):
             data = recv(sock, *args)
@@ -991,7 +1072,9 @@ class TestHttpBackend:
                 threads.append(threading.current_thread())
             return data
 
-        monkeypatch.setattr(socket.socket, "sendall", sending)
+        # a request goes out with send, and with sendall only when send leaves a part
+        monkeypatch.setattr(socket.socket, "send", recording(socket.socket.send))
+        monkeypatch.setattr(socket.socket, "sendall", recording(socket.socket.sendall))
         monkeypatch.setattr(socket.socket, "recv", receiving)
         for _ in range(2):
             assert run_nlts(_job(samples=4), backend).valid_samples == 4
@@ -1391,6 +1474,98 @@ class TestCompleteMany:
         # the other calls were sent and answered while the stalled reply waited out its timeout
         prompts = [c["body"]["prompt"] for c in _Script.calls]
         assert sorted(prompts[:4]) == ["a", "b", "c", "stall"] and prompts[4] == "stall"
+
+
+class TestBatchConnections:
+    """How a batch holds its connections: checked out once, carrying the
+    batch's calls one after another, sent in one non-blocking send."""
+
+    def make(self, base, **kw):
+        return HttpBackend(BackendConfig(base_url=base, backoff_base=0.001, backoff_cap=0.004,
+                                         **kw))
+
+    @pytest.mark.parametrize("tls", [False, True], ids=["plain", "tls"])
+    def test_request_larger_than_the_send_buffer_arrives_whole(self, serve, monkeypatch, tls):
+        """What the non-blocking send leaves of a request goes out blocking:
+        the server reads the whole body, and the call costs one attempt."""
+        monkeypatch.setenv("SSL_CERT_FILE", TLS_PEM)
+        base, _ = serve(_BodySize, tls=tls)
+        backend = self.make(base, timeout=5)
+        prompt = "1 2 3, " * 2**20  # 7 MB
+        texts, usage = backend.complete(prompt, PARAMS)
+        read, declared = texts[0].split(" of ")
+        assert read == declared and int(declared) > len(prompt)
+        assert usage.requests == 1
+
+    def test_a_batch_checks_each_slot_out_once(self, serve, monkeypatch):
+        """A batch checks each connection out of the pool once, checks a
+        pooled one for readability once, and hands every slot back, also
+        when it fails or an exception escapes its loop."""
+        import nlts.backend
+
+        base, _ = serve(_KeepAlive)
+        _Script.script = [lambda body: (401, {}) if body["prompt"] == "deny" else _echo(body)]
+        backend = self.make(base, max_in_flight=4)
+        checkouts, checks = [], []
+        get, readable = backend._slots.get, nlts.backend._readable
+
+        def checkout(*args, **kwargs):
+            conn = get(*args, **kwargs)
+            checkouts.append(conn)
+            return conn
+
+        def check(sock):
+            checks.append(1)
+            return readable(sock)
+
+        monkeypatch.setattr(backend._slots, "get", checkout)
+        monkeypatch.setattr(nlts.backend, "_readable", check)
+        calls = [(f"{i}", PARAMS, "") for i in range(10)]
+        expected = [([f"{i}"], Usage(1, 1, 1)) for i in range(10)]
+        for pooled in (0, 4):  # the first batch opens the connections, the next reuses them
+            checkouts.clear()
+            checks.clear()
+            assert backend.complete_many(calls) == expected
+            assert (len(checkouts), len(checks)) == (4, pooled)
+            assert backend._slots.qsize() == 4
+        with pytest.raises(AuthError):
+            backend.complete_many(calls[:5] + [("deny", PARAMS, "")] + calls[5:])
+        assert backend._slots.qsize() == 4
+
+        class Escaped(Exception):
+            pass
+
+        def feed(reply, data):
+            raise Escaped
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Reply, "feed", feed)
+            with pytest.raises(Escaped):
+                backend.complete_many(calls)
+        assert backend._slots.qsize() == 4
+        assert backend.complete_many(calls) == expected
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["content-length", "chunked"])
+    def test_trickled_reply_reads_as_one_write(self, serve, chunked):
+        results = []
+        for piece in (None, 3):
+            base, _ = serve(type("Handler", (_Trickle,), {"piece": piece, "chunked": chunked}))
+            backend = self.make(base, max_in_flight=2)
+            results.append(backend.complete_many([(f"{i}", PARAMS, "") for i in range(4)]))
+        assert results[0] == results[1] == [([f"{i}"], Usage(3, 2, 1)) for i in range(4)]
+
+    def test_reply_written_on_an_idle_connection_is_not_the_next_ones(self, serve):
+        """An idle pooled connection that the server wrote to unasked is
+        closed when a batch checks it out: the request goes on a new one."""
+        base, _ = serve(_TimeoutWhenIdle)
+        _TimeoutWhenIdle.timed_out.clear()
+        backend = self.make(base)
+        assert backend.complete("a", PARAMS) == (["a"], Usage(3, 2, 1))
+        assert _TimeoutWhenIdle.timed_out.wait(5)
+        time.sleep(0.05)  # until the 408 has reached the pooled connection
+        assert backend.complete("b", PARAMS) == (["b"], Usage(3, 2, 1))
+        first, second = (call["port"] for call in _Script.calls)
+        assert first != second
 
 
 class TestTransport:
