@@ -459,25 +459,25 @@ class HttpBackend(Backend):
     """OpenAI-compatible client: POST {base}/v1/completions and /v1/chat/completions.
 
     Requests go out on keep-alive connections from a pool of max_in_flight
-    slots, each idle or empty. complete_many (complete is a batch of one)
-    keeps up to max_in_flight calls in flight on the calling thread and
-    holds the slots it checked out: the one in-flight bound, also across
-    threads sharing the backend. A batch keeps a slot while it has calls
-    due, and replaces an idle connection readable at checkout (closed by the
-    server, or sent what no request asked for). A connection is made
-    non-blocking when it opens and registered with the batch's selector
-    once. A reply that leaves its connection open hands it the batch's next
-    due call, lowest index first; the slot goes back when nothing is due,
-    after a failure or at the batch's end, so a waiting call holds none.
+    slots, each idle or empty: the one in-flight bound, also across threads
+    sharing the backend. complete sends a batch of one through complete_many,
+    which keeps up to max_in_flight calls in flight on the calling thread.
 
     http.client only opens connections (connect, proxy CONNECT, TLS
-    handshake), which blocks the loop. A request is one non-blocking send of
-    its prebuilt head and body; only what that send leaves is written
-    blocking, under timeout. One selectors loop reads the replies through
-    http_reply.Reply while it waits for the next reply, retry or timeout;
+    handshake), which blocks the loop. send writes a request as one
+    non-blocking send of its prebuilt head and body; only what that leaves
+    is written blocking, under timeout. One selectors loop reads the replies
+    through http_reply.Reply while it waits for a reply, retry or timeout;
     TLS records with no reply data, such as session tickets, leave a request
-    in flight. A reused connection that ends before any byte of the reply
-    costs no attempt: the request is resent once on a new connection.
+    in flight. finish ends every attempt: a whole reply, a transport error or
+    a timeout. It closes a connection that failed or that its reply ends,
+    and gives the slot back after a failure, else keeps it in held, which
+    the checkout drains before the pool. An idle pooled connection readable
+    at checkout (closed, or sent what no request asked for) is replaced.
+    Held slots go back when nothing is due, once a call has failed for good
+    and at the batch's end, so a waiting call holds none. A reused
+    connection that ends before any byte of the reply costs no attempt: the
+    request is resent once on a new connection.
 
     A transport failure (a reply not whole within timeout of its send
     included), a 429 or a 5xx is retried up to max_retries times. The first
@@ -533,19 +533,19 @@ class HttpBackend(Backend):
             headers["Authorization"] = f"Bearer {api_key}"
         try:
             target = urlsplit(self.base_url)
-            host, port = target.hostname, target.port
+            host, port = _ascii_host(target.hostname), target.port
             proxies = urllib.request.getproxies()
             proxy = proxies.get(target.scheme) or proxies.get("all")
             if proxy and not urllib.request.proxy_bypass(target.netloc):
                 proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-                proxy_port = proxy.port or 80
+                proxy_host, proxy_port = _ascii_host(proxy.hostname), proxy.port or 80
             else:
                 proxy = None
-        except ValueError as exc:  # an unparseable URL or port
+        except ValueError as exc:  # an unparseable URL or port, or a host IDNA cannot encode
             raise ConfigError(f"bad base_url or proxy for {self.base_url}: {exc}") from exc
         if target.scheme not in ("http", "https") or not host:
             raise ConfigError(f"base_url must be an http:// or https:// URL, got {self.base_url}")
-        if proxy and (proxy.scheme != "http" or not proxy.hostname):
+        if proxy and (proxy.scheme != "http" or not proxy_host):
             raise ConfigError(f"proxy for {self.base_url} must be an http:// URL")
         kw = {"timeout": config.timeout}
         if target.scheme == "https":
@@ -566,7 +566,7 @@ class HttpBackend(Backend):
             else:  # a plain-HTTP proxy takes the absolute URL
                 path, upstream = self.base_url, target.netloc
                 headers.update(auth)
-            host, port = proxy.hostname, proxy_port
+            host, port = proxy_host, proxy_port
         if not (path.isascii() and path.isprintable()) or " " in path:
             raise ConfigError(f"base_url path must be printable ASCII without spaces, "
                               f"got {self.base_url}")
@@ -574,7 +574,7 @@ class HttpBackend(Backend):
         # per endpoint, a request's head up to its Content-Length value and after it
         self._heads = {endpoint: (
             f"POST {path}{route} HTTP/1.1\r\nHost: ".encode()
-            + upstream.encode("ascii" if upstream.isascii() else "idna")
+            + upstream.encode("ascii")  # host is, and a proxied netloc passed the path check
             + b"\r\nAccept-Encoding: identity\r\nContent-Length: ",
             f"\r\n{fields}\r\n".encode("latin-1"),
         ) for endpoint, (route, _) in self._ROUTES.items()}
@@ -607,6 +607,8 @@ class HttpBackend(Backend):
         return self.complete_many([(prompt, params, tag)])[0]
 
     def complete_many(self, calls):
+        """send writes each request and finish ends each attempt, making
+        _reply's texts or error the call's result, retry or error."""
         import heapq
         import selectors
         from queue import Empty
@@ -625,103 +627,81 @@ class HttpBackend(Backend):
         results, errors, attempts = [None] * len(requests), {}, [0] * len(requests)
         due = list(range(len(requests)))  # a heap: calls to send, lowest index first
         waiting = []  # a heap of (due time, call): calls waiting out a delay, holding no slot
-        flights = {}  # connection held -> [its call, the reply's deadline, Reply, reused]
+        flights = {}  # connection in flight -> [its call, the reply's deadline, Reply, reused]
+        held = []  # connections the batch holds between requests, drained before the pool
         selector = selectors.DefaultSelector()
 
-        def settle(i, outcome):
-            """Schedules call i's retry after its attempt's outcome, an exception
-            or (status, Retry-After, body), or records its result or error."""
-            failed = isinstance(outcome, BaseException)
-            if attempts[i] <= cfg.max_retries and (
-                    failed or outcome[0] == 429 or 500 <= outcome[0] < 600):
-                delay = self._delay(attempts[i], None if failed else outcome[1])
-                if delay > 0:
-                    heapq.heappush(waiting, (time.monotonic() + delay, i))
-                else:
-                    heapq.heappush(due, i)
-                return
-            try:
-                results[i] = self._reply(*requests[i][:2], attempts[i], outcome)
-            except (AuthError, ProtocolError, RateLimitError, TransportError) as exc:
-                errors[i] = exc
-
-        def step(i, conn, part):
-            """Runs part(i, conn) of call i's attempt, which returns None while
-            the request is in flight. Once it is over, conn is closed if the
-            attempt failed or the reply ends its use, the call is settled, and
-            conn carries the next due call, or goes back to the pool after a
-            failure or with nothing due. A reused connection that fails before
-            any byte of its reply is reopened and the request resent once."""
-            while True:
-                try:
-                    outcome = part(i, conn)
-                except self._transport_errors as exc:
-                    outcome = exc
-                if outcome is None:
-                    return
-                _, _, reply, reused = flights[conn]
-                failed = isinstance(outcome, BaseException)
-                if failed or not reply.keep_alive:
-                    if conn.sock is not None and conn.sock in selector.get_map():  # connected
-                        selector.unregister(conn.sock)
-                    conn.close()
-                if not (reused and isinstance(outcome, ConnectionError) and not reply.started):
-                    settle(i, outcome)
-                    if failed or errors or not due:  # once a call has failed, nothing more is sent
-                        break
-                    i = heapq.heappop(due)
-                    attempts[i] += 1
-                part = send  # a resend goes on a new connection, so at most once per attempt
-            if conn.sock is not None:
-                selector.unregister(conn.sock)
-            del flights[conn]
-            self._slots.put(conn)
-
         def send(i, conn):
+            """Writes call i's request on conn, which a failure to connect or write ends."""
             flights[conn] = flight = [i, math.inf, Reply(), conn.sock is not None]
-            if conn.sock is None:
-                conn.connect()
-                conn.sock.setblocking(False)  # the loop reads the replies as they come
-                selector.register(conn.sock, selectors.EVENT_READ, conn)
-            data = requests[i][2]
             try:
-                sent = conn.sock.send(data)
-            except self._no_room:
-                sent = 0  # nothing written: TLS takes the same bytes again
-            if sent < len(data):  # the rest blocks the loop, under the timeout
-                conn.sock.settimeout(cfg.timeout)
-                conn.sock.sendall(data[sent:])
-                conn.sock.setblocking(False)
+                if conn.sock is None:
+                    conn.connect()
+                    conn.sock.setblocking(False)  # the loop reads the replies as they come
+                    selector.register(conn.sock, selectors.EVENT_READ, conn)
+                data = requests[i][2]
+                try:
+                    sent = conn.sock.send(data)
+                except self._no_room:
+                    sent = 0  # nothing written: TLS takes the same bytes again
+                if sent < len(data):  # the rest blocks the loop, under the timeout
+                    conn.sock.settimeout(cfg.timeout)
+                    conn.sock.sendall(data[sent:])
+                    conn.sock.setblocking(False)
+            except self._transport_errors as exc:
+                return finish(conn, exc)
             flight[1] = time.monotonic() + cfg.timeout
 
-        def receive(i, conn):
-            reply = flights[conn][2]
-            while True:
-                try:
-                    data = conn.sock.recv(65536)
-                except self._no_data_yet:
-                    return None
-                if reply.feed(data):
-                    return reply.status, reply.retry_after, reply.body
-
-        def time_out(i, conn):
-            raise TimeoutError("timed out")
+        def finish(conn, error=None):
+            """Ends the attempt in flight on conn: with its whole reply, or with error."""
+            i, _, reply, reused = flights.pop(conn)
+            if error is not None or not reply.keep_alive:
+                if conn.sock is not None and conn.sock in selector.get_map():  # connected
+                    selector.unregister(conn.sock)
+                conn.close()
+            if reused and isinstance(error, ConnectionError) and not reply.started:
+                return send(i, conn)  # on a new connection, so at most once per attempt
+            if error is None:
+                held.append(conn)
+            else:
+                self._slots.put(conn)
+            try:
+                results[i] = self._reply(*requests[i][:2], attempts[i], reply, error)
+            except (RateLimitError, TransportError) as exc:
+                if attempts[i] > cfg.max_retries:
+                    errors[i] = exc
+                else:
+                    delay = self._delay(attempts[i], None if error else reply.retry_after)
+                    if delay > 0:
+                        heapq.heappush(waiting, (time.monotonic() + delay, i))
+                    else:
+                        heapq.heappush(due, i)
+            except (AuthError, ProtocolError) as exc:
+                errors[i] = exc
 
         try:
-            while flights or (not errors and (due or waiting)):
+            while True:
                 while due and not errors and len(flights) < cfg.max_in_flight:
-                    try:
-                        conn = self._slots.get(block=not flights) or self._connection()
-                    except Empty:
-                        break
-                    if conn.sock is not None:  # idle since an earlier batch
-                        if _readable(conn.sock):
-                            conn.close()  # closed by the server, or out of step: open a new one
-                        else:
-                            selector.register(conn.sock, selectors.EVENT_READ, conn)
+                    if held:
+                        conn = held.pop()
+                    else:
+                        try:
+                            conn = self._slots.get(block=not flights) or self._connection()
+                        except Empty:
+                            break
+                        if conn.sock is not None:  # idle since an earlier batch
+                            if _readable(conn.sock):
+                                conn.close()  # closed by the server, or out of step: open a new one
+                            else:
+                                selector.register(conn.sock, selectors.EVENT_READ, conn)
                     i = heapq.heappop(due)
                     attempts[i] += 1
-                    step(i, conn, send)
+                    send(i, conn)
+                while held:  # nothing is due, or a call has failed for good
+                    conn = held.pop()
+                    if conn.sock is not None:
+                        selector.unregister(conn.sock)
+                    self._slots.put(conn)
                 timers = [flight[1] for flight in flights.values()]
                 if waiting and not errors:
                     timers.append(waiting[0][0])
@@ -734,18 +714,28 @@ class HttpBackend(Backend):
                 else:
                     time.sleep(max(0.0, wake - time.monotonic()))
                 for key, _ in events:
-                    step(flights[key.data][0], key.data, receive)
+                    conn, reply = key.data, flights[key.data][2]
+                    try:
+                        while not reply.feed(conn.sock.recv(65536)):
+                            pass
+                    except self._no_data_yet:
+                        continue  # the rest of the reply is still to come
+                    except self._transport_errors as exc:
+                        finish(conn, exc)
+                    else:
+                        finish(conn)
                 # a wait that ran out makes its timer due, whatever the clock reads
                 now = time.monotonic() if events else max(time.monotonic(), wake)
                 for conn in [c for c, flight in flights.items() if flight[1] <= now]:
-                    step(flights[conn][0], conn, time_out)
+                    finish(conn, TimeoutError("timed out"))
                 while waiting and waiting[0][0] <= now:
                     heapq.heappush(due, heapq.heappop(waiting)[1])
         finally:
-            for conn in flights:  # left only when an exception escapes
+            for conn in [*flights, *held]:  # left only when an exception escapes
                 conn.close()
                 self._slots.put(conn)
             selector.close()
+            send = finish = None  # each refers to the other: a cycle that would outlive the batch
         if errors:
             raise errors[min(errors)]
         return results
@@ -758,22 +748,24 @@ class HttpBackend(Backend):
             seconds = cfg.backoff_base * 2 ** (failures - 1) + random.random() * cfg.backoff_base
         return min(seconds, cfg.backoff_cap)
 
-    def _reply(self, prompt, endpoint: str, attempts: int, outcome) -> tuple[list[str], Usage]:
-        """A call's texts and usage from its last attempt's outcome, an
-        exception or (status, Retry-After, body); raises the call's error."""
-        if isinstance(outcome, BaseException):
+    def _reply(self, prompt, endpoint, attempts: int, reply, error=None) -> tuple[list[str], Usage]:
+        """A call's texts and usage from its attempt's whole Reply, else the
+        call's error: TransportError for the error that ended the attempt or
+        for a 5xx, RateLimitError for a 429 (both retried while retries are
+        left), AuthError for a 401/403 and ProtocolError for anything else."""
+        if error is not None:
             raise TransportError(
-                f"request failed after {attempts} attempts: {outcome!r}") from outcome
-        status, _, payload = outcome
+                f"request failed after {attempts} attempts: {error!r}") from error
+        status = reply.status
         if status in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {status})")
         if status != 200:
             error = (RateLimitError if status == 429 else
-                     TransportError if status >= 500 else ProtocolError)
-            excerpt = payload[:200].decode("utf-8", "replace")
+                     TransportError if 500 <= status < 600 else ProtocolError)
+            excerpt = reply.body[:200].decode("utf-8", "replace")
             raise error(f"HTTP {status} after {attempts} attempts: {excerpt}")
         try:
-            data = json.loads(payload)
+            data = json.loads(reply.body)
             texts = [self._ROUTES[endpoint][1](choice) for choice in data["choices"]]
         except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"endpoint returned invalid JSON: {exc}") from exc
@@ -788,6 +780,12 @@ class HttpBackend(Backend):
         except (TypeError, ValueError):
             usage = _estimate_usage(prompt, texts, attempts)
         return texts, usage
+
+
+def _ascii_host(name: str | None) -> str | None:
+    """A host name in the ASCII form the wire takes: its IDNA encoding when
+    it is not ASCII. Raises UnicodeError, a ValueError, when it has none."""
+    return name if name is None or name.isascii() else name.encode("idna").decode("ascii")
 
 
 def _readable(sock) -> bool:

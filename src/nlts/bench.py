@@ -138,7 +138,8 @@ def load_dataset(path: str | Path, value_column: str = "value") -> LoadedDataset
     if value_column not in columns:
         raise ConfigError(f"{path.name}: missing {value_column!r} column in header {header}")
     column, flag_column = columns[value_column], columns.get("is_holdout")
-    for row_no, row in enumerate(filter(None, rows), start=2):  # blank lines are skipped
+    for row in filter(None, rows):  # blank lines are skipped
+        row_no = rows.line_num
         raw = row[column] if column < len(row) else ""
         if not raw.strip():
             raise ConfigError(f"{path.name}: row {row_no}: blank {value_column!r} value")
@@ -451,22 +452,13 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_sweep_outputs(out: Path, report: dict, cells: list[SweepCell]) -> None:
     table = io.StringIO()
     writer = csv.writer(table)
     writer.writerow(SWEEP_CSV_COLUMNS)
-    for c in cells:
-        writer.writerow([c.dataset, c.kind, c.label, _fmt(c.mse), _fmt(c.mae),
-                         _fmt(c.improvement_mse), _fmt(c.improvement_mae),
-                         _fmt(c.valid_samples), c.error or ""])
+    for c in cells:  # csv writes a float as its repr and None as an empty field
+        writer.writerow([c.dataset, c.kind, c.label, c.mse, c.mae, c.improvement_mse,
+                         c.improvement_mae, c.valid_samples, c.error])
     write_text(out / "results.csv", table.getvalue(), "report")
     write_text(out / "results.json", json.dumps(report, indent=2) + "\n", "report")
     lines = [

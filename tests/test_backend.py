@@ -1476,6 +1476,95 @@ class TestCompleteMany:
         assert sorted(prompts[:4]) == ["a", "b", "c", "stall"] and prompts[4] == "stall"
 
 
+# each status a model script draws, and the error class it raises once it is final
+_STATUS_ERRORS = {200: None, 429: RateLimitError, 500: TransportError, 503: TransportError,
+                  401: AuthError, 404: ProtocolError}
+
+
+def _retry_model(scripts, max_retries):
+    """What the README's retry rules make of a batch sent one request at a
+    time, when each reply takes longer than any backoff: the calls in the
+    order their requests go out, each call's attempts, and the class of the
+    error raised, or None. scripts[i] holds call i's statuses, one per
+    attempt, its last repeating. A 429 or a 5xx is retried up to max_retries
+    times: the first retry at once, a later one after a delay, during which
+    the next due call goes first. A 401 or a 404 is final, and so is the
+    first failed call: nothing more is sent."""
+    due, waiting, attempts, sent = list(range(len(scripts))), [], [0] * len(scripts), []
+    while due or waiting:
+        if not due:  # nothing else to send: the delay is waited out
+            due, waiting = waiting, []
+        i = min(due)
+        due.remove(i)
+        due += waiting  # what waited is due again once this request's reply is in
+        waiting = []
+        attempts[i] += 1
+        sent.append(i)
+        status = scripts[i][min(attempts[i], len(scripts[i])) - 1]
+        if status == 200:
+            continue
+        if status in (401, 404) or attempts[i] > max_retries:
+            return sent, attempts, _STATUS_ERRORS[status]
+        (due if attempts[i] == 1 else waiting).append(i)
+    return sent, attempts, None
+
+
+class TestRetryModel:
+    """complete_many against _retry_model, on batches of scripted statuses."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scripts=st.lists(st.lists(st.sampled_from(sorted(_STATUS_ERRORS)), min_size=1,
+                                     max_size=4), min_size=1, max_size=4),
+           max_retries=st.sampled_from([0, 1, 3]))
+    def test_batch_follows_the_retry_rules(self, http_server, monkeypatch, scripts, max_retries):
+        """One request at a time, the requests go out in the model's order,
+        and the batch returns the model's attempts or raises its error
+        class. Four at a time, a batch whose calls all succeed returns the
+        same results. The backend's clock moves on with each request the
+        server takes, and each reply takes 5 ms, so a backoff (1 ms) has run
+        out by the time the next reply is read, however the loop is
+        scheduled."""
+        import nlts.backend
+
+        base, script = http_server
+        clock = [0.0]
+
+        def sleep(seconds):
+            clock[0] += seconds
+
+        def reply(body):
+            clock[0] += 0.01
+            i = int(body["prompt"])
+            attempt = [c["body"]["prompt"] for c in script.calls].count(body["prompt"])
+            status = scripts[i][min(attempt, len(scripts[i])) - 1]
+            if status == 200:
+                return (*_echo(body), {}, 0.005)
+            headers = {"Retry-After": "0"} if status == 429 else {}
+            return status, {"error": "scripted"}, headers, 0.005
+
+        monkeypatch.setattr(nlts.backend, "time", types.SimpleNamespace(
+            sleep=sleep, time=time.time, monotonic=lambda: clock[0]))
+        script.script = [reply]
+        sent, attempts, error = _retry_model(scripts, max_retries)
+        calls = [(f"{i}", PARAMS, "") for i in range(len(scripts))]
+        expected = [([f"{i}"], Usage(1, 1, n)) for i, n in enumerate(attempts)]
+        for in_flight in (1, 4) if error is None else (1,):
+            script.calls = []
+            backend = HttpBackend(BackendConfig(base_url=base, max_retries=max_retries,
+                                                backoff_base=0.001, backoff_cap=0.001,
+                                                max_in_flight=in_flight))
+            if error is None:
+                assert backend.complete_many(calls) == expected
+            else:
+                with pytest.raises(BackendError) as caught:
+                    backend.complete_many(calls)
+                assert caught.type is error
+            if in_flight == 1:
+                assert [int(c["body"]["prompt"]) for c in script.calls] == sent
+            backend.close()
+
+
 class TestBatchConnections:
     """How a batch holds its connections: checked out once, carrying the
     batch's calls one after another, sent in one non-blocking send."""
@@ -1545,6 +1634,29 @@ class TestBatchConnections:
         assert backend._slots.qsize() == 4
         assert backend.complete_many(calls) == expected
 
+    def test_a_batch_leaves_no_reference_cycle(self, serve):
+        """What a batch builds is freed when it returns, not left to the
+        collector: no Reply and no function made in complete_many is found
+        only by the collector."""
+        base, _ = serve(_KeepAlive)
+        _Script.script = [_echo]
+        backend = self.make(base, max_in_flight=4)
+        calls = [(f"{i}", PARAMS, "") for i in range(10)]
+        expected = [([f"{i}"], Usage(1, 1, 1)) for i in range(10)]
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it finds in gc.garbage
+        try:
+            for _ in range(3):
+                assert backend.complete_many(calls) == expected
+            gc.collect()
+            left = [repr(o) for o in gc.garbage if isinstance(o, Reply) or (
+                isinstance(o, types.FunctionType) and ".complete_many.<locals>." in o.__qualname__)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert left == []
+
     @pytest.mark.parametrize("chunked", [False, True], ids=["content-length", "chunked"])
     def test_trickled_reply_reads_as_one_write(self, serve, chunked):
         results = []
@@ -1606,7 +1718,8 @@ class TestTransport:
             self.make(base).complete("p", PARAMS)
         assert len(script.calls) == 1
 
-    @pytest.mark.parametrize("base_url", ["ftp://upstream.invalid", "localhost:8000", "http://"])
+    @pytest.mark.parametrize("base_url", ["ftp://upstream.invalid", "localhost:8000", "http://",
+                                          "http://ä..com"])
     def test_base_url_must_be_http(self, http_server, base_url):
         with pytest.raises(ConfigError, match="base_url"):
             self.make(base_url)
@@ -1619,6 +1732,14 @@ class TestTransport:
         assert script.calls[0]["method"] == "CONNECT"
         assert script.calls[0]["path"] == "upstream.invalid:443"
         assert script.calls[0]["proxy_auth"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    def test_idn_host_is_tunnelled_by_its_ascii_name(self, http_server, monkeypatch):
+        base, script = http_server
+        monkeypatch.setenv("HTTPS_PROXY", base)
+        with pytest.raises(TransportError):  # the fixture refuses the tunnel
+            self.make("https://bücher.example").complete("p", PARAMS)
+        assert (script.calls[0]["method"], script.calls[0]["path"]) == (
+            "CONNECT", "xn--bcher-kva.example:443")
 
     @pytest.mark.parametrize("route", ["direct", "proxy", "tunnel"])
     def test_request_head_has_http_clients_fields(self, head_server, monkeypatch, route):
@@ -1648,7 +1769,7 @@ class TestTransport:
             assert heads[0].startswith(b"CONNECT 127.0.0.1:443 HTTP/")
 
     @pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080", "http://[bad",
-                                       "https://127.0.0.1:3128"])
+                                       "https://127.0.0.1:3128", "http://ä..com:3128"])
     def test_unusable_proxy_is_config_error(self, http_server, monkeypatch, proxy):
         monkeypatch.setenv("HTTP_PROXY", proxy)
         with pytest.raises(ConfigError, match="proxy"):

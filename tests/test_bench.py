@@ -116,6 +116,12 @@ class TestLoadDataset:
         with pytest.raises(ConfigError, match="row 3"):
             load_dataset(p)
 
+    def test_row_number_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("value\n1\n\nx\n")
+        with pytest.raises(ConfigError, match="row 4: 'value' is not numeric"):
+            load_dataset(p)
+
     def test_missing_value_column(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,reading\n1,22\n")
